@@ -28,17 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     CoeffSystem,
     P,
     VElem,
+    cf_series,
     mu,
     moment_series,
     nu,
 )
-from .exactmath import Poly, Scalar, Series
+from .exactmath import Poly, Scalar
 
 
 class HypothesisViolation(ValueError):
@@ -146,7 +147,7 @@ def delta_tprime(n: int, cs: CoeffSystem) -> DetReport:
 def delta_shifted(kind: str, n: int, s: int, cs: CoeffSystem) -> DetReport:
     """Shifted determinants D'_{n,s}, D''_{n,s}, D'''_{n,s}.
 
-    Closed predictions exist for s = 1 at order n-1 (und are checked as
+    Closed predictions exist for s = 1 at order n-1 (and are checked as
     conjectures); any other (n, s) raises, since no formula is available.
     """
     if kind not in ("prime", "dprime", "tprime"):
@@ -211,7 +212,6 @@ def P_via_det(n: int, cs: CoeffSystem) -> Poly:
     """Reconstruct P_n from the bordered nu-determinant (x^j/d_n basis)."""
     if n == 0:
         return Poly.const(1)
-    d = delta_prime(n, cs)
     denom = det_exact([[nu(i + j, n, cs) for j in range(n + 1)] for i in range(n + 1)])
     if denom == 0:
         raise PQUniqueError(f"D'_{n} = 0: P_{n} is not determined")
@@ -266,27 +266,13 @@ def lemma_xin_check(t: Scalar, n: int) -> DetReport:
     return DetReport(n, "xin", hankel(n, cs), predicted)
 
 
-def classical_jfraction_series(
-    B: Callable[[int], Scalar], Lam: Callable[[int], Scalar], order: int
-) -> Series:
-    """Moment series 1/(1 - B_0 x - Lam_1 x^2/(1 - B_1 x - ...))."""
-    one = Series([1], order)
-    level = (one - Series([0, B(order)], order)).inverse()
-    for k in range(order - 1, -1, -1):
-        head = one - Series([0, B(k)], order)
-        tail = Series([0, 0, Lam(k + 1)], order) * level
-        level = (head - tail).inverse()
-    return level
-
-
 def classical_equiv_check(A: Scalar, B: Scalar, C: Scalar, order: int) -> bool:
     """Constant-coefficient moments match the classical system with
     B_0 = A+B, B_n = 2A+B, Lam_n = A^2+AB+C."""
     cs = CoeffSystem(lambda k: B, lambda k: A, lambda k: C, name="constant")
-    lhs = moment_series(cs, order)
-    rhs = classical_jfraction_series(
+    classical = CoeffSystem(
         lambda k: A + B if k == 0 else 2 * A + B,
+        lambda k: 0,
         lambda k: A * A + A * B + C,
-        order,
     )
-    return lhs == rhs
+    return moment_series(cs, order) == cf_series(classical, order)

@@ -23,13 +23,13 @@ the (1 + a x)^s factor.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import CoeffSystem, P, expand_in_P, moment_series, mu
-from .determinants import classical_jfraction_series
+from .core import CoeffSystem, P, cf_series, expand_in_P, moment_series, mu
 from .exactmath import (
     Poly,
     Scalar,
@@ -772,7 +772,8 @@ def glue_shift_check(
     series_match: bool | None = None
     if fam.classical is not None:
         B, Lam = fam.classical
-        series_match = moment_series(cs, order) == classical_jfraction_series(B, Lam, order)
+        classical = CoeffSystem(B, lambda k: 0, Lam)
+        series_match = moment_series(cs, order) == cf_series(classical, order)
     elif fam.moment is not None:
         series_match = moment_series(cs, order) == Series(
             [fam.closed_moment(k) for k in range(order + 1)], order
@@ -797,11 +798,20 @@ FAMILY_BUILDERS: dict[str, Callable[..., FamilySpec]] = {
 
 
 def resolve(name: str, params: dict) -> FamilySpec:
-    """Look up a family by name with a parameter dict (CLI/JSON entry point)."""
+    """Look up a family by name with a parameter dict (CLI/JSON entry point).
+
+    An unknown name, or a parameter the family lacks or does not take,
+    raises ValueError.
+    """
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
+    builder = FAMILY_BUILDERS[name]
     kwargs = dict(params)
     if "N" in kwargs:
         N = kwargs["N"]
         kwargs["N"] = int(N) if not isinstance(N, int) else N
-    return FAMILY_BUILDERS[name](**kwargs)
+    try:
+        inspect.signature(builder).bind(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"family {name}: {exc}") from None
+    return builder(**kwargs)

@@ -22,6 +22,7 @@ small sizes the identities are checked at.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -29,6 +30,11 @@ from typing import Iterator
 from .exactmath import Scalar, ScalarLike, as_scalar, pochhammer, stirling2
 from . import paths as pathmod
 from .core import CoeffSystem
+
+
+# Largest length each enumeration accepts; the history count grows
+# factorially (9! Laguerre, 545835 Meixner histories at the caps).
+CAPS = {"laguerre": 9, "meixner": 8}
 
 
 def _validate_shape(steps: str, n: int):
@@ -115,8 +121,8 @@ class LaguerreHistory:
 
 def enumerate_LH(n: int) -> list[LaguerreHistory]:
     """All Laguerre histories of length n, shape-then-label order."""
-    if n > 9:
-        raise ValueError("Laguerre history enumeration is capped at n = 9")
+    if n > CAPS["laguerre"]:
+        raise ValueError(f"Laguerre history enumeration is capped at n = {CAPS['laguerre']}")
     out = []
     for shape in _peak_free_shapes(n):
         heights = _step_heights(shape)
@@ -196,8 +202,17 @@ def phi_inv(cycles: Cycles) -> LaguerreHistory:
     return LaguerreHistory("".join(steps), tuple(labels))
 
 
-def cycle_count(cycles: Cycles) -> int:
-    return len(cycles)
+def laguerre_bijection_check(n: int) -> tuple[int, bool]:
+    """(count, ok) over all Laguerre histories of length n: phi_inv undoes
+    phi, horizontal steps become cycles, and the n! images are distinct."""
+    hs = enumerate_LH(n)
+    images = set()
+    ok = True
+    for h in hs:
+        img = phi(h)
+        images.add(img)
+        ok = ok and phi_inv(img) == h and h.horizontal_count() == len(img)
+    return len(hs), ok and len(hs) == len(images) == math.factorial(n)
 
 
 def lh_moment_check(n: int, a: ScalarLike) -> bool:
@@ -284,8 +299,8 @@ class MeixnerHistory:
 
 def enumerate_MH(n: int) -> list[MeixnerHistory]:
     """All Meixner histories of length n, shape-then-label order."""
-    if n > 8:
-        raise ValueError("Meixner history enumeration is capped at n = 8")
+    if n > CAPS["meixner"]:
+        raise ValueError(f"Meixner history enumeration is capped at n = {CAPS['meixner']}")
     out = []
     for shape in _peak_free_shapes(n):
         heights = _step_heights(shape)
@@ -491,6 +506,20 @@ def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
             avail.remove(B)
             steps.append("V")
     return MeixnerHistory("".join(steps), tuple(labels))
+
+
+def meixner_bijection_check(n: int, b: ScalarLike, d: ScalarLike) -> tuple[int, bool]:
+    """(count, ok) over all Meixner histories of length n: psi_inv undoes
+    psi, psi keeps the weight at (b, d), and the images are distinct."""
+    b, d = as_scalar(b), as_scalar(d)
+    hs = enumerate_MH(n)
+    images = set()
+    ok = True
+    for h in hs:
+        pc = psi(h)
+        images.add(pc.canonical())
+        ok = ok and psi_inv(pc) == h and h.weight(b, d) == pc.weight(b, d)
+    return len(hs), ok and len(images) == len(hs)
 
 
 def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:

@@ -3,47 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from r1poly.core import CoeffSystem, DegeneracyError
-
-
-def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
-        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        if not nonzero or v != 0:
-            return v
-
-
-def rand_system(rng: random.Random, depth: int = 18, nondegenerate_to: int = 8) -> CoeffSystem:
-    """Random rational system, re-rolled until nondegenerate."""
-    while True:
-        cs = CoeffSystem.from_lists(
-            [rand_fraction(rng) for _ in range(depth)],
-            [rand_fraction(rng, nonzero=True) for _ in range(depth)],
-            [rand_fraction(rng) for _ in range(depth)],
-            name="random",
-        )
-        try:
-            for k in range(1, nondegenerate_to + 1):
-                cs.nu_table().p_at_root(k)
-        except DegeneracyError:
-            continue
-        return cs
-
-
-def rand_laurent_system(rng: random.Random, depth: int = 18) -> CoeffSystem:
-    while True:
-        cs = CoeffSystem.from_lists(
-            [rand_fraction(rng, nonzero=True) for _ in range(depth)],
-            [rand_fraction(rng, nonzero=True) for _ in range(depth)],
-            [Fraction(0)] * depth,
-            name="laurent",
-        )
-        try:
-            for k in range(1, 9):
-                cs.nu_table().p_at_root(k)
-        except DegeneracyError:
-            continue
-        return cs
+from r1poly.checks import random_laurent_system, random_system
+from r1poly.core import CoeffSystem
 
 
 @pytest.fixture
@@ -53,12 +14,12 @@ def rng():
 
 @pytest.fixture
 def random_systems(rng):
-    return [rand_system(rng) for _ in range(6)]
+    return [random_system(rng) for _ in range(6)]
 
 
 @pytest.fixture
 def laurent_system(rng):
-    return rand_laurent_system(rng)
+    return random_laurent_system(rng)
 
 
 @pytest.fixture

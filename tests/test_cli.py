@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import r1poly
 from r1poly.cli import main
 from r1poly.paths import Path
 
@@ -163,3 +167,20 @@ def test_missing_source_exits_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["moments", "--n", "3"])
     assert err.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    "moments --family laguerre --param a=abc --n 3",
+    "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=x q=1/2 --n 3",
+    "paths count --from 0,0 --to a,0",
+    "moments --family constant --param A=1 B=1 --n 3",
+    "moments --family nosuch --n 3",
+    "histories meixner --n 12 --check",
+])
+def test_bad_input_is_one_line_usage_error(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from r1poly.checks import random_fraction, random_system
 from r1poly.core import (
     CoeffError,
     CoeffSystem,
@@ -35,8 +36,6 @@ from r1poly.core import (
 from r1poly.exactmath import Poly, Series, SymPoly
 from r1poly.paths import WeightSystem, rho_sum, weight_sum
 
-from conftest import rand_fraction, rand_system
-
 
 def test_P_base_cases(ones):
     assert P(0, ones) == Poly.const(1)
@@ -44,7 +43,7 @@ def test_P_base_cases(ones):
 
 
 def test_P_one_step_by_hand(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     lhs = P(2, cs)
     rhs = Poly.linear(1, -cs.b(1)) * Poly.linear(1, -cs.b(0)) - Poly.linear(
         cs.a(1), cs.lam(1)
@@ -53,7 +52,7 @@ def test_P_one_step_by_hand(rng):
 
 
 def test_P_is_monic(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for n in range(1, 10):
         p = P(n, cs)
         assert p.degree == n and p.leading() == 1
@@ -72,7 +71,7 @@ def test_laguerre_constant_term():
 def test_tiling_count_and_small_board(rng):
     assert sum(1 for _ in favard_tilings(0)) == 1
     assert sum(1 for _ in favard_tilings(2)) == 6
-    cs = rand_system(rng)
+    cs = random_system(rng)
     # the six tilings of the 1 x 2 board by hand
     want = (
         Poly([0, 0, 1])
@@ -85,7 +84,7 @@ def test_tiling_count_and_small_board(rng):
 
 
 def test_tilings_match_recurrence(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for n in range(11):
         assert P_via_tilings(n, cs) == P(n, cs)
 
@@ -97,7 +96,7 @@ def test_tiling_guard():
 
 
 def test_Pstar_examples(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     assert Pstar(1, cs) == Poly([1, -cs.b(0)])
     for n in range(9):
         assert Pstar(n, cs)[0] == 1
@@ -107,7 +106,7 @@ def test_Pstar_examples(rng):
 
 
 def test_shift_reindexes(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     assert P(1, shift(cs, 2)) == Poly([-cs.b(2), 1])
     assert shift(cs, 3).a(1) == cs.a(4)
     assert shift(cs, 0) is cs
@@ -136,14 +135,14 @@ def test_L_PnQm_product(random_systems):
 
 
 def test_L_inverse_denominator(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     got = L_eval(VElem(Poly.const(1), 1, cs))
     assert got == 1 / (cs.lam(1) + cs.a(1) * cs.b(0))
     assert nu(0, 1, cs) == got
 
 
 def test_mu_nml_unit_diagonal(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for n in range(6):
         assert mu_nml(0, n, n, cs) == 1
         assert L_eval(VElem(P(n, cs).shift(n), n, cs)) == 1
@@ -169,7 +168,7 @@ def test_symbolic_moment_displays():
 
 
 def test_symbolic_mu_specializes(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for n in range(7):
         for m in range(n + 1):
             sym = mu_symbolic(n, m)
@@ -191,21 +190,21 @@ def test_constant_gf_quadratic_relation(ones):
 
 
 def test_mu_nml_equals_path_sum(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n, m, ell in itertools.product(range(6), repeat=3):
         assert mu_nml(n, m, ell, cs) == weight_sum((0, m), (n, ell), ws)
 
 
 def test_rho_equals_restricted_path_sum(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n, m, ell in itertools.product(range(5), repeat=3):
         assert rho(n, m, ell, cs) == rho_sum(n, m, ell, ws)
 
 
 def test_nu_numeric_recurrences(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for n in range(8):
         assert nu(n, 0, cs) == mu(n, cs)
     for n in range(1, 7):
@@ -216,7 +215,7 @@ def test_nu_numeric_recurrences(rng):
 
 
 def test_Vm_series_functional_equation(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     N = 10
     x = Series([0, 1], N)
     assert Vm_series(0, cs, N) == moment_series(cs, N)
@@ -229,19 +228,19 @@ def test_Vm_series_functional_equation(rng):
 
 
 def test_velem_equality_up_to_denominator(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     p = Poly([1, 2])
     lifted = p * Poly.linear(cs.a(2), cs.lam(2)) * Poly.linear(cs.a(3), cs.lam(3))
     assert VElem(p, 1, cs) == VElem(lifted, 3, cs)
     assert VElem(p, 1, cs) != VElem(lifted + Poly.const(1), 3, cs)
-    other = rand_system(rng)
+    other = random_system(rng)
     with pytest.raises(ValueError):
         _ = VElem(p, 1, cs) == VElem(p, 1, other)
 
 
 def test_expand_in_P_roundtrip(rng):
-    cs = rand_system(rng)
-    p = Poly([rand_fraction(rng) for _ in range(7)])
+    cs = random_system(rng)
+    p = Poly([random_fraction(rng) for _ in range(7)])
     coeffs = expand_in_P(p, cs)
     back = Poly()
     for m, c in enumerate(coeffs):
@@ -284,7 +283,7 @@ def test_invert_is_involution(laurent_system):
 
 
 def test_invert_requires_laurent(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     if any(cs.lam(i) != 0 for i in range(1, 13)):
         with pytest.raises(CoeffError):
             invert(cs)
@@ -371,6 +370,6 @@ def test_coeffs_from_spec_family():
 
 
 def test_d_poly(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     assert d_poly(0, cs) == Poly.const(1)
     assert d_poly(2, cs) == Poly.linear(cs.a(1), cs.lam(1)) * Poly.linear(cs.a(2), cs.lam(2))

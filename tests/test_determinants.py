@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from r1poly.core import L_laurent, P, VElem, mu
+from r1poly.checks import random_fraction, random_system
+from r1poly.core import CoeffSystem, L_laurent, P, VElem, cf_series, mu
 from r1poly.determinants import (
     HypothesisViolation,
     P_via_det,
     Q_via_det,
     classical_equiv_check,
-    classical_jfraction_series,
     cramer_monicity_check,
     delta_dprime,
     delta_prime,
@@ -20,8 +20,6 @@ from r1poly.determinants import (
     lemma_xin_check,
 )
 from r1poly.exactmath import Poly
-
-from conftest import rand_fraction, rand_system
 
 
 def det_cofactor(m):
@@ -48,7 +46,7 @@ def test_det_two_by_two_is_first_hankel(ones):
 
 def test_det_vs_cofactor_oracle(rng):
     for size in (2, 3, 4, 5):
-        m = [[rand_fraction(rng) for _ in range(size)] for _ in range(size)]
+        m = [[random_fraction(rng) for _ in range(size)] for _ in range(size)]
         assert det_exact(m) == det_cofactor(m)
 
 
@@ -62,7 +60,7 @@ def test_det_requires_square():
 
 
 def test_delta_prime_first_value(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     rep = delta_prime(1, cs)
     assert rep.matched
     assert rep.computed == 1 / (cs.lam(1) + cs.a(1) * cs.b(0))
@@ -86,21 +84,21 @@ def test_shifted_factorizations(random_systems):
 
 
 def test_shifted_needs_shift_one(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     with pytest.raises(HypothesisViolation):
         delta_shifted("prime", 3, 2, cs)
 
 
 def test_hankel_constant_ones():
-    values = [hankel_constant(n, Fraction(1), Fraction(1), Fraction(1)) for n in (1, 2, 3)]
-    assert [r.computed for r in values] == [3, 27, 729]
+    values = [hankel_constant(n, Fraction(1), Fraction(1), Fraction(1)) for n in range(1, 6)]
+    assert [r.computed for r in values] == [3, 27, 729, 3**10, 3**15]
     assert all(r.matched for r in values)
 
 
 def test_hankel_constant_random(rng):
     for _ in range(3):
-        A = rand_fraction(rng, nonzero=True)
-        B, C = rand_fraction(rng), rand_fraction(rng)
+        A = random_fraction(rng, nonzero=True)
+        B, C = random_fraction(rng), random_fraction(rng)
         assert all(hankel_constant(n, A, B, C).matched for n in range(1, 6))
 
 
@@ -108,7 +106,7 @@ def test_xin_factorization(rng):
     rep = lemma_xin_check(Fraction(1), 3)
     assert rep.computed == 64 and rep.matched
     for _ in range(3):
-        assert lemma_xin_check(rand_fraction(rng), 4).matched
+        assert lemma_xin_check(random_fraction(rng), 4).matched
     # A = 1, B = 0, C = 0 collapses every determinant to 1
     assert all(
         hankel_constant(n, Fraction(1), Fraction(0), Fraction(0)).computed == 1
@@ -119,9 +117,10 @@ def test_xin_factorization(rng):
 def test_classical_equivalence():
     assert classical_equiv_check(Fraction(1), Fraction(1), Fraction(1), 10)
     assert classical_equiv_check(Fraction(2), Fraction(-1, 3), Fraction(1, 2), 10)
-    s = classical_jfraction_series(
-        lambda k: Fraction(2) if k == 0 else Fraction(3), lambda k: Fraction(3), 5
+    classical = CoeffSystem(
+        lambda k: Fraction(2) if k == 0 else Fraction(3), lambda k: 0, lambda k: Fraction(3)
     )
+    s = cf_series(classical, 5)
     assert list(s.coeffs)[:3] == [1, 2, 7]  # A=B=C=1 comparison coefficients
 
 
@@ -135,7 +134,7 @@ def test_Q_via_det_all_variants(rng):
     # variant 2 needs every lam_k nonzero, so draw systems accordingly
     for _ in range(2):
         while True:
-            cs = rand_system(rng)
+            cs = random_system(rng)
             if all(cs.lam(k) != 0 for k in range(1, 7)):
                 break
         for n in range(6):
@@ -198,9 +197,9 @@ def test_classical_limit_hankel_construction(rng):
 
     while True:
         cs = CoeffSystem.from_lists(
-            [rand_fraction(rng) for _ in range(14)],
+            [random_fraction(rng) for _ in range(14)],
             [Fraction(0)] * 14,
-            [rand_fraction(rng, nonzero=True) for _ in range(14)],
+            [random_fraction(rng, nonzero=True) for _ in range(14)],
         )
         minors = [
             det_exact([[mu(i + j, cs) for j in range(n)] for i in range(n)])
@@ -220,14 +219,14 @@ def test_classical_limit_hankel_construction(rng):
 
 
 def test_hankel_basis_change_invariance(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
 
     def L_poly(p):
         return sum((c * mu(k, cs) for k, c in enumerate(p.coeffs)), Fraction(0))
 
     for n in range(1, 5):
-        ps = [Poly([rand_fraction(rng) for _ in range(k)] + [1]) for k in range(n + 1)]
-        qs = [Poly([rand_fraction(rng) for _ in range(k)] + [1]) for k in range(n + 1)]
+        ps = [Poly([random_fraction(rng) for _ in range(k)] + [1]) for k in range(n + 1)]
+        qs = [Poly([random_fraction(rng) for _ in range(k)] + [1]) for k in range(n + 1)]
         lhs = det_exact([[mu(i + j, cs) for j in range(n + 1)] for i in range(n + 1)])
         rhs = det_exact(
             [[L_poly(ps[i] * qs[j]) for j in range(n + 1)] for i in range(n + 1)]

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from r1poly import families
-from r1poly.core import L_eval, P, VElem, moment_series, mu
-from r1poly.determinants import classical_jfraction_series
+from r1poly.core import CoeffSystem, L_eval, P, VElem, cf_series, moment_series, mu
 from r1poly.families import (
     FamilyParamError,
     NoClosedForm,
@@ -38,6 +37,7 @@ GLUE_FAMILIES = [
     jacobi11(A13, B25, "plus"),
     jacobi11(A13, B25, "mixed"),
     jacobi11(Fraction(3, 7), Fraction(-1, 5), "minus"),
+    jacobi11(Fraction(3, 7), Fraction(-1, 5), "plus"),
     jacobi01(A13, B25, "oneminus"),
     jacobi01(A13, B25, "xpow"),
     jacobi01(Fraction(5, 2), Fraction(1, 7), "oneminus"),
@@ -122,7 +122,7 @@ def test_classical_jfraction_side():
                 meixner(Fraction(7, 2), Fraction(1, 3))):
         B, Lam = fam.classical
         cs = fam.build(20)
-        assert moment_series(cs, 8) == classical_jfraction_series(B, Lam, 8)
+        assert moment_series(cs, 8) == cf_series(CoeffSystem(B, lambda k: 0, Lam), 8)
 
 
 def test_eval_hyp_degree_zero():

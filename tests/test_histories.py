@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import r1poly.histories as histories_module
 from r1poly.exactmath import stirling2
 from r1poly.histories import (
     LaguerreHistory,
     MeixnerHistory,
     enumerate_LH,
     enumerate_MH,
+    laguerre_bijection_check,
     lh_moment_check,
+    meixner_bijection_check,
     mh_moment_check,
     non_excedance_check,
     phi,
@@ -80,14 +83,14 @@ def test_lh_counts_are_factorials():
 
 def test_phi_bijective_with_statistic():
     for n in range(8):
-        histories = enumerate_LH(n)
-        images = set()
-        for h in histories:
-            img = phi(h)
-            images.add(img)
-            assert phi_inv(img) == h
-            assert h.horizontal_count() == len(img)
-        assert len(images) == math.factorial(n)
+        assert laguerre_bijection_check(n) == (math.factorial(n), True)
+
+
+def test_bijection_checks_report_a_broken_inverse(monkeypatch):
+    monkeypatch.setattr(histories_module, "phi_inv", lambda cycles: FIG_LAGUERRE)
+    assert laguerre_bijection_check(3) == (6, False)
+    monkeypatch.setattr(histories_module, "psi_inv", lambda pc: FIG_MEIXNER)
+    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (13, False)
 
 
 def test_lh_label_validation():
@@ -138,17 +141,9 @@ def test_single_meixner_history():
 def test_psi_weight_preserving_bijection():
     b, d = Fraction(2, 3), Fraction(1, 4)
     for n in range(7):
-        histories = enumerate_MH(n)
-        images = set()
-        for h in histories:
-            pc = psi(h)
-            images.add(pc.canonical())
-            assert psi_inv(pc) == h
-            assert h.weight(b, d) == pc.weight(b, d)
-        assert len(images) == len(histories)
         # cardinality: partitions into j blocks times arrangements of blocks
         want = sum(stirling2(n, j) * math.factorial(j) for j in range(n + 1))
-        assert len(histories) == want
+        assert meixner_bijection_check(n, b, d) == (want, True)
 
 
 def test_mh_label_rules():

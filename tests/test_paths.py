@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from r1poly.checks import random_system
 from r1poly.core import CoeffSystem
 from r1poly.exactmath import Series, SymPoly, series_from_rational
 from r1poly.paths import (
@@ -16,8 +17,6 @@ from r1poly.paths import (
     symbolic_weights,
     weight_sum,
 )
-
-from conftest import rand_system
 
 
 def test_empty_path():
@@ -93,7 +92,7 @@ def test_up_only_weights_vanish():
 
 
 def test_dp_equals_enumeration(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n in range(8):
         for m in range(n + 1):
@@ -104,7 +103,7 @@ def test_dp_equals_enumeration(rng):
 
 
 def test_dp_equals_enumeration_capped(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n in range(6):
         for k in range(4):
@@ -116,7 +115,7 @@ def test_dp_equals_enumeration_capped(rng):
 
 
 def test_high_cap_is_no_cap(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n in range(7):
         for start in ((0, 0), (0, 2)):
@@ -137,7 +136,7 @@ def test_schroeder_reduction():
 
 
 def test_rho_reduces_to_moments(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n in range(6):
         assert rho_sum(n, 0, 0, ws) == weight_sum((0, 0), (n, 0), ws)
@@ -157,7 +156,7 @@ def test_rho_symbolic_examples():
 
 
 def test_rho_brute_force(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for n, m, ell in itertools.product(range(4), repeat=3):
         brute = Fraction(0)
@@ -193,7 +192,7 @@ def test_bounded_gf_r0_s1(ones):
 
 
 def test_bounded_gf_matches_dp_everywhere(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     ws = WeightSystem(cs)
     for k in range(5):
         for r in range(k + 1):
@@ -207,7 +206,7 @@ def test_bounded_gf_matches_dp_everywhere(rng):
 
 
 def test_finite_cf_equals_bounded_gf(rng):
-    cs = rand_system(rng)
+    cs = random_system(rng)
     for k in range(6):
         num, den, pre = bounded_gf(0, 0, k, cs)
         n2, d2 = finite_cf_rational(k, cs)
