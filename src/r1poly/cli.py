@@ -6,9 +6,9 @@ Coefficient systems come from --coeffs FILE (JSON, table or family form) or
 never as decimals; --format json emits the documented schemas.
 
 Exit codes: 0 success, 1 identity failure, 2 degeneracy or hypothesis
-violation, 3 usage error.  The verify suites live in r1poly.checks; they
-derive everything from --seed and print the seed in the report, so runs are
-byte-identical.
+violation, 3 usage error or a memo table over R1_MEMO_LIMIT.  The verify
+suites live in r1poly.checks; they derive everything from --seed and print
+the seed in the report, so runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -60,18 +60,17 @@ def _usage(message: str) -> int:
 
 
 def _load_system(args) -> CoeffSystem:
-    if getattr(args, "coeffs", None):
-        with open(args.coeffs) as fh:
-            return core.coeffs_from_spec(json.load(fh))
-    if getattr(args, "family", None):
-        params = _parse_params(args.param)
-        try:
-            fam = families.resolve(args.family, params)
-        except FamilyParamError:
-            raise  # a degenerate parameter choice, not a usage error
-        except ValueError as exc:
-            raise SystemExit(_usage(str(exc)))
-        return fam.build(depth=max(getattr(args, "n", 8) * 2 + 4, 16))
+    try:
+        if getattr(args, "coeffs", None):
+            with open(args.coeffs) as fh:
+                return core.coeffs_from_spec(json.load(fh))
+        if getattr(args, "family", None):
+            fam = families.resolve(args.family, _parse_params(args.param))
+            return fam.build(depth=max(getattr(args, "n", 8) * 2 + 4, 16))
+    except (FamilyParamError, CoeffError, DegeneracyError):
+        raise  # degenerate coefficients, not a usage error
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
     raise SystemExit(_usage("need a coefficient source: --coeffs FILE or --family NAME"))
 
 
@@ -423,7 +422,7 @@ def main(argv=None) -> int:
     except (DegeneracyError, HypothesisViolation, CoeffError, FamilyParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except (FileNotFoundError, json.JSONDecodeError, NoClosedForm) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, NoClosedForm, core.MemoLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

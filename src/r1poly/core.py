@@ -68,8 +68,12 @@ class CoeffSystem:
 
     ``valid_to`` is the largest index with guaranteed definedness (None
     means every index).  A system with its tables is a single-writer
-    session object; share only the immutable values it returns.
+    session object; share only the immutable values it returns.  ``zero``
+    and ``one`` are those of the coefficient ring.
     """
+
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __init__(
         self,
@@ -291,106 +295,89 @@ class MuTable:
                    + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1},
 
     filled with n ascending and m descending (the first term looks at the
-    same row, higher m).
+    same row, higher m).  Only + and * are used, so the entries lie in the
+    ring of the system's coefficients (``cs.zero``, ``cs.one``).
     """
 
     def __init__(self, cs: CoeffSystem):
         self.cs = cs
-        self.memo: dict[tuple[int, int], Scalar] = {(0, 0): Fraction(1)}
+        self.memo: dict[tuple[int, int], Scalar] = {(0, 0): cs.one}
         self._filled_to = 0
-        self._limit = _memo_limit()
 
     def value(self, n: int, m: int) -> Scalar:
         if n < 0 or m < 0:
             raise ValueError("mu indices must be >= 0")
         if n < m:
-            return Fraction(0)
-        self._fill(n)
+            return self.cs.zero
+        if n > self._filled_to:
+            self._fill(n)
         return self.memo[(n, m)]
 
     def _fill(self, upto: int):
-        cs = self.cs
+        cs, memo, zero = self.cs, self.memo, self.cs.zero
+        limit = _memo_limit()
         for n in range(self._filled_to + 1, upto + 1):
             for m in range(n, -1, -1):
-                up = self.memo.get((n, m + 1), Fraction(0)) if m + 1 <= n else Fraction(0)
-                left = self.memo.get((n - 1, m), Fraction(0))
-                diag = self.memo.get((n - 1, m - 1), Fraction(0)) if m >= 1 else Fraction(0)
-                upleft = self.memo.get((n - 1, m + 1), Fraction(0))
+                up = memo.get((n, m + 1), zero)
+                left = memo.get((n - 1, m), zero)
+                diag = memo.get((n - 1, m - 1), zero)
+                upleft = memo.get((n - 1, m + 1), zero)
                 val = diag
-                if left != 0:
+                if left:
                     val += cs.b(m) * left
-                if up != 0:
+                if up:
                     val += cs.a(m + 1) * up
-                if upleft != 0:
+                if upleft:
                     val += cs.lam(m + 1) * upleft
-                self.memo[(n, m)] = val
-            if self._limit is not None and len(self.memo) > self._limit:
-                raise MemoLimitError(f"mu table exceeds R1_MEMO_LIMIT={self._limit}")
-        self._filled_to = max(self._filled_to, upto)
+                memo[(n, m)] = val
+            self._filled_to = n
+            if limit is not None and len(memo) > limit:
+                raise MemoLimitError(
+                    f"mu table: {len(memo)} entries > R1_MEMO_LIMIT={limit}"
+                    f" (filling row {n} for n={upto})"
+                )
 
 
-class _SymCoeffs:
-    """Symbol-valued coefficient streams for ring-only (symbolic) tables."""
+class _SymbolicSystem(CoeffSystem):
+    """The coefficients as the indexed symbols b_i, a_i, lam_i (SymPoly ring)."""
 
-    valid_to = None
-
-    def b(self, n):
-        return SymPoly.b(n)
-
-    def a(self, n):
-        return SymPoly.a(n)
-
-    def lam(self, n):
-        return SymPoly.lam(n)
+    zero = SymPoly()
+    one = SymPoly.const(1)
+    b = staticmethod(SymPoly.b)
+    a = staticmethod(SymPoly.a)
+    lam = staticmethod(SymPoly.lam)
 
 
-_sym_mu_memo: dict[tuple[int, int], SymPoly] = {}
+_SYMBOLIC = _SymbolicSystem(SymPoly.b, SymPoly.a, SymPoly.lam, name="symbolic")
+# The one memo every mu_symbolic call extends.  It is taken once here, not
+# per call, because bench/tracing.py reads the entries of every table that
+# an op reaches through mu_table() as rationals.
+_SYMBOLIC_MU = _SYMBOLIC.mu_table()
 
 
 def mu_symbolic(n: int, m: int = 0) -> SymPoly:
     """mu_{n,m} as a polynomial in the symbols b_i, a_i, lam_i."""
-    if n < 0 or m < 0:
-        raise ValueError("mu indices must be >= 0")
-    if n < m:
-        return SymPoly()
-    key = (n, m)
-    if key not in _sym_mu_memo:
-        cs = _SymCoeffs()
-        zero = SymPoly()
-        for nn in range(n + 1):
-            for mm in range(nn, -1, -1):
-                k = (nn, mm)
-                if k in _sym_mu_memo:
-                    continue
-                if k == (0, 0):
-                    _sym_mu_memo[k] = SymPoly.const(1)
-                    continue
-                up = _sym_mu_memo.get((nn, mm + 1), zero) if mm + 1 <= nn else zero
-                left = _sym_mu_memo.get((nn - 1, mm), zero)
-                diag = _sym_mu_memo.get((nn - 1, mm - 1), zero) if mm >= 1 else zero
-                upleft = _sym_mu_memo.get((nn - 1, mm + 1), zero)
-                _sym_mu_memo[k] = (
-                    cs.a(mm + 1) * up + cs.b(mm) * left + diag + cs.lam(mm + 1) * upleft
-                )
-    return _sym_mu_memo[key]
+    return _SYMBOLIC_MU.value(n, m)
 
 
 class NuTable:
-    """Memoized grid nu_{n,m} = L(x^n / d_m), numeric mode only.
+    """Memoized grid nu_{n,m} = L(x^n / d_m).  Needs division: rational systems only.
 
     nu_{n,0} = mu_n;
     nu_{0,m} = -(1/P_m(-lam_m/a_m)) * sum_i f_{m,i} nu_{i,m-1}, where the
     f_{m,i} are the coefficients of the quotient U_m of P_m by the linear
     factor (a_m x + lam_m);
-    nu_{n,m} = (1/a_m) nu_{n-1,m-1} - (lam_m/a_m) nu_{n-1,m}.
+    nu_{n,m} = (1/a_m) nu_{n-1,m-1} - (lam_m/a_m) nu_{n-1,m},
+
+    filled iteratively with m ascending and n ascending.
     """
 
     def __init__(self, cs: CoeffSystem):
         self.cs = cs
         self.memo: dict[tuple[int, int], Scalar] = {(0, 0): Fraction(1)}
+        self._heights = [1]  # filled rows per column
         self._u_rows: dict[int, Poly] = {}
         self._p_at_root: dict[int, Scalar] = {}
-        self._limit = _memo_limit()
 
     def u_row(self, m: int) -> Poly:
         """U_m, the quotient of P_m by (a_m x + lam_m); degree m-1."""
@@ -413,24 +400,39 @@ class NuTable:
     def value(self, n: int, m: int) -> Scalar:
         if n < 0 or m < 0:
             raise ValueError("nu indices must be >= 0")
-        key = (n, m)
-        if key in self.memo:
-            return self.memo[key]
-        if m == 0:
-            val = self.cs.mu_table().value(n, 0)
-        elif n == 0:
-            u = self.u_row(m)
-            acc = Fraction(0)
-            for i in range(m):
-                acc += u[i] * self.value(i, m - 1)
-            val = -acc / self.p_at_root(m)
-        else:
-            a_m = self.cs.a_nonzero(m)
-            val = (self.value(n - 1, m - 1) - self.cs.lam(m) * self.value(n - 1, m)) / a_m
-        self.memo[key] = val
-        if self._limit is not None and len(self.memo) > self._limit:
-            raise MemoLimitError(f"nu table exceeds R1_MEMO_LIMIT={self._limit}")
-        return val
+        if (n, m) not in self.memo:
+            self._fill(n, m)
+        return self.memo[(n, m)]
+
+    def _fill(self, n: int, m: int):
+        """Add nu_{n,m} and every entry it needs.  Column 0 is mu, and only
+        row n of it is added when m = 0.  Column j >= 1 holds a prefix of
+        rows: up to n in column m, up to max(top_j - 1, j - 1) in column j-1."""
+        cs, memo, heights = self.cs, self.memo, self._heights
+        mu_t = cs.mu_table()
+        limit = _memo_limit()
+        tops = [n] * (m + 1)
+        for j in range(m, 0, -1):
+            tops[j - 1] = max(tops[j] - 1, j - 1)
+        for j, top in enumerate(tops):
+            if j == len(heights):
+                heights.append(0)
+            for i in range(heights[j], top + 1) if m else (n,):
+                if j == 0:
+                    val = mu_t.value(i, 0)
+                elif i == 0:
+                    u = self.u_row(j)
+                    val = -sum(u[k] * memo[(k, j - 1)] for k in range(j)) / self.p_at_root(j)
+                else:
+                    val = (memo[(i - 1, j - 1)] - cs.lam(j) * memo[(i - 1, j)]) / cs.a_nonzero(j)
+                memo[(i, j)] = val
+            if m:
+                heights[j] = max(heights[j], top + 1)
+            if limit is not None and len(memo) > limit:
+                raise MemoLimitError(
+                    f"nu table: {len(memo)} entries > R1_MEMO_LIMIT={limit}"
+                    f" (filling column {j} for nu({n}, {m}))"
+                )
 
 
 def mu(n: int, cs: CoeffSystem) -> Scalar:
@@ -500,10 +502,9 @@ def decompose(v: VElem) -> tuple[Poly, list[Scalar]]:
     """
     cs = v.owner
     m = v.denom_index
-    den = Poly.const(1)
     for i in range(1, m + 1):
-        den = den * Poly.linear(cs.a_nonzero(i), cs.lam(i))
-    q, r = poly_divrem(v.numerator, den)
+        cs.a_nonzero(i)  # the divisions below need every a_i != 0
+    q, r = poly_divrem(v.numerator, d_poly(m, cs))
     consts = [Fraction(0)] * (m + 1)
     for j in range(m, 0, -1):
         r, c = poly_divrem(r, Poly.linear(cs.a(j), cs.lam(j)))
@@ -647,26 +648,35 @@ def F_eval(v: VElem, cs: CoeffSystem | None = None) -> Scalar:
 # -- coefficient-system JSON ----------------------------------------------
 
 
+def _spec_scalar(value, where: str) -> Scalar:
+    try:
+        return parse_scalar(value) if isinstance(value, str) else as_scalar(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"bad scalar {value!r} in {where}: {exc}") from None
+
+
 def coeffs_from_spec(spec: dict) -> CoeffSystem:
     """Build a system from the JSON spec form.
 
     {"kind": "table", "b": [...], "a": [...], "lambda": [...]} with rational
     strings, or {"kind": "family", "name": ..., "params": {...}} resolved by
-    the families module.
+    the families module.  A malformed spec raises ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("coefficient spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "table":
-        return CoeffSystem.from_lists(
-            [parse_scalar(v) if isinstance(v, str) else as_scalar(v) for v in spec["b"]],
-            [parse_scalar(v) if isinstance(v, str) else as_scalar(v) for v in spec["a"]],
-            [parse_scalar(v) if isinstance(v, str) else as_scalar(v) for v in spec["lambda"]],
-        )
+        keys = ("b", "a", "lambda")
+        for key in keys:
+            if not isinstance(spec.get(key), list):
+                raise ValueError(f"coefficient table needs a {key!r} list")
+        return CoeffSystem.from_lists(*([_spec_scalar(v, key) for v in spec[key]] for key in keys))
     if kind == "family":
         from . import families
 
-        params = {
-            k: parse_scalar(v) if isinstance(v, str) else as_scalar(v)
-            for k, v in spec.get("params", {}).items()
-        }
-        return families.resolve(spec["name"], params).build()
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("family spec needs a 'params' object")
+        params = {k: _spec_scalar(v, k) for k, v in params.items()}
+        return families.resolve(spec.get("name"), params).build()
     raise ValueError(f"unknown coefficient spec kind {kind!r}")

@@ -251,11 +251,11 @@ def Q_via_det(n: int, cs: CoeffSystem, variant: int) -> VElem:
         basis = [Poly.const(1)] * (n + 1)
     coeffs = _bordered_coeffs(rows)
     numerator = Poly()
-    for j in range(n + 1):
-        scale = Poly.const(1)
-        for i in range(j + 1, n + 1):  # d_n / d_j
-            scale = scale * Poly.linear(cs.a(i), cs.lam(i))
+    scale = Poly.const(1)  # d_n / d_j
+    for j in range(n, -1, -1):
         numerator = numerator + basis[j] * scale * (coeffs[j] / denom)
+        if j:
+            scale = scale * Poly.linear(cs.a(j), cs.lam(j))
     return VElem(numerator, n, cs)
 
 

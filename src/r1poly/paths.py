@@ -15,16 +15,17 @@ paid for by a U and heights stay nonnegative.
 matches the recurrence the mu-grid satisfies: within a column the V
 contribution flows downward, so heights are processed top to bottom.
 ``enumerate_paths`` is the brute-force oracle, ordered by step kind
-U < H < V < D at every position.
+U < H < V < D at every position.  Weights come from the ring of the
+coefficient system behind a ``WeightSystem``: rationals, or the indexed
+symbols themselves for ``symbolic_weights()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import CoeffSystem, Pstar, shift
-from .exactmath import Poly, SymPoly
+from .core import _SYMBOLIC, CoeffSystem, Pstar, shift
+from .exactmath import Poly
 
 STEP_KINDS = "UHVD"
 
@@ -99,48 +100,28 @@ class Path:
 
 
 class WeightSystem:
-    """Step weights drawn from a coefficient system, numeric or symbolic.
+    """Step weights read from a coefficient system, in the system's ring.
 
-    Numeric mode reads b_k/a_k/lam_k from the system; symbolic mode ignores
-    the values and produces the indexed symbols themselves (ring-only).
+    U weighs one; H, V and D starting at height k weigh b_k, a_k and lam_k.
     """
 
-    def __init__(self, cs: CoeffSystem | None = None, mode: str = "numeric"):
-        if mode not in ("numeric", "symbolic"):
-            raise ValueError(f"unknown weight mode {mode!r}")
-        if mode == "numeric" and cs is None:
-            raise ValueError("numeric weights need a coefficient system")
+    def __init__(self, cs: CoeffSystem):
         self.cs = cs
-        self.mode = mode
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.mode == "numeric" else SymPoly()
-
-    @property
-    def one(self):
-        return Fraction(1) if self.mode == "numeric" else SymPoly.const(1)
+        self.zero, self.one = cs.zero, cs.one
 
     def step_weight(self, kind: str, height: int):
-        if self.mode == "numeric":
-            if kind == "U":
-                return Fraction(1)
-            if kind == "H":
-                return self.cs.b(height)
-            if kind == "V":
-                return self.cs.a(height)
-            return self.cs.lam(height)
         if kind == "U":
-            return SymPoly.const(1)
+            return self.one
         if kind == "H":
-            return SymPoly.b(height)
+            return self.cs.b(height)
         if kind == "V":
-            return SymPoly.a(height)
-        return SymPoly.lam(height)
+            return self.cs.a(height)
+        return self.cs.lam(height)
 
 
 def symbolic_weights() -> WeightSystem:
-    return WeightSystem(mode="symbolic")
+    """Weights that are the indexed symbols b_k, a_k, lam_k themselves."""
+    return WeightSystem(_SYMBOLIC)
 
 
 DEFAULT_CAP = 10**6

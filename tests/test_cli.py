@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,18 @@ def test_moments_symbolic(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "b0 + a1"
     assert "lam1" in lines[2]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("moments --symbolic --n 7",
+     "6f81666583412ee764f8939e28be1b4607d6ffcd38f57e188b13698a0f1d07ee"),
+    ("paths sum --symbolic --from 0,2 --to 6,1",
+     "dac6683a1ca100d80973835580352f6aca9268351d66a63731be9bfc5783f073"),
+])
+def test_symbolic_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_poly_methods_agree(capsys, ones_file):
@@ -169,18 +182,41 @@ def test_missing_source_exits_three(capsys):
     assert err.value.code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    "moments --family laguerre --param a=abc --n 3",
-    "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=x q=1/2 --n 3",
-    "paths count --from 0,0 --to a,0",
-    "moments --family constant --param A=1 B=1 --n 3",
-    "moments --family nosuch --n 3",
-    "histories meixner --n 12 --check",
+_BAD_TABLES = {
+    "b_not_a_number.json": {"kind": "table", "b": ["x"], "a": ["1"], "lambda": ["1"]},
+    "b_zero_denominator.json": {"kind": "table", "b": ["1/0"], "a": ["1"], "lambda": ["1"]},
+    "no_lambda.json": {"kind": "table", "b": ["1"], "a": ["1"]},
+    "params_not_an_object.json": {"kind": "family", "name": "laguerre", "params": [1]},
+}
+
+_BAD_INPUT = [  # (extra environment, argv)
+    ({}, "moments --family laguerre --param a=abc --n 3"),
+    ({}, "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=x q=1/2 --n 3"),
+    ({}, "paths count --from 0,0 --to a,0"),
+    ({}, "moments --family constant --param A=1 B=1 --n 3"),
+    ({}, "moments --family nosuch --n 3"),
+    ({}, "histories meixner --n 12 --check"),
+    ({"R1_MEMO_LIMIT": "5"}, "moments --family laguerre --param a=1 --n 8"),
+    ({"R1_MEMO_LIMIT": "20"}, "moments --symbolic --n 8"),
+    ({}, "moments --coeffs b_not_a_number.json --n 3"),
+    ({}, "moments --coeffs b_zero_denominator.json --n 3"),
+    ({}, "moments --coeffs no_lambda.json --n 3"),
+    ({}, "moments --coeffs params_not_an_object.json --n 3"),
+]
+
+
+@pytest.mark.parametrize("extra_env, argv", _BAD_INPUT, ids=[
+    " ".join([*(f"{k}={v}" for k, v in env.items()), argv]) for env, argv in _BAD_INPUT
 ])
-def test_bad_input_is_one_line_usage_error(argv):
+def test_bad_input_is_one_line_usage_error(extra_env, argv, tmp_path):
+    for name, spec in _BAD_TABLES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
+    env.pop("R1_MEMO_LIMIT", None)
+    env.update(extra_env)
     proc = subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+

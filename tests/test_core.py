@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import r1poly
 from r1poly.checks import random_fraction, random_system
 from r1poly.core import (
     CoeffError,
@@ -33,7 +37,7 @@ from r1poly.core import (
     rho,
     shift,
 )
-from r1poly.exactmath import Poly, Series, SymPoly
+from r1poly.exactmath import Poly, Series, SymPoly, poly_divrem
 from r1poly.paths import WeightSystem, rho_sum, weight_sum
 
 
@@ -272,6 +276,57 @@ def test_memo_limit(monkeypatch):
     cs = CoeffSystem(lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1))
     with pytest.raises(MemoLimitError):
         mu(10, cs)
+
+
+def test_memo_limit_names_table_and_request(monkeypatch, ones):
+    monkeypatch.setenv("R1_MEMO_LIMIT", "5")
+    with pytest.raises(MemoLimitError, match=r"^mu table: 6 entries > R1_MEMO_LIMIT=5 "
+                                             r"\(filling row 2 for n=10\)$"):
+        mu(10, ones)
+    cs = CoeffSystem(lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1))
+    monkeypatch.setenv("R1_MEMO_LIMIT", "4")
+    with pytest.raises(MemoLimitError, match=r"^nu table: 5 entries > R1_MEMO_LIMIT=4 "
+                                             r"\(filling column 1 for nu\(3, 2\)\)$"):
+        nu(3, 2, cs)
+
+
+def _nu_by_recursion(cs, n, m, memo):
+    """The nu recurrence as plain recursion; memo records every entry it reaches."""
+    if (n, m) not in memo:
+        if m == 0:
+            val = mu(n, cs)
+        elif n == 0:
+            u, root = poly_divrem(P(m, cs), Poly.linear(cs.a(m), cs.lam(m)))
+            val = -sum(u[i] * _nu_by_recursion(cs, i, m - 1, memo) for i in range(m)) / root[0]
+        else:
+            val = (_nu_by_recursion(cs, n - 1, m - 1, memo)
+                   - cs.lam(m) * _nu_by_recursion(cs, n - 1, m, memo)) / cs.a(m)
+        memo[(n, m)] = val
+    return memo[(n, m)]
+
+
+def test_nu_table_fills_what_the_recursion_reaches(rng):
+    cs = random_system(rng)
+    reference = {(0, 0): Fraction(1)}
+    for n, m in [(5, 3), (9, 0), (0, 6), (2, 7), (12, 4), (3, 3), (1, 0)]:
+        assert nu(n, m, cs) == _nu_by_recursion(cs, n, m, reference)
+        assert cs.nu_table().memo == reference
+
+
+def test_nu_needs_no_recursion():
+    script = (
+        "import random, sys\n"
+        "from r1poly.checks import random_system\n"
+        "from r1poly.core import nu\n"
+        "cs = random_system(random.Random(7), depth=152, nondegenerate_to=3)\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(nu(150, 3, cs) != 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_invert_is_involution(laurent_system):
