@@ -65,8 +65,7 @@ def _load_system(args) -> CoeffSystem:
             with open(args.coeffs) as fh:
                 return core.coeffs_from_spec(json.load(fh))
         if getattr(args, "family", None):
-            fam = families.resolve(args.family, _parse_params(args.param))
-            return fam.build(depth=max(getattr(args, "n", 8) * 2 + 4, 16))
+            return families.resolve(args.family, _parse_params(args.param)).build()
     except (FamilyParamError, CoeffError, DegeneracyError):
         raise  # degenerate coefficients, not a usage error
     except ValueError as exc:
@@ -251,18 +250,9 @@ def cmd_dets(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        fam = families.resolve(args.name, _parse_params(args.param))
-    except (FamilyParamError, ValueError) as exc:
-        return _usage(str(exc))
-    depth = args.n if args.n is not None else 8
-    try:
-        cs = fam.build(depth=max(depth + 2, 8))
-    except FamilyParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
+    cs = _load_system(args)
+    top = args.n if args.n is not None else 8
     if args.emit == "coeffs":
-        top = depth
         if cs.valid_to is not None:
             top = min(top, cs.valid_to)
         payload = {
@@ -273,11 +263,11 @@ def cmd_family(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
-    values = [mu(n, cs) for n in range(depth + 1)]
+    values = [mu(n, cs) for n in range(top + 1)]
     _emit(
         args,
         [" ".join(format_scalar(v) for v in values)],
-        {"family": fam.name, "moments": [format_scalar(v) for v in values]},
+        {"family": cs.name, "moments": [format_scalar(v) for v in values]},
     )
     return EXIT_OK
 
@@ -391,7 +381,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_dets)
 
     p = sub.add_parser("family", help="emit a family's coefficients or moments")
-    p.add_argument("name")
+    p.add_argument("family", metavar="name")
     p.add_argument("--param", nargs="+", default=[])
     p.add_argument("--emit", choices=("coeffs", "moments"), default="coeffs")
     p.add_argument("--n", type=int, default=None)

@@ -7,9 +7,12 @@ drive the three-term recurrence
 
 with P_{-1} = 0 and P_0 = 1.  The values a_0 and lam_0 are stored but never
 read.  Everything else in the package is parameterized by one of these
-systems, and each system carries its own memo tables (polynomials, the
-mu and nu moment grids), which grow monotonically and are dropped only by
-building a fresh system.
+systems.  A system reads each b_n, a_n and lam_n from its stream once, on
+first use, checks the index there and memoizes the value; a stream that
+cannot produce a coefficient fails at that read, whatever the index.  Each
+system also carries its own memo tables (polynomials, the mu and nu moment
+grids), which grow monotonically and are dropped only by building a fresh
+system.
 
 The functional L lives on the space V of rational functions p(x)/d_m(x)
 with d_m(x) = prod_{i=1..m} (a_i x + lam_i); ``VElem`` is that
@@ -19,8 +22,8 @@ argument over the basis {x^n} + {1/d_m} by repeated division by the
 linear factors, then reads off mu- and nu-moments.
 
 Division by a_n and by P_n(-lam_n/a_n) happens exactly where the theory
-divides; both conditions are checked lazily at first use and raise hard,
-named errors (``CoeffError``, ``DegeneracyError``).
+divides; both conditions are checked there and raise hard, named errors
+(``CoeffError``, ``DegeneracyError``).  a_n = 0 is no error elsewhere.
 """
 
 from __future__ import annotations
@@ -58,18 +61,21 @@ class MemoLimitError(RuntimeError):
     """Memo table exceeded the R1_MEMO_LIMIT cap."""
 
 
-def _memo_limit() -> int | None:
+def _check_memo(table: str, size: int, request: str):
+    """Raise ``MemoLimitError`` once a table holds more than R1_MEMO_LIMIT entries."""
     raw = os.environ.get("R1_MEMO_LIMIT")
-    return int(raw) if raw else None
+    if raw and size > int(raw):
+        raise MemoLimitError(f"{table}: {size} entries > R1_MEMO_LIMIT={int(raw)} ({request})")
 
 
 class CoeffSystem:
     """The sequences {b_n}, {a_n}, {lam_n} plus per-session memo tables.
 
-    ``valid_to`` is the largest index with guaranteed definedness (None
-    means every index).  A system with its tables is a single-writer
-    session object; share only the immutable values it returns.  ``zero``
-    and ``one`` are those of the coefficient ring.
+    Each coefficient is read from its stream once, where its index is
+    checked, and memoized.  ``valid_to`` is the largest readable index (None
+    means every index).  A system with its tables is a single-writer session
+    object; share only the immutable values it returns.  ``zero`` and
+    ``one`` are those of the coefficient ring.
     """
 
     zero = Fraction(0)
@@ -84,6 +90,9 @@ class CoeffSystem:
         name: str = "",
     ):
         self._b, self._a, self._lam = b, a, lam
+        self._bs: dict[int, Scalar] = {}
+        self._as: dict[int, Scalar] = {}
+        self._lams: dict[int, Scalar] = {}
         self.valid_to = valid_to
         self.name = name
         self._poly_cache: list[Poly] = [Poly.const(1)]
@@ -103,39 +112,29 @@ class CoeffSystem:
         valid = min(len(bs) - 1, len(as_) - 1, len(ls) - 1)
         if valid < 0:
             raise CoeffError("coefficient tables must not be empty")
+        return CoeffSystem(bs.__getitem__, as_.__getitem__, ls.__getitem__,
+                           valid_to=valid, name=name)
 
-        def pick(seq, n):
-            if n >= len(seq):
-                raise CoeffError(f"coefficient index {n} beyond table (valid_to={valid})")
-            return seq[n]
-
-        return CoeffSystem(
-            lambda n: pick(bs, n), lambda n: pick(as_, n), lambda n: pick(ls, n),
-            valid_to=valid, name=name,
-        )
-
-    def _check_index(self, n: int):
+    def _read(self, memo: dict, stream: Callable[[int], Scalar], name: str, n: int) -> Scalar:
+        """The first read of index n of one stream: check n, then memoize."""
+        if name != "b" and n < 1:
+            raise CoeffError(f"{name}_n is only read for n >= 1")
         if n < 0:
             raise CoeffError(f"coefficient index {n} is negative")
         if self.valid_to is not None and n > self.valid_to:
             raise CoeffError(f"coefficient index {n} beyond valid_to={self.valid_to}")
+        value = memo[n] = as_scalar(stream(n))
+        return value
 
     def b(self, n: int) -> Scalar:
-        self._check_index(n)
-        return as_scalar(self._b(n))
+        return self._bs[n] if n in self._bs else self._read(self._bs, self._b, "b", n)
 
     def a(self, n: int) -> Scalar:
         # a_0 is irrelevant and never read by the theory.
-        if n < 1:
-            raise CoeffError("a_n is only read for n >= 1")
-        self._check_index(n)
-        return as_scalar(self._a(n))
+        return self._as[n] if n in self._as else self._read(self._as, self._a, "a", n)
 
     def lam(self, n: int) -> Scalar:
-        if n < 1:
-            raise CoeffError("lam_n is only read for n >= 1")
-        self._check_index(n)
-        return as_scalar(self._lam(n))
+        return self._lams[n] if n in self._lams else self._read(self._lams, self._lam, "lam", n)
 
     def a_nonzero(self, n: int) -> Scalar:
         """a_n where the theory divides by it; zero is a hard error."""
@@ -171,6 +170,7 @@ def P(n: int, cs: CoeffSystem) -> Poly:
         if k >= 2:
             term = term - Poly.linear(cs.a(k - 1), cs.lam(k - 1)) * prev2
         cache.append(term)
+        _check_memo("poly cache", len(cache), f"building P_{k} for n={n}")
     return cache[n]
 
 
@@ -182,14 +182,16 @@ def Pstar(n: int, cs: CoeffSystem) -> Poly:
 
 
 def shift(cs: CoeffSystem, s: int) -> CoeffSystem:
-    """Reindex all three streams by s (the delta operator applied s times)."""
+    """Reindex all three streams by s (the delta operator applied s times).
+
+    The shifted system reads through cs, so it shares cs's memo and checks."""
     if s < 0:
         raise ValueError("shift distance must be >= 0")
     if s == 0:
         return cs
     valid = None if cs.valid_to is None else cs.valid_to - s
     return CoeffSystem(
-        lambda n: cs._b(n + s), lambda n: cs._a(n + s), lambda n: cs._lam(n + s),
+        lambda n: cs.b(n + s), lambda n: cs.a(n + s), lambda n: cs.lam(n + s),
         valid_to=valid, name=f"{cs.name}>>{s}" if cs.name else f">>{s}",
     )
 
@@ -315,7 +317,6 @@ class MuTable:
 
     def _fill(self, upto: int):
         cs, memo, zero = self.cs, self.memo, self.cs.zero
-        limit = _memo_limit()
         for n in range(self._filled_to + 1, upto + 1):
             for m in range(n, -1, -1):
                 up = memo.get((n, m + 1), zero)
@@ -331,11 +332,7 @@ class MuTable:
                     val += cs.lam(m + 1) * upleft
                 memo[(n, m)] = val
             self._filled_to = n
-            if limit is not None and len(memo) > limit:
-                raise MemoLimitError(
-                    f"mu table: {len(memo)} entries > R1_MEMO_LIMIT={limit}"
-                    f" (filling row {n} for n={upto})"
-                )
+            _check_memo("mu table", len(memo), f"filling row {n} for n={upto}")
 
 
 class _SymbolicSystem(CoeffSystem):
@@ -410,7 +407,6 @@ class NuTable:
         rows: up to n in column m, up to max(top_j - 1, j - 1) in column j-1."""
         cs, memo, heights = self.cs, self.memo, self._heights
         mu_t = cs.mu_table()
-        limit = _memo_limit()
         tops = [n] * (m + 1)
         for j in range(m, 0, -1):
             tops[j - 1] = max(tops[j] - 1, j - 1)
@@ -428,11 +424,7 @@ class NuTable:
                 memo[(i, j)] = val
             if m:
                 heights[j] = max(heights[j], top + 1)
-            if limit is not None and len(memo) > limit:
-                raise MemoLimitError(
-                    f"nu table: {len(memo)} entries > R1_MEMO_LIMIT={limit}"
-                    f" (filling column {j} for nu({n}, {m}))"
-                )
+            _check_memo("nu table", len(memo), f"filling column {j} for nu({n}, {m})")
 
 
 def mu(n: int, cs: CoeffSystem) -> Scalar:
@@ -594,9 +586,11 @@ def _require_laurent(cs: CoeffSystem, upto: int):
             raise CoeffError(f"lam_{i} != 0: operation needs the Laurent case lam = 0")
 
 
-def invert(cs: CoeffSystem, check_depth: int = 12) -> CoeffSystem:
-    """The involution b_n -> 1/b_n, a_n -> a_n/(b_{n-1} b_n), lam stays 0."""
-    _require_laurent(cs, check_depth)
+def invert(cs: CoeffSystem) -> CoeffSystem:
+    """The involution b_n -> 1/b_n, a_n -> a_n/(b_{n-1} b_n), lam stays 0.
+
+    Each index of cs is checked when the inverse reads it: b_n = 0 and
+    lam_n != 0 raise ``CoeffError``."""
 
     def b_inv(n: int) -> Scalar:
         v = cs.b(n)
@@ -604,16 +598,16 @@ def invert(cs: CoeffSystem, check_depth: int = 12) -> CoeffSystem:
             raise CoeffError(f"b_{n} = 0: inversion undefined")
         return 1 / v
 
-    def a_inv(n: int) -> Scalar:
-        if n < 1:
-            return Fraction(0)
-        for k in (n - 1, n):
-            if cs.b(k) == 0:
-                raise CoeffError(f"b_{k} = 0: inversion undefined")
-        return cs.a(n) / (cs.b(n - 1) * cs.b(n))
+    def lam_inv(n: int) -> Scalar:
+        if cs.lam(n) != 0:
+            raise CoeffError(f"lam_{n} != 0: operation needs the Laurent case lam = 0")
+        return Fraction(0)
 
-    valid = cs.valid_to
-    return CoeffSystem(b_inv, a_inv, lambda n: Fraction(0), valid_to=valid,
+    def a_inv(n: int) -> Scalar:
+        lam_inv(n)
+        return cs.a(n) * b_inv(n - 1) * b_inv(n)
+
+    return CoeffSystem(b_inv, a_inv, lam_inv, valid_to=cs.valid_to,
                        name=f"{cs.name}^inv" if cs.name else "inv")
 
 

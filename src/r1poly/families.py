@@ -6,10 +6,14 @@ Each constructor returns a ``FamilySpec`` bundling:
   * a closed-form moment k -> mu_k where one is known,
   * the terminating (q-)hypergeometric polynomial the recurrence must be
     proportional to (``hyp_poly``), built exactly as a Poly in x,
-  * a parameter validator that rejects choices zeroing any denominator
-    appearing up to the requested depth,
   * optionally the classical comparison coefficients (B_n, Lam_n) whose
     J-fraction has the same moment series.
+
+Constructors reject only parameters that break every index (q in {0, +-1},
+Meixner c in {0, 1}, ...).  Everything else is checked where a coefficient
+is read: ``build()`` turns a closed form that divides by zero at index n
+into ``FamilyParamError`` naming the coefficient, and a_n = 0 is an error
+only where the theory divides by a_n, as for any other system.
 
 All parameters, including q, are exact rationals.  Proportionality
 constants between the monic recurrence polynomials and the hypergeometric
@@ -51,32 +55,41 @@ class NoClosedForm(ValueError):
     """The family records no closed moment formula."""
 
 
-DEFAULT_DEPTH = 12
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named coefficient family with its closed forms and validator."""
+    """A named coefficient family with its closed forms."""
 
     name: str
     params: dict
     coeff_b: Callable[[int], Scalar]
     coeff_a: Callable[[int], Scalar]
     coeff_lam: Callable[[int], Scalar]
-    validate: Callable[[int], None]
     moment: Callable[[int], Scalar] | None = None
     hyp: Callable[[int], Poly] | None = None
     classical: tuple[Callable[[int], Scalar], Callable[[int], Scalar]] | None = None
     valid_to: int | None = None
     spectral_node: Callable[[int], Scalar] | None = None
 
-    def build(self, depth: int = DEFAULT_DEPTH) -> CoeffSystem:
-        """Validate parameters up to ``depth`` and return the system."""
-        if self.valid_to is not None:
-            depth = min(depth, self.valid_to)
-        self.validate(depth)
+    def build(self, depth: int | None = None) -> CoeffSystem:
+        """The family's recurrence system.  A coefficient whose closed form
+        divides by zero raises ``FamilyParamError`` when it is first read.
+
+        ``depth`` is ignored: coefficients are checked where they are read.
+        It is accepted only so that callers which still pass one keep working.
+        """
+
+        def guard(stream: Callable[[int], Scalar], coeff: str) -> Callable[[int], Scalar]:
+            def read(n: int) -> Scalar:
+                try:
+                    return stream(n)
+                except ZeroDivisionError:
+                    raise FamilyParamError(
+                        f"degenerate parameters: {self.name} {coeff}_{n} divides by zero"
+                    ) from None
+            return read
+
         return CoeffSystem(
-            self.coeff_b, self.coeff_a, self.coeff_lam,
+            guard(self.coeff_b, "b"), guard(self.coeff_a, "a"), guard(self.coeff_lam, "lam"),
             valid_to=self.valid_to, name=self.name,
         )
 
@@ -123,18 +136,6 @@ def jacobi11(a: ScalarLike, b: ScalarLike, variant: str = "minus") -> FamilySpec
     a, b = as_scalar(a), as_scalar(b)
     if variant not in ("minus", "plus", "mixed"):
         raise ValueError(f"unknown jacobi11 variant {variant!r}")
-
-    def validate(depth: int):
-        for n in range(depth + 2):
-            _nonzero(a + b + n + 1, f"a+b+{n + 1}")
-        for n in range(1, depth + 1):
-            if variant == "minus":
-                _nonzero(n + b, f"{n}+b (a_{n} = 0)")
-            elif variant == "plus":
-                _nonzero(n + a, f"{n}+a (a_{n} = 0)")
-            else:
-                _nonzero(a + Fraction(n, 2) if n % 2 == 0 else b + Fraction(n + 1, 2),
-                         f"a_{n} = 0")
 
     if variant == "minus":
         def lam(n):
@@ -185,7 +186,7 @@ def jacobi11(a: ScalarLike, b: ScalarLike, variant: str = "minus") -> FamilySpec
     return FamilySpec(
         name=f"jacobi11[{variant}]", params={"a": a, "b": b, "variant": variant},
         coeff_b=coeff_b, coeff_a=coeff_a, coeff_lam=lam,
-        validate=validate, moment=moment, hyp=hyp, classical=(B, Lam),
+        moment=moment, hyp=hyp, classical=(B, Lam),
     )
 
 
@@ -200,12 +201,6 @@ def jacobi01(a: ScalarLike, b: ScalarLike, variant: str = "oneminus") -> FamilyS
     a, b = as_scalar(a), as_scalar(b)
     if variant not in ("oneminus", "xpow"):
         raise ValueError(f"unknown jacobi01 variant {variant!r}")
-
-    def validate(depth: int):
-        for n in range(depth + 2):
-            _nonzero(a + b + n + 1, f"a+b+{n + 1}")
-        for n in range(1, depth + 1):
-            _nonzero(n + a if variant == "oneminus" else n + b, f"a_{n} = 0")
 
     if variant == "oneminus":
         def lam(n):
@@ -232,7 +227,7 @@ def jacobi01(a: ScalarLike, b: ScalarLike, variant: str = "oneminus") -> FamilyS
     return FamilySpec(
         name=f"jacobi01[{variant}]", params={"a": a, "b": b, "variant": variant},
         coeff_b=coeff_b, coeff_a=coeff_a, coeff_lam=coeff_lam,
-        validate=validate, moment=moment, hyp=hyp,
+        moment=moment, hyp=hyp,
     )
 
 
@@ -257,7 +252,6 @@ def laguerre(a: ScalarLike) -> FamilySpec:
         name="laguerre", params={"a": a},
         coeff_b=lambda n: a - n, coeff_a=lambda n: Fraction(n),
         coeff_lam=lambda n: Fraction(0),
-        validate=lambda depth: None,
         moment=lambda k: pochhammer(a + 1, k),
         hyp=hyp,
         classical=(lambda n: 2 * n + a + 1, lambda n: Fraction(n) * (n + a)),
@@ -275,9 +269,6 @@ def meixner(b: ScalarLike, c: ScalarLike) -> FamilySpec:
     if c == 0:
         raise FamilyParamError("degenerate parameters: c = 0 makes every a_n vanish")
     d = c / (1 - c)
-
-    def validate(depth: int):
-        pass  # a_n = cn/(1-c) is nonzero once c is not in {0, 1}
 
     def hyp(n: int) -> Poly:
         # 2F1(-n, -x; b-n; 1 - 1/c) with the (-x)_j slot kept polynomial.
@@ -304,7 +295,7 @@ def meixner(b: ScalarLike, c: ScalarLike) -> FamilySpec:
         coeff_b=lambda n: (n - (2 * n + 1) * c + b * c) / (1 - c),
         coeff_a=lambda n: c * n / (1 - c),
         coeff_lam=lambda n: c * n * (b - n) / (1 - c),
-        validate=validate, moment=moment, hyp=hyp,
+        moment=moment, hyp=hyp,
         classical=(
             lambda n: (n + (n + b) * c) / (1 - c),
             lambda n: Fraction(n) * (n + b - 1) * c / (1 - c) ** 2,
@@ -326,12 +317,6 @@ def little_q_jacobi(a: ScalarLike, b: ScalarLike, q: ScalarLike) -> FamilySpec:
     _validate_q(q)
     if a == 0 or b == 0:
         raise FamilyParamError("degenerate parameters: a and b must be nonzero")
-
-    def validate(depth: int):
-        for n in range(depth + 2):
-            _nonzero(1 - a * b * q ** (n + 1), f"1-abq^{n + 1}")
-        for n in range(1, depth + 1):
-            _nonzero(1 - a * q**n, f"1-aq^{n} (a_{n} = 0)")
 
     def coeff_b(n):
         return q**n * (1 + a - a * q**n - a * q ** (n + 1)) / (1 - a * b * q ** (n + 1))
@@ -363,7 +348,7 @@ def little_q_jacobi(a: ScalarLike, b: ScalarLike, q: ScalarLike) -> FamilySpec:
     return FamilySpec(
         name="little_q_jacobi", params={"a": a, "b": b, "q": q},
         coeff_b=coeff_b, coeff_a=coeff_a, coeff_lam=coeff_lam,
-        validate=validate, moment=moment, hyp=hyp,
+        moment=moment, hyp=hyp,
     )
 
 
@@ -380,15 +365,6 @@ def big_q_jacobi(
         raise ValueError(f"unknown big_q_jacobi variant {variant!r}")
     if a == 0 or c == 0 or (variant == "bshift" and b == 0):
         raise FamilyParamError("degenerate parameters: a, c (and b for bshift) must be nonzero")
-
-    def validate(depth: int):
-        for n in range(depth + 2):
-            _nonzero(1 - a * b * q ** (n + 1), f"1-abq^{n + 1}")
-        for n in range(1, depth + 1):
-            if variant == "bshift":
-                _nonzero((1 - q**n) * (1 - a * q**n) * (1 - c * q**n), f"a_{n} = 0")
-            else:
-                _nonzero((1 - q**n) * (1 - b * q**n) * (1 - c * q**n), f"a_{n} = 0")
 
     if variant == "bshift":
         def coeff_b(n):
@@ -441,7 +417,7 @@ def big_q_jacobi(
         name=f"big_q_jacobi[{variant}]",
         params={"a": a, "b": b, "c": c, "q": q, "variant": variant},
         coeff_b=coeff_b, coeff_a=coeff_a, coeff_lam=lam,
-        validate=validate, hyp=hyp,
+        hyp=hyp,
     )
 
 
@@ -473,12 +449,6 @@ def askey_wilson(
             2 * b * (1 - a * b * c * d * q ** (n - 1))
         ) * bracket
 
-    def validate(depth: int):
-        for n in range(depth + 2):
-            _nonzero(1 - a * b * c * d * q ** (n - 2), f"1-abcdq^{n - 2}")
-        for n in range(1, depth + 1):
-            _nonzero(lamP(n), f"a_{n} = 0")
-
     def hyp(n: int) -> Poly:
         out = Poly()
         for j in range(n + 1):
@@ -499,7 +469,7 @@ def askey_wilson(
         coeff_b=coeff_b,
         coeff_a=lambda n: -2 * b * q**-n * lamP(n),
         coeff_lam=lambda n: (1 + b * b * q ** (-2 * n)) * lamP(n),
-        validate=validate, hyp=hyp,
+        hyp=hyp,
     )
 
 
@@ -531,13 +501,6 @@ def q_racah(
         )
         return -num / (b * q**n - q**N)
 
-    def validate(depth: int):
-        for n in range(depth + 1):
-            _nonzero(b * q**n - q**N, f"bq^{n}-q^{N}")
-        for n in range(1, depth + 1):
-            _nonzero(1 - q ** (N - n) / b, f"1-q^{N - n}/b")
-            _nonzero(lamP(n), f"a_{n} = 0")
-
     def hyp(n: int) -> Poly:
         if n > N:
             raise FamilyParamError(f"q_racah degree {n} exceeds N = {N}")
@@ -564,7 +527,7 @@ def q_racah(
         coeff_b=coeff_b,
         coeff_a=lambda n: -lamP(n) * q ** (n - 1) / (b * d),
         coeff_lam=lambda n: lamP(n) * (1 + q ** (2 * n - 1) * c / (b * b * d)),
-        validate=validate, hyp=hyp, valid_to=N - 1, spectral_node=x_node,
+        hyp=hyp, valid_to=N - 1, spectral_node=x_node,
     )
 
 
@@ -592,7 +555,7 @@ def constant(A: ScalarLike, B: ScalarLike, C: ScalarLike) -> FamilySpec:
     return FamilySpec(
         name="constant", params={"A": A, "B": B, "C": C},
         coeff_b=lambda n: B, coeff_a=lambda n: A, coeff_lam=lambda n: C,
-        validate=lambda depth: None, hyp=hyp,
+        hyp=hyp,
         classical=(
             lambda n: A + B if n == 0 else 2 * A + B,
             lambda n: A * A + A * B + C,
@@ -603,16 +566,11 @@ def constant(A: ScalarLike, B: ScalarLike, C: ScalarLike) -> FamilySpec:
 def r1_hermite(a: ScalarLike) -> FamilySpec:
     """Deformed Hermite: b_n = 0, a_n = a n, lam_n = n."""
     a = as_scalar(a)
-
-    def validate(depth: int):
-        pass  # a = 0 degenerates to classical Hermite; still usable for moments
-
     return FamilySpec(
         name="r1_hermite", params={"a": a},
         coeff_b=lambda n: Fraction(0),
         coeff_a=lambda n: a * n,
         coeff_lam=lambda n: Fraction(n),
-        validate=validate,
         moment=lambda k: theta(k, a),
     )
 
@@ -691,7 +649,7 @@ def chebyshev_weight_hyp(n: int, x: ScalarLike, a: ScalarLike) -> Scalar:
 def genthm_check(a: ScalarLike, order: int) -> bool:
     """Two-sided series identity: sum theta_n t^n = L(1/(1 - x^2 t (a+t)))."""
     a = as_scalar(a)
-    cs = r1_hermite(a).build(order + 1)
+    cs = r1_hermite(a).build()
     lhs = [mu(n, cs) for n in range(order + 1)]
     rhs = [Fraction(0)] * (order + 1)
     for j in range(order + 1):
@@ -706,7 +664,7 @@ def hermite_linearization_check(n: int, m: int, a: ScalarLike = Fraction(2, 3)) 
     """H_n H_m = sum_s C(n,s) C(m,s) s! (1+a x)^s H_{n+m-2s}, both as the raw
     polynomial identity and through the expansion functional."""
     a = as_scalar(a)
-    cs = r1_hermite(a).build(n + m + 2)
+    cs = r1_hermite(a).build()
     lhs = P(n, cs) * P(m, cs)
     rhs = Poly()
     for s in range(min(n, m) + 1):
@@ -749,8 +707,7 @@ def glue_shift_check(
     of the recorded (B_n, Lam_n) when the family has one, otherwise the
     closed moment formula.
     """
-    depth = max(n + 1, order + 1)
-    cs = fam.build(depth)
+    cs = fam.build()
     p = P(n, cs)
     h = fam.hyp_poly(n)
     ratio = None

@@ -143,6 +143,20 @@ def test_family_degenerate_params(capsys):
     assert code == 2 and "degenerate" in err
 
 
+def test_family_a_zero_matches_its_table(capsys, tmp_path):
+    # jacobi11 at b = -3 has a_3 = 0: moments need no division by a_n, Q_3 does
+    params = ("--family", "jacobi11", "--param", "a=5/2", "b=-3")
+    code, out, _ = run(capsys, "family", *params[1:], "--emit", "coeffs", "--n", "12")
+    assert code == 0 and json.loads(out)["a"][3] == "0"
+    table = tmp_path / "jacobi11.json"
+    table.write_text(out)
+    code, through_family, _ = run(capsys, "moments", *params, "--n", "10")
+    code2, through_table, _ = run(capsys, "moments", "--coeffs", str(table), "--n", "10")
+    assert code == code2 == 0 and through_family == through_table
+    code, _, err = run(capsys, "functional", *params, "--expr", "Q_3")
+    assert code == 2 and err == "error: a_3 = 0: system violates the standing assumption\n"
+
+
 def test_histories_check(capsys):
     code, out, _ = run(capsys, "histories", "laguerre", "--n", "4", "--check")
     assert code == 0 and "ok" in out
@@ -182,6 +196,29 @@ def test_missing_source_exits_three(capsys):
     assert err.value.code == 3
 
 
+_DEGENERATE_INPUT = [
+    "functional --family jacobi11 --param a=-61/2 b=1/2 --expr x^40",
+    "family meixner --param b=2 c=1",
+    "moments --family meixner --param b=2 c=1 --n 3",
+]
+
+
+def _run_cli(argv, cwd, extra_env=None):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
+    env.pop("R1_MEMO_LIMIT", None)
+    env.update(extra_env or {})
+    return subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()],
+                          cwd=cwd, capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv", _DEGENERATE_INPUT)
+def test_degenerate_parameters_exit_two(argv, tmp_path):
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: degenerate parameters"), proc.stderr
+
+
 _BAD_TABLES = {
     "b_not_a_number.json": {"kind": "table", "b": ["x"], "a": ["1"], "lambda": ["1"]},
     "b_zero_denominator.json": {"kind": "table", "b": ["1/0"], "a": ["1"], "lambda": ["1"]},
@@ -198,6 +235,7 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "histories meixner --n 12 --check"),
     ({"R1_MEMO_LIMIT": "5"}, "moments --family laguerre --param a=1 --n 8"),
     ({"R1_MEMO_LIMIT": "20"}, "moments --symbolic --n 8"),
+    ({"R1_MEMO_LIMIT": "3"}, "poly --family laguerre --param a=1 --n 6"),
     ({}, "moments --coeffs b_not_a_number.json --n 3"),
     ({}, "moments --coeffs b_zero_denominator.json --n 3"),
     ({}, "moments --coeffs no_lambda.json --n 3"),
@@ -211,11 +249,7 @@ _BAD_INPUT = [  # (extra environment, argv)
 def test_bad_input_is_one_line_usage_error(extra_env, argv, tmp_path):
     for name, spec in _BAD_TABLES.items():
         (tmp_path / name).write_text(json.dumps(spec))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
-    env.pop("R1_MEMO_LIMIT", None)
-    env.update(extra_env)
-    proc = subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()],
-                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_cli(argv, tmp_path, extra_env)
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr

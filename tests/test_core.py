@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,32 @@ def test_memo_limit_names_table_and_request(monkeypatch, ones):
         nu(3, 2, cs)
 
 
+def test_poly_cache_limit_names_table_and_request(monkeypatch, ones):
+    monkeypatch.setenv("R1_MEMO_LIMIT", "3")
+    with pytest.raises(MemoLimitError, match=r"^poly cache: 4 entries > R1_MEMO_LIMIT=3 "
+                                             r"\(building P_3 for n=6\)$"):
+        P(6, ones)
+
+
+def test_each_coefficient_is_read_once(rng):
+    base = random_system(rng)
+    reads = Counter()
+
+    def counted(kind, stream):
+        def read(n):
+            reads[kind, n] += 1
+            return stream(n)
+        return read
+
+    cs = CoeffSystem(counted("b", base.b), counted("a", base.a), counted("lam", base.lam))
+    for step in (lambda: mu(6, cs), lambda: P(4, cs), lambda: nu(3, 2, cs),
+                 lambda: mu(12, cs), lambda: P(9, cs), lambda: nu(0, 5, cs),
+                 lambda: P(5, shift(cs, 3)), lambda: mu(8, shift(cs, 2))):
+        step()
+    assert {kind for kind, _ in reads} == {"b", "a", "lam"}
+    assert max(reads.values()) == 1
+
+
 def _nu_by_recursion(cs, n, m, memo):
     """The nu recurrence as plain recursion; memo records every entry it reaches."""
     if (n, m) not in memo:
@@ -339,9 +366,21 @@ def test_invert_is_involution(laurent_system):
 
 def test_invert_requires_laurent(rng):
     cs = random_system(rng)
-    if any(cs.lam(i) != 0 for i in range(1, 13)):
-        with pytest.raises(CoeffError):
-            invert(cs)
+    k = next(i for i in range(1, 13) if cs.lam(i) != 0)
+    inv = invert(cs)
+    for read in (inv.a, inv.lam):
+        with pytest.raises(CoeffError, match=f"^lam_{k} != 0"):
+            read(k)
+
+
+def test_invert_checks_every_index_it_reads():
+    # lam_15 != 0 lies past any fixed look-ahead, and the inverse still refuses it
+    lam = [Fraction(0)] * 20
+    lam[15] = Fraction(1, 2)
+    inv = invert(CoeffSystem.from_lists([Fraction(2)] * 20, [Fraction(1)] * 20, lam))
+    assert inv.a(14) == Fraction(1, 4)
+    with pytest.raises(CoeffError, match="^lam_15 != 0"):
+        inv.a(15)
 
 
 def test_F_eval_basics(laurent_system):

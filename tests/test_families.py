@@ -81,7 +81,7 @@ def test_meixner_first_moment():
 
 @pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
 def test_family_orthogonality(fam):
-    cs = fam.build(16)
+    cs = fam.build()
     for m in range(1, 7):
         for n in range(m):
             assert L_eval(VElem(P(m, cs).shift(n), m, cs)) == 0
@@ -91,14 +91,14 @@ def test_family_orthogonality(fam):
 def test_family_closed_moments(fam):
     if fam.moment is None:
         return
-    cs = fam.build(20)
+    cs = fam.build()
     for k in range(9):
         assert fam.closed_moment(k) == mu(k, cs)
 
 
 @pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
 def test_family_hyp_proportionality(fam):
-    cs = fam.build(12)
+    cs = fam.build()
     for n in range(5):
         h = fam.hyp_poly(n)
         assert not h.is_zero()
@@ -121,7 +121,7 @@ def test_classical_jfraction_side():
     for fam in (jacobi11(A13, B25, "minus"), laguerre(Fraction(5, 2)),
                 meixner(Fraction(7, 2), Fraction(1, 3))):
         B, Lam = fam.classical
-        cs = fam.build(20)
+        cs = fam.build()
         assert moment_series(cs, 8) == cf_series(CoeffSystem(B, lambda k: 0, Lam), 8)
 
 
@@ -147,10 +147,19 @@ def test_catalan_checks():
 
 
 def test_degenerate_jacobi_build_rejected():
-    # a = b = -1/2 zeroes a+b+n+1 at n = 0; moments stay evaluable
-    fam = jacobi11(Fraction(-1, 2), Fraction(-1, 2))
-    with pytest.raises(FamilyParamError):
-        fam.build()
+    # a = b = -1/2 zeroes a+b+n+1 at n = 0: reading b_0 names the coefficient
+    cs = jacobi11(Fraction(-1, 2), Fraction(-1, 2)).build()
+    with pytest.raises(FamilyParamError, match=r"jacobi11\[minus\] b_0 divides by zero$"):
+        cs.b(0)
+
+
+def test_degeneracy_past_any_fixed_depth_is_named():
+    # a + b = -30 zeroes a+b+n+1 at n = 29, deeper than any guessed depth
+    cs = jacobi11(Fraction(-61, 2), Fraction(1, 2)).build()
+    assert mu(28, cs) != 0
+    with pytest.raises(FamilyParamError, match=r"^degenerate parameters: jacobi11\[minus\] "
+                                               r"a_29 divides by zero$"):
+        mu(40, cs)
 
 
 def test_meixner_validator():
@@ -191,7 +200,7 @@ def test_no_closed_form_errors():
 
 def test_askey_wilson_recurrence_vs_4phi3():
     aw = askey_wilson(Q12, A13, Fraction(1, 5), Fraction(1, 7), Q12)
-    cs = aw.build(8)
+    cs = aw.build()
     for n in range(5):
         h = aw.hyp_poly(n)
         mono = h * (1 / h.leading())
