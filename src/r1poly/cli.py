@@ -85,6 +85,8 @@ def _emit(args, text_lines, payload):
 
 
 def cmd_moments(args) -> int:
+    if args.n < 0:
+        return _usage("moments need --n >= 0")
     if args.symbolic:
         values = [str(mu_symbolic(n)) for n in range(args.n + 1)]
         _emit(args, values, {"symbolic": True, "moments": values})
@@ -167,9 +169,12 @@ def cmd_functional(args) -> int:
 def _parse_point(text: str) -> tuple[int, int]:
     x, _, y = text.partition(",")
     try:
-        return (int(x), int(y))
+        point = (int(x), int(y))
     except ValueError:
         raise SystemExit(_usage(f"bad point {text!r}, expected x,y with integer x and y"))
+    if point[1] < 0:
+        raise SystemExit(_usage(f"bad point {text!r}, paths need height y >= 0"))
+    return point
 
 
 def cmd_paths(args) -> int:
@@ -250,6 +255,8 @@ def cmd_dets(args) -> int:
 
 
 def cmd_family(args) -> int:
+    if args.n is not None and args.n < 0:
+        return _usage("family needs --n >= 0")
     cs = _load_system(args)
     top = args.n if args.n is not None else 8
     if args.emit == "coeffs":

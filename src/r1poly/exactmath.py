@@ -20,12 +20,16 @@ Three container types are built on top of it:
 ``SymPoly``
     Sparse multivariate polynomial in the indexed symbols b_i, a_i, lam_i,
     with ring operations only (no division).  Monomial counts explode with
-    path counts, so this one is sparse.
+    path counts, so this one is sparse.  Its terms are kept canonical
+    (sorted monomial keys, whole coefficients as ``int``), so ring
+    operations never re-sort, and ``evaluate`` sums over ints and divides
+    once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -397,40 +401,59 @@ def series_from_rational(num: Poly, den: Poly, order: int) -> Series:
 
 # Symbols are (kind, index) pairs; kinds are the three coefficient streams.
 SYM_KINDS = ("b", "a", "lam")
+_KIND_RANK = {kind: rank for rank, kind in enumerate(SYM_KINDS)}
 
 Symbol = tuple[str, int]
 Monomial = tuple[Symbol, ...]
+Coeff = Union[int, Fraction]
 
 
 def _sym_key(sym: Symbol):
-    return (sym[1], SYM_KINDS.index(sym[0]))
+    return (sym[1], _KIND_RANK[sym[0]])
 
 
 def _mono_sort_key(mono: Monomial):
-    return (sum(1 for _ in mono), tuple(_sym_key(s) for s in mono))
+    return (len(mono), tuple(_sym_key(s) for s in mono))
+
+
+def _whole(c: Coeff) -> Coeff:
+    """A whole coefficient as int; any other stays a Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class SymPoly:
     """Sparse polynomial in the indexed symbols b_i, a_i, lam_i over Scalar.
 
-    A monomial is a sorted tuple of symbols (with repetition); the terms map
-    never stores a zero coefficient.  Only ring operations are provided:
-    + and * (no division), plus evaluation by substituting scalars.
+    ``terms`` maps monomials to coefficients and is always canonical: a
+    monomial is a tuple of symbols (with repetition) sorted by ``_sym_key``,
+    so index first and then b < a < lam; a whole coefficient is an ``int``
+    and any other a ``Fraction``; no coefficient is zero.  ``SymPoly(terms)``
+    normalises arbitrary input into that form.  The ring operations build
+    their results canonical and hand them to the trusted ``_canonical``,
+    which stores a dict as given, so no result is re-sorted; a product with
+    a single term c*s only inserts s into each monomial at its sorted
+    place.  Only ring operations are provided: + and * (no division), plus
+    fraction-free evaluation by substituting scalars.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, ScalarLike] | None = None):
-        clean: dict[Monomial, Scalar] = {}
+        clean: dict[Monomial, Coeff] = {}
         for mono, coeff in (terms or {}).items():
-            c = as_scalar(coeff)
-            if c == 0:
-                continue
-            key = tuple(sorted(mono, key=_sym_key))
-            clean[key] = clean.get(key, Fraction(0)) + c
-            if clean[key] == 0:
-                del clean[key]
-        object.__setattr__(self, "terms", clean)
+            try:
+                key = tuple(sorted(mono, key=_sym_key))
+            except KeyError as exc:
+                raise ValueError(f"unknown symbol kind {exc.args[0]!r}") from None
+            clean[key] = clean.get(key, 0) + as_scalar(coeff)
+        object.__setattr__(self, "terms", {m: _whole(c) for m, c in clean.items() if c})
+
+    @classmethod
+    def _canonical(cls, terms: dict[Monomial, Coeff]) -> "SymPoly":
+        """Wrap a dict that is already canonical, without checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
@@ -443,7 +466,7 @@ class SymPoly:
     def symbol(kind: str, index: int) -> "SymPoly":
         if kind not in SYM_KINDS:
             raise ValueError(f"unknown symbol kind {kind!r}")
-        return SymPoly({((kind, index),): 1})
+        return SymPoly._canonical({((kind, index),): 1})
 
     @staticmethod
     def b(i: int) -> "SymPoly":
@@ -476,17 +499,25 @@ class SymPoly:
         other = _coerce_sympoly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-            if out[mono] == 0:
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for mono, c in small.items():
+            if mono not in out:
+                out[mono] = c
+                continue
+            c = out[mono] + c
+            if c:
+                out[mono] = _whole(c)
+            else:
                 del out[mono]
-        return SymPoly(out)
+        return SymPoly._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly({m: -c for m, c in self.terms.items()})
+        return SymPoly._canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
         other = _coerce_sympoly(other)
@@ -501,26 +532,46 @@ class SymPoly:
         other = _coerce_sympoly(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
+        for factor, poly in ((other, self), (self, other)):
+            single = _one_symbol(factor.terms)
+            if single:
+                return SymPoly._canonical(_times_symbol(poly.terms, *single))
+        out: dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2, key=_sym_key))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-                if out[mono] == 0:
-                    del out[mono]
-        return SymPoly(out)
+                key = tuple(sorted(m1 + m2, key=_sym_key))
+                out[key] = out.get(key, 0) + c1 * c2
+        return SymPoly._canonical({m: _whole(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def evaluate(self, assign: Callable[[str, int], ScalarLike]) -> Scalar:
-        """Substitute scalars for symbols; assign(kind, index) -> Scalar."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for kind, idx in mono:
-                prod *= as_scalar(assign(kind, idx))
+        """Substitute scalars for symbols; assign(kind, index) -> Scalar.
+
+        ``assign`` is called once per distinct symbol.  The sum runs on
+        ints: the values are scaled by D, the lcm of their denominators,
+        the coefficients by E, the lcm of theirs, and a term of degree j is
+        padded by D^(k - j), where k is the top degree.  The exact total is
+        divided by E * D^k once at the end, so the result is the Fraction
+        that per-term Fraction products give.
+        """
+        values: dict[Symbol, Scalar] = {}
+        for mono in self.terms:
+            for sym in mono:
+                if sym not in values:
+                    values[sym] = as_scalar(assign(*sym))
+        d = math.lcm(*(v.denominator for v in values.values()))
+        e = math.lcm(*(c.denominator for c in self.terms.values()))
+        scaled = {sym: v.numerator * (d // v.denominator) for sym, v in values.items()}
+        top = max(map(len, self.terms), default=0)
+        pad = [d ** (top - j) for j in range(top + 1)]
+        total = 0
+        for mono, c in self.terms.items():
+            prod = c.numerator * (e // c.denominator) * pad[len(mono)]
+            for sym in mono:
+                prod *= scaled[sym]
             total += prod
-        return total
+        return Fraction(total, e * d**top)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -558,6 +609,27 @@ def _coerce_sympoly(value) -> "SymPoly":
     if isinstance(value, (int, Fraction)):
         return SymPoly.const(value)
     return NotImplemented
+
+
+def _one_symbol(terms: dict[Monomial, Coeff]) -> tuple[Symbol, Coeff] | None:
+    """(sym, c) when ``terms`` is the single term c*sym, else None."""
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        if len(mono) == 1:
+            return mono[0], c
+    return None
+
+
+def _times_symbol(terms: dict[Monomial, Coeff], sym: Symbol, c: Coeff) -> dict[Monomial, Coeff]:
+    """The canonical terms of ``terms`` times c*sym.  sym goes into each
+    monomial at its sorted place; distinct monomials stay distinct, so no
+    two terms merge and none cancels."""
+    key = _sym_key(sym)
+    out: dict[Monomial, Coeff] = {}
+    for mono, coeff in terms.items():
+        i = bisect_right(mono, key, key=_sym_key)
+        out[mono[:i] + (sym,) + mono[i:]] = coeff if c == 1 else _whole(coeff * c)
+    return out
 
 
 def binomial(n: int, k: int) -> int:

@@ -230,6 +230,12 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --family laguerre --param a=abc --n 3"),
     ({}, "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=x q=1/2 --n 3"),
     ({}, "paths count --from 0,0 --to a,0"),
+    ({}, "paths count --from 0,-1 --to 2,0"),
+    ({}, "paths enumerate --from 0,0 --to 2,-3"),
+    ({}, "paths sum --symbolic --from 0,-1 --to 2,0"),
+    ({}, "moments --symbolic --n -2"),
+    ({}, "moments --family laguerre --param a=1 --n -2"),
+    ({}, "family laguerre --param a=1 --emit moments --n -1"),
     ({}, "moments --family constant --param A=1 B=1 --n 3"),
     ({}, "moments --family nosuch --n 3"),
     ({}, "histories meixner --n 12 --check"),

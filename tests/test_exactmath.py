@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r1poly.exactmath import (
+    SYM_KINDS,
     Poly,
     Series,
     SymPoly,
@@ -16,6 +17,7 @@ from r1poly.exactmath import (
     series_from_rational,
     stirling2,
 )
+from r1poly.exactmath import _sym_key
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_polys = st.lists(fractions, max_size=8).map(Poly)
@@ -129,6 +131,8 @@ def test_sympoly_display_and_zero_pruning():
     assert str(expr) == "b0^2 + 2*b0*a1"
     cancel = SymPoly.b(1) - SymPoly.b(1)
     assert cancel.is_zero() and not cancel.terms
+    with pytest.raises(ValueError, match="unknown symbol kind 'x'"):
+        SymPoly({(("b", 0), ("x", 1)): 1})
 
 
 symbols = st.sampled_from(
@@ -163,3 +167,71 @@ def test_sympoly_evaluation_homomorphism(x, y, seed):
 
     assert (x + y).evaluate(assign) == x.evaluate(assign) + y.evaluate(assign)
     assert (x * y).evaluate(assign) == x.evaluate(assign) * y.evaluate(assign)
+
+
+# Differential test of SymPoly's fast paths (trusted construction, the
+# one-symbol multiply, fraction-free evaluate) against plain references:
+# raw dicts normalised by the public constructor, and Fraction products.
+# Indices reach 12 so that 9 < 10 ordering is exercised.
+raw_symbols = st.tuples(st.sampled_from(SYM_KINDS), st.integers(0, 12))
+coeffs = st.integers(-5, 5) | fractions
+raw_terms = st.dictionaries(st.lists(raw_symbols, max_size=4).map(tuple), coeffs, max_size=6)
+one_symbol = st.tuples(raw_symbols, coeffs).map(lambda t: {(t[0],): t[1]})
+sym_polys = (raw_terms | one_symbol).map(SymPoly)
+
+
+def _ref_sum(*term_dicts):
+    raw = {}
+    for terms in term_dicts:
+        for mono, c in terms.items():
+            raw[mono] = raw.get(mono, 0) + c
+    return SymPoly(raw)
+
+
+def _ref_product(x, y):
+    raw = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            raw[m1 + m2] = raw.get(m1 + m2, 0) + c1 * c2
+    return SymPoly(raw)
+
+
+def _assert_canonical(p):
+    def plain_key(sym):  # index first, then b < a < lam
+        return (sym[1], SYM_KINDS.index(sym[0]))
+
+    for mono, c in p.terms.items():
+        assert mono == tuple(sorted(mono, key=_sym_key)) == tuple(sorted(mono, key=plain_key))
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
+
+
+@given(sym_polys, sym_polys, st.dictionaries(raw_symbols, coeffs))
+@settings(max_examples=150)
+def test_sympoly_fast_paths_match_reference(x, y, values):
+    negated = SymPoly({m: -c for m, c in y.terms.items()})
+    cases = [
+        (x, SymPoly(dict(x.terms))),
+        (y, SymPoly(dict(y.terms))),
+        (x + y, _ref_sum(x.terms, y.terms)),
+        (x - y, _ref_sum(x.terms, negated.terms)),
+        (-y, negated),
+        (x * y, _ref_product(x, y)),
+        (y * x, _ref_product(x, y)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got == want and str(got) == str(want) and hash(got) == hash(want)
+
+    def assign(kind, i):
+        return values.get((kind, i), i - 4)
+
+    for p, _ in cases:
+        want = Fraction(0)
+        for mono, c in p.terms.items():
+            prod = Fraction(c)
+            for kind, i in mono:
+                prod *= Fraction(assign(kind, i))
+            want += prod
+        got = p.evaluate(assign)
+        assert type(got) is Fraction and got == want

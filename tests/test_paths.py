@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from r1poly.checks import random_system
-from r1poly.core import CoeffSystem
+from r1poly.core import CoeffSystem, mu, mu_symbolic
 from r1poly.exactmath import Series, SymPoly, series_from_rational
 from r1poly.paths import (
     Path,
@@ -81,6 +81,20 @@ def test_symbolic_first_moments():
     l1 = SymPoly.lam(1)
     mu2 = b0 * b0 + l1 + 2 * a1 * b0 + a2 * a1 + b1 * a1 + a1 * a1
     assert weight_sum((0, 0), (2, 0), ws) == mu2
+
+
+def test_symbolic_path_sum_is_mu_9(rng):
+    # Three ways to mu_9 (14,269 terms): the path DP and the mu kernel over
+    # the symbols, and the numeric moment of a random rational system.
+    path_sum = weight_sum((0, 0), (9, 0), symbolic_weights())
+    moment = mu_symbolic(9)
+    assert path_sum == moment and len(moment.terms) == 14269
+    cs = random_system(rng)
+
+    def assign(kind, i):
+        return {"b": cs.b, "a": cs.a, "lam": cs.lam}[kind](i)
+
+    assert path_sum.evaluate(assign) == moment.evaluate(assign) == mu(9, cs)
 
 
 def test_up_only_weights_vanish():
