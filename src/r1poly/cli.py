@@ -102,6 +102,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.n < 0:
+        return _usage("poly needs --n >= 0")
     cs = _load_system(args)
     if args.method == "recurrence":
         p = P(args.n, cs)
@@ -179,6 +181,8 @@ def _parse_point(text: str) -> tuple[int, int]:
 
 def cmd_paths(args) -> int:
     start, end = _parse_point(getattr(args, "from")), _parse_point(args.to)
+    if args.max_height is not None and args.max_height < 0:
+        return _usage("paths need --max-height >= 0")
     if args.action == "count":
         found = paths.enumerate_paths(start, end, max_height=args.max_height)
         _emit(args, [str(len(found))], {"count": len(found)})
@@ -210,6 +214,8 @@ _DET_KINDS = ("hankel", "prime", "dprime", "tprime",
 
 
 def cmd_dets(args) -> int:
+    if args.n < 0:
+        return _usage("dets need --n >= 0")
     cs = _load_system(args)
     kinds = args.kinds.split(",") if args.kinds else ["prime", "dprime", "tprime"]
     constant_params = None

@@ -14,6 +14,13 @@ system also carries its own memo tables (polynomials, the mu and nu moment
 grids), which grow monotonically and are dropped only by building a fresh
 system.
 
+The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
+program, ``PathColumns``, which makes each column of path sums from the one
+before by ``column_step``.  A rational system runs it over integers scaled
+by powers of the lcm D of the denominators read so far, and divides only
+what it hands out; once D has more than ``SCALED_MAX_BITS`` bits, as for the
+Jacobi and q-families within their first rows, it turns to Fraction.
+
 The functional L lives on the space V of rational functions p(x)/d_m(x)
 with d_m(x) = prod_{i=1..m} (a_i x + lam_i); ``VElem`` is that
 representation and ``L_eval`` evaluates the unique functional with
@@ -28,6 +35,9 @@ divides; both conditions are checked there and raise hard, named errors
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,18 +78,24 @@ def _check_memo(table: str, size: int, request: str):
         raise MemoLimitError(f"{table}: {size} entries > R1_MEMO_LIMIT={int(raw)} ({request})")
 
 
+def _add_all(terms: Sequence[Scalar]) -> Scalar:
+    """The sum of a nonempty list, with no zero to start from."""
+    return functools.reduce(operator.add, terms)
+
+
 class CoeffSystem:
     """The sequences {b_n}, {a_n}, {lam_n} plus per-session memo tables.
 
     Each coefficient is read from its stream once, where its index is
     checked, and memoized.  ``valid_to`` is the largest readable index (None
     means every index).  A system with its tables is a single-writer session
-    object; share only the immutable values it returns.  ``zero`` and
-    ``one`` are those of the coefficient ring.
+    object; share only the immutable values it returns.  ``zero``, ``one``
+    and ``total`` (the sum of a list) are those of the coefficient ring.
     """
 
     zero = Fraction(0)
     one = Fraction(1)
+    total = staticmethod(_add_all)
 
     def __init__(
         self,
@@ -285,25 +301,200 @@ def P_via_tilings(n: int, cs: CoeffSystem) -> Poly:
     return total
 
 
-# -- moment tables ------------------------------------------------------
+# -- the path-column kernel ---------------------------------------------
+
+# A rational walk leaves the scaled integers for Fraction entries once the
+# lcm D of the denominators it has read has more bits than this, and stays
+# there.  A D that stops growing is cheap at any size, but one that grows
+# with the index (the Jacobi and q-families, which cross the gate within
+# their first rows) pads every entry by D^e far past its reduced Fraction.
+SCALED_MAX_BITS = 64
+
+
+def column_step(col: list, top: int, b: Sequence, a: Sequence, lam: Sequence,
+                total: Callable[[Sequence], Scalar]) -> list:
+    """The next column of the weighted path sums, heights 0..top.
+
+    ``col[y]`` sums the paths that reach height y in column x - 1.  Entry y
+    of column x takes U (weight 1) from col[y-1], H (b[y]) from col[y] and
+    D (lam[y+1]) from col[y+1], then V (a[y+1]) from entry y + 1 of column
+    x, so the column fills top down.  ``top`` is len(col), or len(col) - 1
+    under a height cap.  ``total`` adds a list of ring elements at once.
+    """
+    last = len(col) - 1
+    nxt = [None] * (top + 1)
+
+    def entry(y: int):  # each term only where its source exists
+        terms = [col[y - 1]] if y else []
+        if y <= last:
+            terms.append(b[y] * col[y])
+        if y < last:
+            terms.append(lam[y + 1] * col[y + 1])
+        if y < top:
+            terms.append(a[y + 1] * nxt[y + 1])
+        return total(terms)
+
+    inner = last - 1  # heights 1..inner have all four terms
+    for y in range(top, inner, -1):
+        nxt[y] = entry(y)
+    if inner >= 0:
+        v = nxt[inner + 1]
+        for y in range(inner, 0, -1):
+            v = nxt[y] = total((col[y - 1], b[y] * col[y], lam[y + 1] * col[y + 1], a[y + 1] * v))
+        nxt[0] = entry(0)
+    return nxt
+
+
+class PathColumns:
+    """Weighted path sums from one start point, one column at a time.
+
+    The walk stands in column x (``x0`` at first) and ``col[y]`` holds the
+    sum of the weights of the paths from (x0, y0) to (x, y) that stay at or
+    below ``max_height`` (None: no cap).  Column x0 is the start and the V
+    runs below it; ``advance`` makes each next column by ``column_step``.
+    ``memo``, when given, keeps every column under its (x, y) keys.
+
+    A symbolic system walks in its own ring.  A rational system walks over
+    scaled integers: with D the lcm of the denominators of the coefficients
+    read so far, entry (x, y) is stored as D^e times its value, where
+    e = (x - x0) - (y - y0) = h + v + 2d for every path there, and the
+    weights are D*b, D*a, D^2*lam with U still 1.  A new denominator
+    rescales the stored entries by (D'/D)^e.  Once D has more than
+    ``SCALED_MAX_BITS`` bits the walk turns its entries into Fractions and
+    stays on them.  Only ``read`` divides.
+
+    Each coefficient is read from the system once, in the order in which
+    the columns first use it, so a stream fails where a plain Fraction walk
+    would fail.
+    """
+
+    def __init__(self, cs: CoeffSystem, start: tuple[int, int],
+                 max_height: int | None = None, memo: dict | None = None):
+        self.cs, self.max_height, self.memo = cs, max_height, memo
+        self.x0, self.y0 = start
+        self.x = self.x0
+        self.scale = 1 if isinstance(cs.one, Fraction) else None
+        # the coefficients b, a, lam read so far by index (a and lam from 1),
+        # and the step weights made from them
+        self._coeffs: tuple[list, list, list] = ([], [None], [None])
+        self._weights = ([], [None], [None]) if self.scale else self._coeffs
+        self._powers = [1]
+        self.col: list = []
+        y0 = self.y0
+        self._fetch([(1, y) for y in range(y0, 0, -1)])
+        a = self._weights[1]
+        col = [None] * y0 + [1 if self.scale else cs.one]
+        for y in range(y0 - 1, -1, -1):
+            col[y] = a[y + 1] * col[y + 1]
+        self._keep(col)
+
+    def advance(self) -> None:
+        """Step to column x + 1."""
+        last = len(self.col) - 1
+        top = last + 1 if self.max_height is None else min(last + 1, self.max_height)
+        nb, na, nl = map(len, self._coeffs)
+        order = []
+        for y in range(top, min(nb, na - 1, nl - 1) - 1, -1):
+            if nb <= y <= last:
+                order.append((0, y))
+            if nl <= y + 1 <= last:
+                order.append((2, y + 1))
+            if na <= y + 1 <= top:
+                order.append((1, y + 1))
+        self._fetch(order)
+        self.x += 1
+        self._keep(column_step(self.col, top, *self._weights, self.cs.total))
+
+    def value(self, y: int) -> Scalar:
+        """The path sum to (x, y) in the current column."""
+        return self.read(self.x, y, self.col[y]) if y < len(self.col) else self.cs.zero
+
+    def read(self, x: int, y: int, stored) -> Scalar:
+        """The value of an entry stored for (x, y)."""
+        if self.scale is None:
+            return stored
+        return Fraction(stored, self._power(x - self.x0 - y + self.y0))
+
+    def _keep(self, col: list) -> None:
+        self.col = col
+        if self.memo is not None:
+            x = self.x
+            for y, v in enumerate(col):
+                self.memo[(x, y)] = v
+
+    def _power(self, e: int) -> int:
+        powers = self._powers
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.scale)
+        return powers[e]
+
+    def _fetch(self, order: list[tuple[int, int]]) -> None:
+        """Read the coefficients (stream, index) in this order; each stream's
+        new indices continue its list."""
+        if not order:
+            return
+        streams = (self.cs.b, self.cs.a, self.cs.lam)
+        fresh = sorted((s, i, streams[s](i)) for s, i in order)
+        for s, _, v in fresh:
+            self._coeffs[s].append(v)
+        if self.scale is None:
+            return
+        scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
+        if scale != self.scale:
+            self._rescale(scale)
+        else:
+            for s, _, v in fresh:
+                self._weights[s].append(self._weight(s, v))
+
+    def _weight(self, s: int, v: Fraction) -> int:
+        w = v.numerator * (self.scale // v.denominator)
+        return w * self.scale if s == 2 else w
+
+    def _rescale(self, scale: int) -> None:
+        """Store every entry against the new lcm, or as a Fraction past the gate."""
+        if scale.bit_length() > SCALED_MAX_BITS:
+            self._map(lambda v, e: Fraction(v, self._power(e)))
+            self.scale, self._weights = None, self._coeffs
+            return
+        ratio, powers = scale // self.scale, [1]
+        for _ in range(self.x - self.x0 + self.y0):  # the largest e, at y = 0
+            powers.append(powers[-1] * ratio)
+        self._map(lambda v, e: v * powers[e])
+        self.scale, self._powers = scale, [1]
+        self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
+                              for s, vs in enumerate(self._coeffs))
+
+    def _map(self, f) -> None:
+        """Replace each stored entry v of exponent e by f(v, e)."""
+        x0, y0 = self.x0, self.y0
+        x = self.x
+        self.col = [f(v, x - x0 - y + y0) for y, v in enumerate(self.col)]
+        if self.memo is not None:
+            for (xk, y), v in self.memo.items():
+                self.memo[(xk, y)] = f(v, xk - x0 - y + y0)
 
 
 class MuTable:
-    """Memoized grid mu_{n,m} = L(x^n P_m / d_m), by its recurrence.
+    """Memoized grid mu_{n,m} = L(x^n P_m / d_m), as path columns from (0, 0).
 
-    mu_{0,0} = 1, mu_{n,m} = 0 for n < m, and for n >= m
+    mu_{n,m} is the weighted sum of the paths from (0, 0) to (n, m), so
+    row n is column n of a ``PathColumns`` walk from the origin, kept in
+    ``memo`` under (n, m).  The step is the recurrence mu_{0,0} = 1,
+    mu_{n,m} = 0 for n < m, and for n >= m
 
         mu_{n,m} = a_{m+1} mu_{n,m+1} + b_m mu_{n-1,m}
-                   + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1},
+                   + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1}.
 
-    filled with n ascending and m descending (the first term looks at the
-    same row, higher m).  Only + and * are used, so the entries lie in the
-    ring of the system's coefficients (``cs.zero``, ``cs.one``).
+    Only + and * are used, so the entries lie in the ring of the system's
+    coefficients.  For a rational system ``memo`` holds the walk's scaled
+    integers D^(n-m) mu_{n,m} until D passes the gate, and ``value``
+    returns the Fraction.
     """
 
     def __init__(self, cs: CoeffSystem):
         self.cs = cs
-        self.memo: dict[tuple[int, int], Scalar] = {(0, 0): cs.one}
+        self.memo: dict[tuple[int, int], Scalar] = {}
+        self._walk = PathColumns(cs, (0, 0), memo=self.memo)
         self._filled_to = 0
 
     def value(self, n: int, m: int) -> Scalar:
@@ -313,26 +504,13 @@ class MuTable:
             return self.cs.zero
         if n > self._filled_to:
             self._fill(n)
-        return self.memo[(n, m)]
+        return self._walk.read(n, m, self.memo[(n, m)])
 
     def _fill(self, upto: int):
-        cs, memo, zero = self.cs, self.memo, self.cs.zero
         for n in range(self._filled_to + 1, upto + 1):
-            for m in range(n, -1, -1):
-                up = memo.get((n, m + 1), zero)
-                left = memo.get((n - 1, m), zero)
-                diag = memo.get((n - 1, m - 1), zero)
-                upleft = memo.get((n - 1, m + 1), zero)
-                val = diag
-                if left:
-                    val += cs.b(m) * left
-                if up:
-                    val += cs.a(m + 1) * up
-                if upleft:
-                    val += cs.lam(m + 1) * upleft
-                memo[(n, m)] = val
+            self._walk.advance()
             self._filled_to = n
-            _check_memo("mu table", len(memo), f"filling row {n} for n={upto}")
+            _check_memo("mu table", len(self.memo), f"filling row {n} for n={upto}")
 
 
 class _SymbolicSystem(CoeffSystem):
@@ -340,6 +518,7 @@ class _SymbolicSystem(CoeffSystem):
 
     zero = SymPoly()
     one = SymPoly.const(1)
+    total = staticmethod(SymPoly.sum)
     b = staticmethod(SymPoly.b)
     a = staticmethod(SymPoly.a)
     lam = staticmethod(SymPoly.lam)

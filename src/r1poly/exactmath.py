@@ -430,7 +430,8 @@ class SymPoly:
     and any other a ``Fraction``; no coefficient is zero.  ``SymPoly(terms)``
     normalises arbitrary input into that form.  The ring operations build
     their results canonical and hand them to the trusted ``_canonical``,
-    which stores a dict as given, so no result is re-sorted; a product with
+    which stores a dict as given, so no result is re-sorted; ``SymPoly.sum``
+    adds many at once into one copy of the largest; a product with
     a single term c*s only inserts s into each monomial at its sorted
     place.  Only ring operations are provided: + and * (no division), plus
     fraction-free evaluation by substituting scalars.
@@ -495,24 +496,33 @@ class SymPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    @staticmethod
+    def sum(polys: Sequence["SymPoly"]) -> "SymPoly":
+        """The sum of several SymPolys: one copy of the largest, the rest folded in."""
+        if not polys:
+            return SymPoly()
+        sizes = [len(p.terms) for p in polys]
+        big = sizes.index(max(sizes))
+        out = dict(polys[big].terms)
+        for k, poly in enumerate(polys):
+            if k == big:
+                continue
+            for mono, c in poly.terms.items():
+                if mono not in out:
+                    out[mono] = c
+                    continue
+                c = out[mono] + c
+                if c:
+                    out[mono] = _whole(c)
+                else:
+                    del out[mono]
+        return SymPoly._canonical(out)
+
     def __add__(self, other) -> "SymPoly":
         other = _coerce_sympoly(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for mono, c in small.items():
-            if mono not in out:
-                out[mono] = c
-                continue
-            c = out[mono] + c
-            if c:
-                out[mono] = _whole(c)
-            else:
-                del out[mono]
-        return SymPoly._canonical(out)
+        return SymPoly.sum((self, other))
 
     __radd__ = __add__
 

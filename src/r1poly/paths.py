@@ -11,20 +11,22 @@ V consumes no x-advance, so columns can hold several V steps; paths between
 fixed endpoints are still finitely many because every V must eventually be
 paid for by a U and heights stay nonnegative.
 
-``weight_sum`` is a column dynamic program (no explicit enumeration) that
-matches the recurrence the mu-grid satisfies: within a column the V
-contribution flows downward, so heights are processed top to bottom.
-``enumerate_paths`` is the brute-force oracle, ordered by step kind
-U < H < V < D at every position.  Weights come from the ring of the
+``weight_sum`` is the column dynamic program of ``core.PathColumns``, the
+same walk the mu-grid is filled by (no explicit enumeration): within a
+column the V contribution flows downward, so heights are processed top to
+bottom.  ``enumerate_paths`` is the brute-force oracle, ordered by step
+kind U < H < V < D at every position.  Weights come from the ring of the
 coefficient system behind a ``WeightSystem``: rationals, or the indexed
-symbols themselves for ``symbolic_weights()``.
+symbols themselves for ``symbolic_weights()``.  A rational walk runs over
+integers scaled by D^((x - x0) - (y - y0)), D the lcm of the denominators
+read, until D passes ``core.SCALED_MAX_BITS`` bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _SYMBOLIC, CoeffSystem, Pstar, shift
+from .core import _SYMBOLIC, CoeffSystem, PathColumns, Pstar, shift
 from .exactmath import Poly
 
 STEP_KINDS = "UHVD"
@@ -177,51 +179,22 @@ def weight_sum(
     ws: WeightSystem,
     max_height: int | None = None,
 ):
-    """Sum of path weights from start to end, by dynamic programming.
+    """Sum of path weights from start to end, by the column dynamic program.
 
-    Column x holds the weights of partial paths ending at each height; a new
-    column is fed by U/H/D from the previous one, then V contributions
-    cascade downward within the column (V advances no x).
+    A ``PathColumns`` walk from the start steps one column at a time to the
+    end's column; a rational system walks over scaled integers while the
+    lcm of its denominators stays small, so only the answer is divided.
     """
     x0, y0 = start
     x1, y1 = end
     if y0 < 0 or y1 < 0:
         raise ValueError("endpoints must have height >= 0")
-    zero, one = ws.zero, ws.one
-    if x1 < x0:
-        return zero
-    if max_height is not None and (y0 > max_height or y1 > max_height):
-        return zero
-
-    def cap(x: int) -> int:
-        top = y0 + (x - x0)
-        if max_height is not None:
-            top = min(top, max_height)
-        return top
-
-    # first column: start plus descending V runs
-    col = {y0: one}
-    for y in range(y0 - 1, -1, -1):
-        col[y] = col[y + 1] * ws.step_weight("V", y + 1)
-    for x in range(x0 + 1, x1 + 1):
-        top = cap(x)
-        nxt: dict[int, object] = {}
-        for y in range(top, -1, -1):
-            val = zero
-            below = col.get(y - 1)
-            if below is not None:
-                val = val + below  # U has weight 1
-            same = col.get(y)
-            if same is not None:
-                val = val + same * ws.step_weight("H", y)
-            above = col.get(y + 1)
-            if above is not None:
-                val = val + above * ws.step_weight("D", y + 1)
-            if y + 1 in nxt:
-                val = val + nxt[y + 1] * ws.step_weight("V", y + 1)
-            nxt[y] = val
-        col = nxt
-    return col.get(y1, zero)
+    if x1 < x0 or (max_height is not None and (y0 > max_height or y1 > max_height)):
+        return ws.zero
+    walk = PathColumns(ws.cs, start, max_height)
+    for _ in range(x1 - x0):
+        walk.advance()
+    return walk.value(y1)
 
 
 def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):

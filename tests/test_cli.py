@@ -58,6 +58,27 @@ def test_symbolic_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Recorded before the moment grids ran over scaled integers: laguerre stays
+# scaled for every row, jacobi11 leaves the scaled ring mid-fill, and the
+# bounded path sum runs the column step from a start off the origin.
+@pytest.mark.parametrize("argv, digest", [
+    ("moments --family laguerre --param a=8/7 --n 300",
+     "104df80832d118ccbce2ede5de20196e2eabff8232af26f9953002b81769eb18"),
+    ("moments --family jacobi11 --param a=6/5 b=7/5 --n 120",
+     "5abab039a53246f3a5a8c07c8d73aef2f204efdf469c3a8523d4728127637881"),
+])
+def test_rational_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bounded_path_sum_is_pinned(capsys):
+    code, out, _ = run(capsys, "paths", "sum", "--family", "meixner", "--param", "b=3/2",
+                       "c=1/3", "--from", "1,2", "--to", "14,1", "--max-height", "4")
+    assert code == 0 and out == "106457252894187369/33554432\n"
+
+
 def test_poly_methods_agree(capsys, ones_file):
     outputs = []
     for method in ("recurrence", "tiling", "det"):
@@ -236,6 +257,12 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --symbolic --n -2"),
     ({}, "moments --family laguerre --param a=1 --n -2"),
     ({}, "family laguerre --param a=1 --emit moments --n -1"),
+    ({}, "paths count --from 0,0 --to 2,0 --max-height -1"),
+    ({}, "paths enumerate --from 0,0 --to 2,0 --max-height -1"),
+    ({}, "paths sum --symbolic --from 0,0 --to 2,0 --max-height -1"),
+    ({}, "dets --family constant --param A=1 B=1 C=1 --n -1"),
+    ({}, "poly --family laguerre --param a=1 --n -1"),
+    ({}, "poly --family laguerre --param a=1 --n -1 --method tiling"),
     ({}, "moments --family constant --param A=1 B=1 --n 3"),
     ({}, "moments --family nosuch --n 3"),
     ({}, "histories meixner --n 12 --check"),
