@@ -20,6 +20,7 @@ from .exactmath import (
     poly_divrem,
     qpochhammer,
     series_from_rational,
+    stirling1,
     stirling2,
 )
 from .core import (

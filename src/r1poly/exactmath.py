@@ -98,6 +98,21 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+def stirling1(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind: permutations of n with k
+    cycles, so that (x)_n = sum_k c(n, k) x^k."""
+    if k < 0 or k > n:
+        return 0
+    row = [1]  # c(0, 0)
+    for m in range(1, n + 1):
+        new = [0] * (m + 1)
+        for j in range(1, m + 1):
+            below = row[j] if j < len(row) else 0
+            new[j] = (m - 1) * below + row[j - 1]
+        row = new
+    return row[k]
+
+
 class Poly:
     """Dense univariate polynomial over Scalar, lowest power first.
 

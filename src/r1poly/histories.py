@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exactmath import Scalar, ScalarLike, as_scalar, pochhammer, stirling2
+from .exactmath import Scalar, ScalarLike, as_scalar, pochhammer, stirling1, stirling2
 from . import paths as pathmod
 from .core import CoeffSystem
 
@@ -37,38 +38,34 @@ from .core import CoeffSystem
 CAPS = {"laguerre": 9, "meixner": 8}
 
 
-def _validate_shape(steps: str, n: int):
-    """Peak-free Schroeder path (U, H, V) from (0,0) to (n,0)."""
-    x = y = 0
+def _walk(steps: str) -> Iterator[tuple[int, str, int]]:
+    """(index, step, height before it) along a peak-free Schroeder path
+    (U, H, V) from (0,0) to (n,0); ValueError at the first step that leaves
+    that shape, or at the end if the path does not return to the axis."""
+    y = 0
     prev = ""
-    for s in steps:
-        if s not in "UHV":
+    for idx, s in enumerate(steps):
+        if s == "V":
+            if prev == "U":
+                raise ValueError("history contains a (U,V) peak")
+            if y == 0:
+                raise ValueError("history dips below the x-axis")
+        elif s != "U" and s != "H":
             raise ValueError(f"history step {s!r} not in U/H/V")
-        if s == "V" and prev == "U":
-            raise ValueError("history contains a (U,V) peak")
-        if s == "U":
-            x, y = x + 1, y + 1
-        elif s == "H":
-            x += 1
-        else:
-            y -= 1
-        if y < 0:
-            raise ValueError("history dips below the x-axis")
+        yield idx, s, y
+        y += (s == "U") - (s == "V")
         prev = s
-    if (x, y) != (n, 0):
+    if y:
+        n = sum(1 for s in steps if s != "V")
         raise ValueError(f"history does not end at ({n},0)")
 
 
-def _step_heights(steps: str) -> list[int]:
-    y = 0
-    out = []
-    for s in steps:
-        out.append(y)
-        if s == "U":
-            y += 1
-        elif s == "V":
-            y -= 1
-    return out
+def _trusted(cls, steps: str, labels: tuple):
+    """A history the enumerator built valid, made without ``__post_init__``."""
+    history = object.__new__(cls)
+    object.__setattr__(history, "steps", steps)
+    object.__setattr__(history, "labels", labels)
+    return history
 
 
 def _peak_free_shapes(n: int) -> Iterator[str]:
@@ -101,15 +98,14 @@ class LaguerreHistory:
     labels: tuple[int, ...]  # one label per V step, in step order
 
     def __post_init__(self):
-        n = sum(1 for s in self.steps if s != "V")
-        _validate_shape(self.steps, n)
-        heights = _step_heights(self.steps)
-        v_heights = [h for s, h in zip(self.steps, heights) if s == "V"]
-        if len(self.labels) != len(v_heights):
+        labels = iter(self.labels)
+        if self.steps.count("V") != len(self.labels):
             raise ValueError("label count does not match V-step count")
-        for lab, h in zip(self.labels, v_heights):
-            if not 1 <= lab <= h:
-                raise ValueError(f"V label {lab} outside 1..{h}")
+        for _, s, h in _walk(self.steps):
+            if s == "V":
+                lab = next(labels)
+                if not 1 <= lab <= h:
+                    raise ValueError(f"V label {lab} outside 1..{h}")
 
     @property
     def length(self) -> int:
@@ -119,20 +115,30 @@ class LaguerreHistory:
         return self.steps.count("H")
 
 
-def enumerate_LH(n: int) -> list[LaguerreHistory]:
-    """All Laguerre histories of length n, shape-then-label order."""
+def _iter_LH(n: int) -> Iterator[LaguerreHistory]:
     if n > CAPS["laguerre"]:
         raise ValueError(f"Laguerre history enumeration is capped at n = {CAPS['laguerre']}")
-    out = []
     for shape in _peak_free_shapes(n):
-        heights = _step_heights(shape)
-        ranges = [range(1, h + 1) for s, h in zip(shape, heights) if s == "V"]
+        ranges = [range(1, h + 1) for _, s, h in _walk(shape) if s == "V"]
         for labels in itertools.product(*ranges):
-            out.append(LaguerreHistory(shape, labels))
-    return out
+            yield _trusted(LaguerreHistory, shape, labels)
+
+
+def enumerate_LH(n: int) -> list[LaguerreHistory]:
+    """All Laguerre histories of length n, shape-then-label order."""
+    return list(_iter_LH(n))
 
 
 Cycles = tuple[tuple[int, ...], ...]
+
+
+def _canonical_cycles(cycles: Cycles) -> Cycles:
+    """Each cycle rotated to start at its maximum, cycles listed by maximum."""
+    rotated = []
+    for cyc in cycles:
+        top = cyc.index(max(cyc))
+        rotated.append(cyc[top:] + cyc[:top])
+    return tuple(sorted(rotated, key=lambda c: c[0]))
 
 
 def phi(history: LaguerreHistory) -> Cycles:
@@ -141,35 +147,20 @@ def phi(history: LaguerreHistory) -> Cycles:
     The H crossing to x = i starts a cycle at i; each following V with label
     v appends the v-th smallest integer in [i] not used anywhere yet.
     """
-    steps = history.steps
-    labels = list(history.labels)
-    used: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
+    labels = iter(history.labels)
+    free: list[int] = []  # the unused integers in [x], increasing
+    cycles: list[list[int]] = []
     x = 0
-    li = 0
-    idx = 0
-    while idx < len(steps):
-        s = steps[idx]
+    for s in history.steps:
         if s == "U":
             x += 1
-            idx += 1
-            continue
-        if s == "V":  # only after an H; consumed below
-            raise AssertionError("unreachable: V outside an H run")
-        x += 1
-        cycle = [x]
-        used.add(x)
-        idx += 1
-        while idx < len(steps) and steps[idx] == "V":
-            v = labels[li]
-            li += 1
-            free = [j for j in range(1, x + 1) if j not in used]
-            pick = free[v - 1]
-            cycle.append(pick)
-            used.add(pick)
-            idx += 1
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+            free.append(x)
+        elif s == "H":
+            x += 1
+            cycles.append([x])
+        else:  # a V only follows an H or a V
+            cycles[-1].append(free.pop(next(labels) - 1))
+    return tuple(map(tuple, cycles))
 
 
 def phi_inv(cycles: Cycles) -> LaguerreHistory:
@@ -178,49 +169,58 @@ def phi_inv(cycles: Cycles) -> LaguerreHistory:
     n = len(elements)
     if sorted(elements) != list(range(1, n + 1)):
         raise ValueError("cycles do not form a permutation of 1..n")
-    # canonical rotation: each cycle starts at its maximum, listed by maximum
-    rotated = []
-    for cyc in cycles:
-        top = cyc.index(max(cyc))
-        rotated.append(cyc[top:] + cyc[:top])
-    rotated.sort(key=lambda c: c[0])
-    by_max = {c[0]: c for c in rotated}
-    used: set[int] = set()
+    by_max = {c[0]: c for c in _canonical_cycles(cycles)}
+    free: list[int] = []  # the integers below i not yet placed, increasing
     steps: list[str] = []
     labels: list[int] = []
     for i in range(1, n + 1):
         if i not in by_max:
             steps.append("U")
+            free.append(i)
             continue
         steps.append("H")
-        used.add(i)
         for e in by_max[i][1:]:
-            free = [j for j in range(1, i + 1) if j not in used]
-            labels.append(free.index(e) + 1)
-            used.add(e)
+            rank = free.index(e)
+            del free[rank]
+            labels.append(rank + 1)
             steps.append("V")
     return LaguerreHistory("".join(steps), tuple(labels))
 
 
 def laguerre_bijection_check(n: int) -> tuple[int, bool]:
     """(count, ok) over all Laguerre histories of length n: phi_inv undoes
-    phi, horizontal steps become cycles, and the n! images are distinct."""
-    hs = enumerate_LH(n)
-    images = set()
+    phi, horizontal steps become cycles, and phi is a bijection onto the n!
+    permutations of [n].
+
+    The histories stream past once and no image is kept.  phi_inv(phi(h)) == h
+    for every h makes phi injective on the cycle tuples it returns; every
+    image being in canonical form (cycles start at their maximum, listed by
+    maximum) makes equal tuples the same permutation, so distinct histories
+    give distinct permutations; and n! distinct permutations are all of them.
+    """
+    count = 0
     ok = True
-    for h in hs:
+    for h in _iter_LH(n):
+        count += 1
         img = phi(h)
-        images.add(img)
-        ok = ok and phi_inv(img) == h and h.horizontal_count() == len(img)
-    return len(hs), ok and len(hs) == len(images) == math.factorial(n)
+        ok = (ok and _canonical_cycles(img) == img and phi_inv(img) == h
+              and h.horizontal_count() == len(img))
+    return count, ok and count == math.factorial(n)
 
 
 def lh_moment_check(n: int, a: ScalarLike) -> bool:
     """Two statements at once: the labeled-history sum equals the rising
     factorial, and collapsing (U,V) peaks into horizontal steps preserves
-    the Schroeder weight sum (b_k = a-k, a_k = k versus b = a+1, a_k = k)."""
+    the Schroeder weight sum (b_k = a-k, a_k = k versus b = a+1, a_k = k).
+
+    The first holds as a polynomial in a: the histories with k horizontal
+    steps number c(n, k), the coefficients of (x)_n = sum_k c(n, k) x^k.
+    """
     a = as_scalar(a)
-    total = sum((a + 1) ** h.horizontal_count() for h in enumerate_LH(n))
+    counts = Counter(h.horizontal_count() for h in _iter_LH(n))
+    if counts != Counter({k: stirling1(n, k) for k in range(n + 1)}):
+        return False
+    total = sum(m * (a + 1) ** k for k, m in counts.items())
     if total != pochhammer(a + 1, n):
         return False
     cs = CoeffSystem(lambda k: a - k, lambda k: Fraction(k), lambda k: Fraction(0))
@@ -229,7 +229,7 @@ def lh_moment_check(n: int, a: ScalarLike) -> bool:
     collapsed = Fraction(0)
     for shape in _peak_free_shapes(n):
         w = Fraction(1)
-        for s, h in zip(shape, _step_heights(shape)):
+        for _, s, h in _walk(shape):
             if s == "H":
                 w *= a + 1
             elif s == "V":
@@ -253,60 +253,52 @@ class MeixnerHistory:
     labels: tuple[int | None, ...]
 
     def __post_init__(self):
-        n = sum(1 for s in self.steps if s != "V")
-        _validate_shape(self.steps, n)
-        if len(self.labels) != len(self.steps):
+        steps, labels = self.steps, self.labels
+        if len(labels) != len(steps):
             raise ValueError("labels must align with steps")
-        heights = _step_heights(self.steps)
-        for idx, (s, lab) in enumerate(zip(self.steps, self.labels)):
-            h = heights[idx]
+        for idx, s, h in _walk(steps):
+            lab = labels[idx]
             if s == "U":
                 if lab is not None:
                     raise ValueError("U steps are never labeled")
             elif s == "V":
                 if lab is None or not 1 <= lab <= h:
                     raise ValueError(f"V label {lab} outside 1..{h}")
-            else:
-                followed = idx + 1 < len(self.steps) and self.steps[idx + 1] == "V"
-                if followed:
-                    if lab not in (None, 0):
-                        raise ValueError("an H before a V is labeled 0 or not at all")
-                elif lab is not None and not 1 <= lab <= h:
-                    raise ValueError(f"H label {lab} outside 1..{h}")
+            elif idx + 1 < len(steps) and steps[idx + 1] == "V":
+                if lab not in (None, 0):
+                    raise ValueError("an H before a V is labeled 0 or not at all")
+            elif lab is not None and not 1 <= lab <= h:
+                raise ValueError(f"H label {lab} outside 1..{h}")
 
     @property
     def length(self) -> int:
         return sum(1 for s in self.steps if s != "V")
 
+    def exponents(self) -> tuple[int, int]:
+        """(i, j) with weight b^i d^j: U: 1, V: d, unlabeled H: b*d,
+        H labeled 0: b, H labeled >= 1: 1."""
+        steps, labels = self.steps, self.labels
+        v = steps.count("V")
+        # U steps carry None, V steps a label >= 1, so only an H carries a 0
+        labeled_h = len(labels) - labels.count(None) - v
+        unlabeled_h = steps.count("H") - labeled_h
+        return unlabeled_h + labels.count(0), v + unlabeled_h
+
     def weight(self, b: Scalar, d: Scalar) -> Scalar:
-        """U: 1, V: d, unlabeled H: b*d, H labeled 0: b, H labeled >= 1: 1."""
-        out = Fraction(1)
-        for idx, s in enumerate(self.steps):
-            lab = self.labels[idx]
-            if s == "V":
-                out *= d
-            elif s == "H":
-                if lab is None:
-                    out *= b * d
-                elif lab == 0:
-                    out *= b
-        return out
+        i, j = self.exponents()
+        return b**i * d**j
 
     def labeled_pairs(self) -> list[list[int]]:
         """Wire form: [[stepIndex, label], ...] for the labeled steps."""
         return [[i, lab] for i, lab in enumerate(self.labels) if lab is not None]
 
 
-def enumerate_MH(n: int) -> list[MeixnerHistory]:
-    """All Meixner histories of length n, shape-then-label order."""
+def _iter_MH(n: int) -> Iterator[MeixnerHistory]:
     if n > CAPS["meixner"]:
         raise ValueError(f"Meixner history enumeration is capped at n = {CAPS['meixner']}")
-    out = []
     for shape in _peak_free_shapes(n):
-        heights = _step_heights(shape)
         options: list[list[int | None]] = []
-        for idx, s in enumerate(shape):
-            h = heights[idx]
+        for idx, s, h in _walk(shape):
             if s == "U":
                 options.append([None])
             elif s == "V":
@@ -318,8 +310,12 @@ def enumerate_MH(n: int) -> list[MeixnerHistory]:
                 else:
                     options.append([None] + list(range(1, h + 1)))
         for labels in itertools.product(*options):
-            out.append(MeixnerHistory(shape, tuple(labels)))
-    return out
+            yield _trusted(MeixnerHistory, shape, labels)
+
+
+def enumerate_MH(n: int) -> list[MeixnerHistory]:
+    """All Meixner histories of length n, shape-then-label order."""
+    return list(_iter_MH(n))
 
 
 Block = tuple[int, ...]
@@ -343,40 +339,20 @@ class PartitionCycles:
     def n(self) -> int:
         return sum(len(blk) for blk in self.blocks())
 
+    def exponents(self) -> tuple[int, int]:
+        """(#cycles, #blocks): the weight is b^#cycles d^#blocks."""
+        return len(self.cycles), sum(map(len, self.cycles))
+
     def weight(self, b: Scalar, d: Scalar) -> Scalar:
-        return b ** len(self.cycles) * d ** len(self.blocks())
+        i, j = self.exponents()
+        return b**i * d**j
 
     def canonical(self) -> tuple:
         out = []
         for cyc in self.cycles:
-            top = max(range(len(cyc)), key=lambda i: max(cyc[i]))
+            top = cyc.index(max(cyc, key=max))
             out.append(cyc[top:] + cyc[:top])
         return tuple(sorted(out, key=lambda c: max(c[0])))
-
-
-class _Available:
-    """Blocks not yet consumed by a cycle, ordered by smallest element."""
-
-    def __init__(self):
-        self._blocks: list[list[int]] = []
-
-    def add(self, block: list[int]):
-        self._blocks.append(block)
-        self._blocks.sort(key=min)
-
-    def insert_into(self, rank: int, value: int) -> list[int]:
-        blk = self._blocks[rank - 1]
-        blk.append(value)
-        return blk
-
-    def take(self, rank: int) -> list[int]:
-        return self._blocks.pop(rank - 1)
-
-    def remove(self, block: list[int]):
-        self._blocks.remove(block)
-
-    def __len__(self):
-        return len(self._blocks)
 
 
 def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
@@ -394,56 +370,45 @@ def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
     """
     steps = history.steps
     labels = history.labels
-    avail = _Available()
-    cycles: list[Cycle] = []
+    # Blocks not yet consumed by a cycle, by smallest element.  A block opens
+    # at the current x and grows only by the current x, which exceeds all its
+    # elements, so the pool and each block stay sorted without re-sorting.
+    avail: list[list[int]] = []
+    cycles: list[list[list[int]]] = []
 
     def snapshot():
         if trace is not None:
-            trace.append(tuple(tuple(sorted(blk)) for blk in avail._blocks))
+            trace.append(tuple(map(tuple, avail)))
 
     x = 0
-    idx = 0
-    while idx < len(steps):
-        s = steps[idx]
+    for idx, s in enumerate(steps):
+        lab = labels[idx]
         if s == "U":
             x += 1
-            avail.add([x])
-            snapshot()
-            idx += 1
-            continue
-        # a horizontal step, possibly followed by a run of V steps
-        x += 1
-        lab = labels[idx]
-        vlabels = []
-        j = idx + 1
-        while j < len(steps) and steps[j] == "V":
-            vlabels.append(labels[j])
-            j += 1
-        if not vlabels:
+            avail.append([x])
+        elif s == "H":
+            x += 1
+            if steps[idx + 1 : idx + 2] == "V":
+                # closes a cycle from the pool; label 0 seats x in the
+                # first block the V run picks, no label starts with [x]
+                snapshot()
+                cycle = [] if lab == 0 else [[x]]
+                cycles.append(cycle)
+                continue
             if lab is None:
-                snapshot()
-                cycles.append((tuple([x]),))
+                cycles.append([[x]])
             else:
-                avail.insert_into(lab, x)
-                snapshot()
-            idx = j
+                avail[lab - 1].append(x)
+        else:
+            blk = avail.pop(lab - 1)
+            if not cycle:
+                blk.append(x)
+            cycle.append(blk)
             continue
         snapshot()
-        if lab is None:
-            cycle_blocks = [[x]]
-            rest = vlabels
-        else:  # label 0: seat x in the r_1-th available block, then close
-            first = avail.insert_into(vlabels[0], x)
-            avail.remove(first)
-            cycle_blocks = [first]
-            rest = vlabels[1:]
-        for r in rest:
-            cycle_blocks.append(avail.take(r))
-        cycles.append(tuple(tuple(sorted(blk)) for blk in cycle_blocks))
-        idx = j
-    if len(avail):
+    if avail:
         raise AssertionError("unconsumed blocks after a complete history")
-    return PartitionCycles(tuple(cycles))
+    return PartitionCycles(tuple(tuple(map(tuple, cyc)) for cyc in cycles))
 
 
 def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
@@ -455,71 +420,66 @@ def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
         raise ValueError("blocks do not partition 1..n")
 
     block_of = {e: blk for blk in blocks for e in blk}
-    cycle_of = {}
-    for cyc in pc.cycles:
-        for blk in cyc:
-            cycle_of[blk] = cyc
-    cyc_max = {cyc: max(e for blk in cyc for e in blk) for cyc in pc.cycles}
+    cycle_of = {blk: cyc for cyc in pc.cycles for blk in cyc}
+    cyc_max = {cyc: max(map(max, cyc)) for cyc in pc.cycles}
 
-    def available_at(i: int) -> list[Block]:
-        """Blocks with an element below i whose cycle survives to i."""
-        out = [
-            blk
-            for blk in blocks
-            if min(blk) < i and cyc_max[cycle_of[blk]] >= i
-        ]
-        return sorted(out, key=min)
-
+    # Blocks with an element below i whose cycle survives to i, by smallest
+    # element: a block joins at its smallest element and leaves with its cycle.
+    avail: list[Block] = []
     steps: list[str] = []
     labels: list[int | None] = []
     for i in range(1, n + 1):
         blk = block_of[i]
         cyc = cycle_of[blk]
-        top = cyc_max[cyc]
-        if i < top:
+        if i < cyc_max[cyc]:
             if min(blk) == i:
                 steps.append("U")
                 labels.append(None)
+                avail.append(blk)
             else:
-                avail = available_at(i)
                 steps.append("H")
                 labels.append(avail.index(blk) + 1)
             continue
         # i closes its cycle
-        if len(cyc) == 1 and cyc[0] == (i,):
-            steps.append("H")
-            labels.append(None)
-            continue
-        start = next(k for k, B in enumerate(cyc) if i in B)
-        ordered = list(cyc[start:] + cyc[:start])
-        avail = available_at(i)
+        start = cyc.index(blk)
+        ordered = cyc[start:] + cyc[:start]
+        steps.append("H")
         if blk == (i,):
-            steps.append("H")
             labels.append(None)
             to_take = ordered[1:]
         else:
-            steps.append("H")
             labels.append(0)
             to_take = ordered  # r_1 picks the block that receives i itself
         for B in to_take:
-            labels.append(avail.index(B) + 1)
-            avail.remove(B)
+            rank = avail.index(B)
+            del avail[rank]
+            labels.append(rank + 1)
             steps.append("V")
     return MeixnerHistory("".join(steps), tuple(labels))
 
 
 def meixner_bijection_check(n: int, b: ScalarLike, d: ScalarLike) -> tuple[int, bool]:
     """(count, ok) over all Meixner histories of length n: psi_inv undoes
-    psi, psi keeps the weight at (b, d), and the images are distinct."""
-    b, d = as_scalar(b), as_scalar(d)
-    hs = enumerate_MH(n)
-    images = set()
+    psi, psi keeps the weight, and psi is a bijection onto the
+    Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n].
+
+    Weights are compared as their exponent pairs (i, j) of b^i d^j, so they
+    agree at every (b, d), the given point included.  The histories stream
+    past once and no image is kept.  psi_inv(psi(h)) == h for every h makes
+    psi injective on the cycle tuples it returns; every image being in
+    canonical form makes equal tuples the same partition-cycle pair, so
+    distinct histories give distinct pairs; and Fubini(n) distinct pairs are
+    all of them.
+    """
+    count = 0
     ok = True
-    for h in hs:
+    for h in _iter_MH(n):
+        count += 1
         pc = psi(h)
-        images.add(pc.canonical())
-        ok = ok and psi_inv(pc) == h and h.weight(b, d) == pc.weight(b, d)
-    return len(hs), ok and len(images) == len(hs)
+        ok = (ok and pc.canonical() == pc.cycles and psi_inv(pc) == h
+              and h.exponents() == pc.exponents())
+    fubini = sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
+    return count, ok and count == fubini
 
 
 def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
@@ -528,7 +488,9 @@ def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
     Four sums agree: all paths under the raw weights (b_k = k - dk + bd - d,
     a_k = kd, lam_k = bdk - dk^2); peak-free paths under b'_k = k + bd;
     diagonal-free peak-free paths under the split horizontal weights; and
-    labeled histories.  All equal sum_j S(n,j) (b)_j d^j.
+    labeled histories.  All equal sum_j S(n,j) (b)_j d^j.  The history sum
+    also holds as a polynomial in (b, d): the histories with weight b^k d^j
+    number S(n, j) c(j, k), the coefficients of that sum.
     """
     b, d = as_scalar(b), as_scalar(d)
     if n == 0:
@@ -561,9 +523,7 @@ def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
     s3 = Fraction(0)
     for shape in _peak_free_shapes(n):
         w = Fraction(1)
-        heights = _step_heights(shape)
-        for idx, s in enumerate(shape):
-            h = heights[idx]
+        for idx, s, h in _walk(shape):
             if s == "V":
                 w *= h * d
             elif s == "H":
@@ -571,8 +531,11 @@ def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
                 w *= (b * d + b) if followed else (b * d + h)
         s3 += w
 
-    s4 = sum((h.weight(b, d) for h in enumerate_MH(n)), Fraction(0))
-    return s1 == s2 == s3 == s4 == target
+    counts = Counter(h.exponents() for h in _iter_MH(n))
+    want = Counter({(k, j): stirling2(n, j) * stirling1(j, k)
+                    for j in range(n + 1) for k in range(j + 1)})
+    s4 = sum((m * b**i * d**j for (i, j), m in counts.items()), Fraction(0))
+    return counts == want and s1 == s2 == s3 == s4 == target
 
 
 def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
@@ -584,7 +547,7 @@ def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
     identity reads b*c = b*c.
     """
     b, c = as_scalar(b), as_scalar(c)
-    lhs = Fraction(0)
+    counts: Counter = Counter()
     for perm in itertools.permutations(range(1, n + 1)):
         seen = [False] * (n + 1)
         cyc = 0
@@ -597,7 +560,8 @@ def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
                 seen[j] = True
                 j = perm[j - 1]
         nexc = sum(1 for i in range(1, n + 1) if perm[i - 1] <= i)
-        lhs += b**cyc * c**nexc
+        counts[cyc, nexc] += 1
+    lhs = sum((m * b**k * c**j for (k, j), m in counts.items()), Fraction(0))
     rhs = sum(
         stirling2(n, j) * pochhammer(b, j) * c**j * (1 - c) ** (n - j)
         for j in range(1, n + 1)

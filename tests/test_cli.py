@@ -73,6 +73,20 @@ def test_rational_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Recorded before the history checks streamed: they guard the enumeration
+# order and the images of phi and psi.
+@pytest.mark.parametrize("argv, digest", [
+    ("histories meixner --n 5 --map --format json",
+     "a7c669f3ac4b50f2cd5e7f4a15588562d52a0748912a5e9ac220c10ee4bca078"),
+    ("histories laguerre --n 6 --map",
+     "4d37d8af07b074327c4a810ee488fcb0709a9c853791d39c44137d04b9e2378e"),
+])
+def test_history_maps_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounded_path_sum_is_pinned(capsys):
     code, out, _ = run(capsys, "paths", "sum", "--family", "meixner", "--param", "b=3/2",
                        "c=1/3", "--from", "1,2", "--to", "14,1", "--max-height", "4")

@@ -15,6 +15,7 @@ from r1poly.exactmath import (
     poly_divrem,
     qpochhammer,
     series_from_rational,
+    stirling1,
     stirling2,
 )
 from r1poly.exactmath import _sym_key
@@ -124,6 +125,14 @@ def test_stirling2_small_table():
     assert [stirling2(4, k) for k in range(5)] == [0, 1, 7, 6, 1]
     assert stirling2(0, 0) == 1
     assert stirling2(5, 7) == 0
+
+
+def test_stirling1_expands_the_rising_factorial():
+    assert [stirling1(4, k) for k in range(5)] == [0, 6, 11, 6, 1]
+    assert stirling1(0, 0) == 1 and stirling1(3, 5) == 0 and stirling1(3, -1) == 0
+    x = Fraction(3, 7)
+    for n in range(9):
+        assert sum(stirling1(n, k) * x**k for k in range(n + 1)) == pochhammer(x, n)
 
 
 def test_sympoly_display_and_zero_pruning():

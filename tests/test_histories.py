@@ -2,12 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import r1poly.histories as histories_module
 from r1poly.exactmath import stirling2
 from r1poly.histories import (
     LaguerreHistory,
     MeixnerHistory,
+    PartitionCycles,
     enumerate_LH,
     enumerate_MH,
     laguerre_bijection_check,
@@ -181,3 +184,181 @@ def test_mh_stirling_instantiation():
 def test_non_excedance_identity():
     for n in range(1, 7):
         assert non_excedance_check(n, Fraction(2, 3), Fraction(1, 5))
+
+
+# -- streamed checks and one-pass validation ---------------------------------
+
+
+def test_enumerated_histories_pass_the_validating_constructors():
+    for n in range(7):
+        for h in enumerate_LH(n):
+            assert LaguerreHistory(h.steps, h.labels) == h
+        for h in enumerate_MH(n):
+            assert MeixnerHistory(h.steps, h.labels) == h
+
+
+# The three-pass rules the one-pass validators replaced, kept as the reference.
+def _old_shape(steps, n):
+    x = y = 0
+    prev = ""
+    for s in steps:
+        if s not in "UHV":
+            raise ValueError(s)
+        if s == "V" and prev == "U":
+            raise ValueError("peak")
+        if s == "U":
+            x, y = x + 1, y + 1
+        elif s == "H":
+            x += 1
+        else:
+            y -= 1
+        if y < 0:
+            raise ValueError("dip")
+        prev = s
+    if (x, y) != (n, 0):
+        raise ValueError("end")
+
+
+def _old_heights(steps):
+    y = 0
+    out = []
+    for s in steps:
+        out.append(y)
+        if s == "U":
+            y += 1
+        elif s == "V":
+            y -= 1
+    return out
+
+
+def _old_laguerre(steps, labels):
+    _old_shape(steps, sum(1 for s in steps if s != "V"))
+    v_heights = [h for s, h in zip(steps, _old_heights(steps)) if s == "V"]
+    if len(labels) != len(v_heights):
+        raise ValueError("count")
+    for lab, h in zip(labels, v_heights):
+        if not 1 <= lab <= h:
+            raise ValueError("label")
+
+
+def _old_meixner(steps, labels):
+    _old_shape(steps, sum(1 for s in steps if s != "V"))
+    if len(labels) != len(steps):
+        raise ValueError("align")
+    heights = _old_heights(steps)
+    for idx, (s, lab) in enumerate(zip(steps, labels)):
+        h = heights[idx]
+        if s == "U":
+            if lab is not None:
+                raise ValueError("U")
+        elif s == "V":
+            if lab is None or not 1 <= lab <= h:
+                raise ValueError("V")
+        else:
+            followed = idx + 1 < len(steps) and steps[idx + 1] == "V"
+            if followed:
+                if lab not in (None, 0):
+                    raise ValueError("H0")
+            elif lab is not None and not 1 <= lab <= h:
+                raise ValueError("H")
+
+
+def _accepts(make, steps, labels):
+    try:
+        make(steps, labels)
+    except ValueError:
+        return False
+    return True
+
+
+_SHAPES = sorted({h.steps for n in range(6) for h in enumerate_LH(n)})
+
+
+@st.composite
+def _candidates(draw, label):
+    """A step string (random, or a valid shape) with labels of about the
+    right length, drawn mostly from small values so both verdicts occur."""
+    steps = draw(st.sampled_from(_SHAPES) | st.text(alphabet="UHVx", max_size=10))
+    size = draw(st.sampled_from(["V", "all"]))
+    length = steps.count("V") if size == "V" else len(steps)
+    length = max(0, length + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    return steps, tuple(draw(st.lists(label, min_size=length, max_size=length)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_candidates(st.integers(-1, 4)), _candidates(st.none() | st.integers(-1, 4)))
+def test_one_pass_validators_match_the_three_pass_rules(lag, mei):
+    assert _accepts(LaguerreHistory, *lag) == _accepts(_old_laguerre, *lag)
+    assert _accepts(MeixnerHistory, *mei) == _accepts(_old_meixner, *mei)
+
+
+def test_inverses_ignore_the_presentation_of_cycles_and_blocks():
+    # the figure images with cycles rotated and reordered, blocks unsorted
+    assert phi_inv(((11, 6, 13, 5), (8,), (1, 9, 7), (12,), (3, 4, 2), (10,))) == FIG_LAGUERRE
+    scrambled = PartitionCycles((
+        ((2,), (14, 13)),
+        ((6, 5), (8,)),
+        ((7,),),
+        ((9,), (10,), (12,), (11,)),
+        ((1,), (4, 3)),
+    ))
+    assert psi_inv(scrambled) == FIG_MEIXNER
+    for n in range(6):
+        for h in enumerate_LH(n):
+            img = phi(h)
+            assert phi_inv(tuple(c[1:] + c[:1] for c in reversed(img))) == h
+        for h in enumerate_MH(n):
+            pc = PartitionCycles(tuple(
+                tuple(tuple(reversed(blk)) for blk in cyc[1:] + cyc[:1])
+                for cyc in reversed(psi(h).cycles)))
+            assert psi_inv(pc) == h
+
+
+def _rotated_psi(h):
+    return PartitionCycles(tuple(c[1:] + c[:1] for c in psi(h).cycles))
+
+
+def _rotated_phi(h):
+    return tuple(c[1:] + c[:1] for c in phi(h))
+
+
+def _colliding(fn, n, enumerate_):
+    first, second = enumerate_(n)[:2]
+    return lambda h: fn(first if h == second else h)
+
+
+@pytest.mark.parametrize("broken", ["rotated", "colliding"])
+def test_bijection_checks_report_a_broken_map(monkeypatch, broken):
+    if broken == "rotated":
+        fake_phi, fake_psi = _rotated_phi, _rotated_psi
+    else:
+        fake_phi = _colliding(phi, 3, enumerate_LH)
+        fake_psi = _colliding(psi, 3, enumerate_MH)
+    monkeypatch.setattr(histories_module, "phi", fake_phi)
+    assert laguerre_bijection_check(3) == (6, False)
+    monkeypatch.setattr(histories_module, "psi", fake_psi)
+    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (13, False)
+
+
+def test_bijection_checks_report_a_lost_history(monkeypatch):
+    real_LH, real_MH = histories_module._iter_LH, histories_module._iter_MH
+    monkeypatch.setattr(histories_module, "_iter_LH", lambda n: iter(list(real_LH(n))[1:]))
+    assert laguerre_bijection_check(3) == (5, False)
+    monkeypatch.setattr(histories_module, "_iter_MH", lambda n: iter(list(real_MH(n))[1:]))
+    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (12, False)
+
+
+def test_exponents_count_the_step_weights():
+    # per step: U 1, V d, unlabeled H b*d, H labeled 0 b, H labeled >= 1 1
+    for n in range(6):
+        for h in enumerate_MH(n):
+            i = j = 0
+            for s, lab in zip(h.steps, h.labels):
+                if s == "V":
+                    j += 1
+                elif s == "H" and lab is None:
+                    i, j = i + 1, j + 1
+                elif s == "H" and lab == 0:
+                    i += 1
+            assert h.exponents() == (i, j) == psi(h).exponents()
+    assert FIG_MEIXNER.exponents() == (5, 11)
