@@ -16,10 +16,16 @@ system.
 
 The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
 program, ``PathColumns``, which makes each column of path sums from the one
-before by ``column_step``.  A rational system runs it over integers scaled
-by powers of the lcm D of the denominators read so far, and divides only
-what it hands out; once D has more than ``SCALED_MAX_BITS`` bits, as for the
-Jacobi and q-families within their first rows, it turns to Fraction.
+before by ``column_step``.  ``P`` runs the three-term recurrence on the last
+two rows of coefficients, ``_PolyRows``.  A rational system runs both over
+integers scaled by powers of the lcm D of the denominators read so far
+(``_ScaledWeights``: weights D*b, D*a, D^2*lam), and divides only what it
+hands out; once D has more than ``SCALED_MAX_BITS`` bits, as for the Jacobi
+and q-families within their first rows, it turns to Fraction.
+
+``cf_series`` expands the branched continued fraction from its convergent
+P*^(1)_N / P*_{N+1}, the reversed recurrence polynomials of the shifted and
+of the given system, with one series division.
 
 The functional L lives on the space V of rational functions p(x)/d_m(x)
 with d_m(x) = prod_{i=1..m} (a_i x + lam_i); ``VElem`` is that
@@ -52,6 +58,7 @@ from .exactmath import (
     as_scalar,
     parse_scalar,
     poly_divrem,
+    series_from_rational,
 )
 
 
@@ -112,6 +119,7 @@ class CoeffSystem:
         self.valid_to = valid_to
         self.name = name
         self._poly_cache: list[Poly] = [Poly.const(1)]
+        self._poly_rows = _PolyRows(self)
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
 
@@ -174,19 +182,18 @@ class CoeffSystem:
 
 
 def P(n: int, cs: CoeffSystem) -> Poly:
-    """The monic degree-n recurrence polynomial; P_0 = 1, P_{-1} = 0."""
+    """The monic degree-n recurrence polynomial; P_0 = 1, P_{-1} = 0.
+
+    The system's ``_PolyRows`` steps P_{k+1} = (x - b_k) P_k -
+    (a_k x + lam_k) P_{k-1} over integers, coefficient i of P_k scaled by
+    D^(k-i), while the lcm D of the denominators stays under the gate, and
+    over Fraction past it.  Each P_k is kept in the poly cache as a Poly."""
     if n < 0:
         return Poly()
     cache = cs._poly_cache
     while len(cache) <= n:
-        k = len(cache)  # building P_k from P_{k-1}, P_{k-2}
-        prev = cache[k - 1]
-        prev2 = cache[k - 2] if k >= 2 else Poly()
-        term = Poly.linear(1, -cs.b(k - 1)) * prev
-        if k >= 2:
-            term = term - Poly.linear(cs.a(k - 1), cs.lam(k - 1)) * prev2
-        cache.append(term)
-        _check_memo("poly cache", len(cache), f"building P_{k} for n={n}")
+        cache.append(Poly(cs._poly_rows.advance()))
+        _check_memo("poly cache", len(cache), f"building P_{len(cache) - 1} for n={n}")
     return cache[n]
 
 
@@ -303,11 +310,12 @@ def P_via_tilings(n: int, cs: CoeffSystem) -> Poly:
 
 # -- the path-column kernel ---------------------------------------------
 
-# A rational walk leaves the scaled integers for Fraction entries once the
-# lcm D of the denominators it has read has more bits than this, and stays
-# there.  A D that stops growing is cheap at any size, but one that grows
-# with the index (the Jacobi and q-families, which cross the gate within
-# their first rows) pads every entry by D^e far past its reduced Fraction.
+# A rational path walk or P recurrence leaves the scaled integers for
+# Fraction entries once the lcm D of the denominators it has read has more
+# bits than this, and stays there.  A D that stops growing is cheap at any
+# size, but one that grows with the index (the Jacobi and q-families, which
+# cross the gate within their first rows) pads every entry by D^e far past
+# its reduced Fraction.
 SCALED_MAX_BITS = 64
 
 
@@ -345,7 +353,79 @@ def column_step(col: list, top: int, b: Sequence, a: Sequence, lam: Sequence,
     return nxt
 
 
-class PathColumns:
+def _nth_power(powers: list[int], base: int, e: int) -> int:
+    """base^e, where ``powers`` caches [1, base, base^2, ...] and grows to e."""
+    while len(powers) <= e:
+        powers.append(powers[-1] * base)
+    return powers[e]
+
+
+class _ScaledWeights:
+    """The coefficients a recurrence has read, and its step weights.
+
+    A symbolic system steps in its own ring, with the coefficients as the
+    weights.  A rational system steps over scaled integers: with D the lcm
+    of the denominators of the coefficients read so far, an entry of
+    exponent e is stored as D^e times its value, and the weights are D*b,
+    D*a and D^2*lam.  A new denominator rescales the stored entries by
+    (D'/D)^e.  Once D has more than ``SCALED_MAX_BITS`` bits the entries
+    turn into Fractions, the weights are the coefficients again, and the
+    recurrence stays on Fraction.  A subclass keeps the entries.
+    """
+
+    def __init__(self, cs: CoeffSystem):
+        self.cs = cs
+        self.scale = 1 if isinstance(cs.one, Fraction) else None
+        # the coefficients b, a, lam read so far by index (a and lam from 1),
+        # and the step weights made from them
+        self._coeffs: tuple[list, list, list] = ([], [None], [None])
+        self._weights = ([], [None], [None]) if self.scale else self._coeffs
+        self._powers = [1]
+
+    def _map(self, f: Callable[[object, int], object]) -> None:
+        """Replace each stored entry v of exponent e by f(v, e)."""
+        raise NotImplementedError
+
+    def _power(self, e: int) -> int:
+        """D^e."""
+        return _nth_power(self._powers, self.scale, e)
+
+    def _fetch(self, order: list[tuple[int, int]]) -> None:
+        """Read the coefficients (stream, index) in this order; each stream's
+        new indices continue its list."""
+        if not order:
+            return
+        streams = (self.cs.b, self.cs.a, self.cs.lam)
+        fresh = sorted((s, i, streams[s](i)) for s, i in order)
+        for s, _, v in fresh:
+            self._coeffs[s].append(v)
+        if self.scale is None:
+            return
+        scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
+        if scale != self.scale:
+            self._rescale(scale)
+        else:
+            for s, _, v in fresh:
+                self._weights[s].append(self._weight(s, v))
+
+    def _weight(self, s: int, v: Fraction) -> int:
+        w = v.numerator * (self.scale // v.denominator)
+        return w * self.scale if s == 2 else w
+
+    def _rescale(self, scale: int) -> None:
+        """Store every entry against the new lcm, or as a Fraction past the gate."""
+        if scale.bit_length() > SCALED_MAX_BITS:
+            self._map(lambda v, e: Fraction(v, self._power(e)))
+            self.scale, self._weights = None, self._coeffs
+            return
+        ratio, powers = scale // self.scale, [1]
+        self._map(lambda v, e: v * _nth_power(powers, ratio, e))
+        self.scale, self._powers = scale, [1]
+        self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
+                              for s, vs in enumerate(self._coeffs))
+
+
+class PathColumns(_ScaledWeights):
     """Weighted path sums from one start point, one column at a time.
 
     The walk stands in column x (``x0`` at first) and ``col[y]`` holds the
@@ -354,14 +434,9 @@ class PathColumns:
     runs below it; ``advance`` makes each next column by ``column_step``.
     ``memo``, when given, keeps every column under its (x, y) keys.
 
-    A symbolic system walks in its own ring.  A rational system walks over
-    scaled integers: with D the lcm of the denominators of the coefficients
-    read so far, entry (x, y) is stored as D^e times its value, where
-    e = (x - x0) - (y - y0) = h + v + 2d for every path there, and the
-    weights are D*b, D*a, D^2*lam with U still 1.  A new denominator
-    rescales the stored entries by (D'/D)^e.  Once D has more than
-    ``SCALED_MAX_BITS`` bits the walk turns its entries into Fractions and
-    stays on them.  Only ``read`` divides.
+    A rational walk stores entry (x, y) scaled as ``_ScaledWeights`` says,
+    with exponent e = (x - x0) - (y - y0) = h + v + 2d for every path
+    there; U still weighs 1.  Only ``read`` divides.
 
     Each coefficient is read from the system once, in the order in which
     the columns first use it, so a stream fails where a plain Fraction walk
@@ -370,15 +445,10 @@ class PathColumns:
 
     def __init__(self, cs: CoeffSystem, start: tuple[int, int],
                  max_height: int | None = None, memo: dict | None = None):
-        self.cs, self.max_height, self.memo = cs, max_height, memo
+        super().__init__(cs)
+        self.max_height, self.memo = max_height, memo
         self.x0, self.y0 = start
         self.x = self.x0
-        self.scale = 1 if isinstance(cs.one, Fraction) else None
-        # the coefficients b, a, lam read so far by index (a and lam from 1),
-        # and the step weights made from them
-        self._coeffs: tuple[list, list, list] = ([], [None], [None])
-        self._weights = ([], [None], [None]) if self.scale else self._coeffs
-        self._powers = [1]
         self.col: list = []
         y0 = self.y0
         self._fetch([(1, y) for y in range(y0, 0, -1)])
@@ -422,56 +492,55 @@ class PathColumns:
             for y, v in enumerate(col):
                 self.memo[(x, y)] = v
 
-    def _power(self, e: int) -> int:
-        powers = self._powers
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.scale)
-        return powers[e]
-
-    def _fetch(self, order: list[tuple[int, int]]) -> None:
-        """Read the coefficients (stream, index) in this order; each stream's
-        new indices continue its list."""
-        if not order:
-            return
-        streams = (self.cs.b, self.cs.a, self.cs.lam)
-        fresh = sorted((s, i, streams[s](i)) for s, i in order)
-        for s, _, v in fresh:
-            self._coeffs[s].append(v)
-        if self.scale is None:
-            return
-        scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
-        if scale != self.scale:
-            self._rescale(scale)
-        else:
-            for s, _, v in fresh:
-                self._weights[s].append(self._weight(s, v))
-
-    def _weight(self, s: int, v: Fraction) -> int:
-        w = v.numerator * (self.scale // v.denominator)
-        return w * self.scale if s == 2 else w
-
-    def _rescale(self, scale: int) -> None:
-        """Store every entry against the new lcm, or as a Fraction past the gate."""
-        if scale.bit_length() > SCALED_MAX_BITS:
-            self._map(lambda v, e: Fraction(v, self._power(e)))
-            self.scale, self._weights = None, self._coeffs
-            return
-        ratio, powers = scale // self.scale, [1]
-        for _ in range(self.x - self.x0 + self.y0):  # the largest e, at y = 0
-            powers.append(powers[-1] * ratio)
-        self._map(lambda v, e: v * powers[e])
-        self.scale, self._powers = scale, [1]
-        self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
-                              for s, vs in enumerate(self._coeffs))
-
     def _map(self, f) -> None:
-        """Replace each stored entry v of exponent e by f(v, e)."""
         x0, y0 = self.x0, self.y0
         x = self.x
         self.col = [f(v, x - x0 - y + y0) for y, v in enumerate(self.col)]
         if self.memo is not None:
             for (xk, y), v in self.memo.items():
                 self.memo[(xk, y)] = f(v, xk - x0 - y + y0)
+
+
+class _PolyRows(_ScaledWeights):
+    """The coefficient lists of P_{j-1} and P_j, the two rows the recurrence needs.
+
+    ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1}.  A
+    rational system stores coefficient c_{j,k} of x^k in P_j as
+    S_{j,k} = D^(j-k) c_{j,k}, of exponent j - k, so that
+
+        D^(j+1-k) c_{j+1,k} = S_{j,k-1} - (D b_j) S_{j,k}
+                              - (D a_j) S_{j-1,k-1} - (D^2 lam_j) S_{j-1,k}
+
+    over integers; only the row handed out is divided.
+    """
+
+    def __init__(self, cs: CoeffSystem):
+        super().__init__(cs)
+        self.j = 0
+        self.rows: tuple[list, list] = ([], [1 if self.scale else cs.one])
+
+    def advance(self) -> list[Scalar]:
+        """Step to P_{j+1} and return its coefficients, lowest power first."""
+        j = self.j
+        # b_j, then a_j and lam_j, as the plain Fraction recurrence reads them
+        self._fetch([(0, j), (1, j), (2, j)] if j else [(0, 0)])
+        b, a, lam = (w[j] for w in self._weights)  # a_0, lam_0: None, and unused
+        prev2, prev = self.rows
+        row = [-b * c for c in prev] + [0]
+        for k, c in enumerate(prev):
+            row[k + 1] += c
+        for k, c in enumerate(prev2):
+            row[k] -= lam * c
+            row[k + 1] -= a * c
+        self.j, self.rows = j + 1, (prev, row)
+        if self.scale is None:
+            return row
+        return [Fraction(v, self._power(j + 1 - k)) for k, v in enumerate(row)]
+
+    def _map(self, f) -> None:
+        j = self.j
+        self.rows = tuple([f(v, i - k) for k, v in enumerate(row)]
+                          for i, row in zip((j - 1, j), self.rows))
 
 
 class MuTable:
@@ -734,14 +803,17 @@ def moment_series(cs: CoeffSystem, order: int) -> Series:
 def cf_series(cs: CoeffSystem, order: int) -> Series:
     """The branched continued fraction
     1 / (1 - b_0 x - (a_1 x + lam_1 x^2) / (1 - b_1 x - ...)),
-    truncated at depth = order (deeper levels cannot reach order <= N)."""
-    one = Series([1], order)
-    level = (one - Series([0, cs.b(order)], order)).inverse()
-    for k in range(order - 1, -1, -1):
-        head = one - Series([0, cs.b(k)], order)
-        tail = Series([0, cs.a(k + 1), cs.lam(k + 1)], order) * level
-        level = (head - tail).inverse()
-    return level
+    truncated at depth N = order (deeper levels cannot reach order <= N).
+
+    The depth-N fraction is its convergent P*^(1)_N / P*_{N+1}: the
+    reversed P_{N+1} of cs over the reversed P_N of ``shift(cs, 1)``
+    (Euler-Wallis), expanded by one series division.  P_{N+1} is read
+    first, so the coefficients b_0..b_N, a_1..a_N, lam_1..lam_N are read in
+    ascending order."""
+    if order < 0:
+        raise ValueError("series order must be >= 0")
+    den = Pstar(order + 1, cs)
+    return series_from_rational(Pstar(order, shift(cs, 1)), den, order)
 
 
 def Vm_series(m: int, cs: CoeffSystem, order: int) -> Series:

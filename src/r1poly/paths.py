@@ -202,7 +202,10 @@ def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):
 
     Such a suffix descends heights ell..1; a D at height h advances x while a
     V does not, so the suffix contributions are the coefficients of
-    prod_{h=1..ell} (a_h + lam_h z), graded by the number of D steps.
+    prod_{h=1..ell} (a_h + lam_h z), graded by the number of D steps.  The
+    suffix with j D steps starts at (n + ell - j, ell), so one
+    ``PathColumns`` walk from (0, m), read at height ell in columns
+    n..n+ell, gives every prefix sum.
     """
     if n < 0 or m < 0 or ell < 0:
         raise ValueError("indices must be >= 0")
@@ -214,9 +217,16 @@ def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):
             nxt[j] = nxt[j] + c * v
             nxt[j + 1] = nxt[j + 1] + c * d
         suffix = nxt
+    walk = PathColumns(ws.cs, (0, m))
+    for _ in range(n):
+        walk.advance()
+    prefix = [walk.value(ell)]  # prefix[i]: the sum to (n + i, ell)
+    for _ in range(ell):
+        walk.advance()
+        prefix.append(walk.value(ell))
     total = ws.zero
     for j, c in enumerate(suffix):
-        total = total + c * weight_sum((0, m), (n + ell - j, ell), ws)
+        total = total + c * prefix[ell - j]
     return total
 
 

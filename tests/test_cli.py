@@ -73,6 +73,23 @@ def test_rational_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Recorded before P_n ran over scaled integers: laguerre stays scaled for
+# every row, jacobi11 leaves the scaled ring at index 17, and little q-Jacobi
+# crosses the gate within its first rows.
+@pytest.mark.parametrize("argv, digest", [
+    ("poly --family laguerre --param a=8/7 --n 150",
+     "a1fa93f96920f54b6b72f0cd59960c665fbb304722ccaa37205bef6d8ce49057"),
+    ("poly --family jacobi11 --param a=6/5 b=7/5 --n 80",
+     "e8674fff3e93e0d672e7614dce4d76996d5642ceaa6571d9ad3384526ded0c7f"),
+    ("poly --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 --n 60",
+     "97713877f1ccaed303b039256fb09c6de24b197aa859ce16dd612424cbb7a03e"),
+])
+def test_recurrence_polynomials_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Recorded before the history checks streamed: they guard the enumeration
 # order and the images of phi and psi.
 @pytest.mark.parametrize("argv, digest", [

@@ -180,6 +180,33 @@ def test_rho_brute_force(rng):
         assert brute == rho_sum(n, m, ell, ws)
 
 
+def per_suffix_rho_sum(n, m, ell, ws):
+    """rho_sum as it was made before one walk served every suffix: a fresh
+    ``weight_sum`` from (0, m) for each number j of D steps in the suffix."""
+    suffix = [ws.one]
+    for h in range(ell, 0, -1):
+        v, d = ws.step_weight("V", h), ws.step_weight("D", h)
+        nxt = [ws.zero] * (len(suffix) + 1)
+        for j, c in enumerate(suffix):
+            nxt[j] = nxt[j] + c * v
+            nxt[j + 1] = nxt[j + 1] + c * d
+        suffix = nxt
+    total = ws.zero
+    for j, c in enumerate(suffix):
+        total = total + c * weight_sum((0, m), (n + ell - j, ell), ws)
+    return total
+
+
+def test_rho_one_walk_matches_the_per_suffix_sums(rng):
+    rational = WeightSystem(random_system(rng, depth=24))
+    for n, m, ell in itertools.product(range(5), range(4), range(5)):
+        assert rho_sum(n, m, ell, rational) == per_suffix_rho_sum(n, m, ell, rational)
+    for n, m, ell in itertools.product(range(3), range(3), range(3)):
+        got = rho_sum(n, m, ell, symbolic_weights())
+        assert got == per_suffix_rho_sum(n, m, ell, symbolic_weights())
+        assert isinstance(got, SymPoly)
+
+
 def test_bounded_gf_base_case(ones):
     # only horizontal steps fit under height 0: 1/(1 - b_0 x)
     num, den, pre = bounded_gf(0, 0, 0, ones)

@@ -1,4 +1,5 @@
-"""The moment grid and the path sums against a plain Fraction reference.
+"""The moment grid, the path sums, P_n and the continued fraction against
+plain Fraction references.
 
 Rational systems walk over integers scaled by a power of the lcm D of the
 denominators read, and leave them for Fraction once D passes
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r1poly import families
-from r1poly.core import CoeffError, CoeffSystem, MemoLimitError, mu, mu_nm
+from r1poly.core import CoeffError, CoeffSystem, MemoLimitError, P, cf_series, mu, mu_nm
+from r1poly.exactmath import Poly, Series, series_from_rational
 from r1poly.families import FamilyParamError, FamilySpec
-from r1poly.paths import WeightSystem, weight_sum
+from r1poly.paths import WeightSystem, finite_cf_rational, weight_sum
 
 
 def reference_mu_rows(cs: CoeffSystem, upto: int, rows: list | None = None) -> list:
@@ -216,3 +218,157 @@ def test_memo_limit_on_a_scaled_table(monkeypatch):
         (n, m) for n in range(6) for m in range(n + 1))
     monkeypatch.delenv("R1_MEMO_LIMIT")
     assert mu(9, cs) == reference_mu_rows(families.laguerre(Fraction(8, 7)).build(), 9)[9][0]
+
+
+# -- P_n ------------------------------------------------------------------
+
+
+def reference_P(cs: CoeffSystem, upto: int, polys: list | None = None) -> list:
+    """P_0..P_upto by the recurrence in Poly arithmetic over Fraction,
+    reading b_{k-1}, then a_{k-1} and lam_{k-1}.  ``polys`` continues an
+    earlier fill."""
+    polys = polys if polys is not None else [Poly.const(1)]
+    for k in range(len(polys), upto + 1):
+        term = Poly.linear(1, -cs.b(k - 1)) * polys[k - 1]
+        if k >= 2:
+            term = term - Poly.linear(cs.a(k - 1), cs.lam(k - 1)) * polys[k - 2]
+        polys.append(term)
+    return polys
+
+
+def poly_ring(cs: CoeffSystem) -> str:
+    """Which ring the system's P recurrence is on now."""
+    return "fraction" if cs._poly_rows.scale is None else "scaled"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), tables(n + 1))))
+def test_P_matches_the_fraction_recurrence(case):
+    n, lists = case
+    cs, at_once = CoeffSystem.from_lists(*lists), CoeffSystem.from_lists(*lists)
+    want = reference_P(CoeffSystem.from_lists(*lists), n)
+    assert P(n, at_once) == want[n]
+    for k in range(n + 1):
+        got = P(k, cs)
+        assert got == want[k] == P(k, at_once)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+# system, P_n built, the ring after P_2, the ring at the end
+POLY_RING_CASES = RING_CASES | {
+    "askey_wilson": (families.askey_wilson(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+                                           Fraction(1, 11), Fraction(1, 2)), 25, "scaled", "fraction"),
+}
+
+
+@pytest.mark.parametrize("name", POLY_RING_CASES)
+def test_each_P_ring_matches_the_reference(name):
+    spec, n, early, late = POLY_RING_CASES[name]
+    want = reference_P(spec.build(), n)
+    by_row, at_once = spec.build(), spec.build()
+    P(2, by_row)
+    assert poly_ring(by_row) == early
+    for k in range(3, n + 1):
+        assert P(k, by_row) == want[k]
+    assert P(n, at_once) == want[n]
+    assert poly_ring(by_row) == poly_ring(at_once) == late
+    assert [P(k, at_once) for k in range(n + 1)] == want
+
+
+def test_jacobi11_P_leaves_the_scaled_ring_at_index_17():
+    cs = families.jacobi11(Fraction(6, 5), Fraction(7, 5)).build()
+    P(17, cs)
+    assert poly_ring(cs) == "scaled"
+    P(18, cs)  # reads b_17, a_17, lam_17
+    assert poly_ring(cs) == "fraction"
+
+
+def test_growing_denominators_rescale_the_P_rows():
+    cs = _growing_denominators().build()
+    P(20, cs)  # reads up to index 19
+    assert cs._poly_rows.scale == 1
+    P(31, cs)
+    assert cs._poly_rows.scale == 77
+    assert P(45, cs) == reference_P(_growing_denominators().build(), 45)[45]
+
+
+@pytest.mark.parametrize("name", POLY_RING_CASES)
+def test_P_reads_as_the_fraction_recurrence_reads(name):
+    spec, n, _, _ = POLY_RING_CASES[name]
+    built, reference = [], []
+    P(n, recording(spec.build(), built))
+    reference_P(recording(spec.build(), reference), n)
+    assert built == reference
+    assert max(Counter(built).values()) == 1
+
+
+@pytest.mark.parametrize("spec, ring", [
+    (_failing_at(12, lambda n: 1), "scaled"),
+    (_failing_at(60, lambda n: n + 1), "fraction"),
+    (FamilySpec("table", {}, Fraction, Fraction, Fraction, valid_to=9), "scaled"),
+])
+def test_P_errors_arrive_at_the_same_call(spec, ring):
+    cs, ref_cs, polys = spec.build(), spec.build(), [Poly.const(1)]
+    failure = _first_failure(lambda n: P(n, cs), 70)
+    assert failure == _first_failure(lambda n: reference_P(ref_cs, n, polys), 70)
+    assert failure is not None and poly_ring(cs) == ring
+    with pytest.raises(failure[1], match="^" + re.escape(failure[2]) + "$"):
+        P(failure[0], cs)
+    assert P(failure[0] - 1, cs) == polys[failure[0] - 1]
+
+
+# -- the continued fraction -------------------------------------------------
+
+
+def nested_cf_series(cs: CoeffSystem, order: int) -> Series:
+    """The continued fraction as ``cf_series`` evaluated it before it used
+    its convergent: one series inversion per level, from the bottom up."""
+    one = Series([1], order)
+    level = (one - Series([0, cs.b(order)], order)).inverse()
+    for k in range(order - 1, -1, -1):
+        head = one - Series([0, cs.b(k)], order)
+        tail = Series([0, cs.a(k + 1), cs.lam(k + 1)], order) * level
+        level = (head - tail).inverse()
+    return level
+
+
+def expected_cf_reads(order: int) -> list:
+    """b_0..b_N, a_1..a_N, lam_1..lam_N in ascending index order."""
+    return [("b", 0)] + [(kind, i) for i in range(1, order + 1) for kind in ("b", "a", "lam")]
+
+
+def check_cf_series(spec_or_lists, order: int):
+    build = (spec_or_lists.build if isinstance(spec_or_lists, FamilySpec)
+             else lambda: CoeffSystem.from_lists(*spec_or_lists))
+    reads = []
+    got = cf_series(recording(build(), reads), order)
+    assert reads == expected_cf_reads(order)
+    assert got == nested_cf_series(build(), order)
+    assert got == series_from_rational(*finite_cf_rational(order, build()), order)
+    assert all(type(c) is Fraction for c in got.coeffs) and got.order == order
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(st.just(n), tables(n + 1))))
+def test_cf_series_matches_the_nested_series(case):
+    order, lists = case
+    check_cf_series(lists, order)
+
+
+@pytest.mark.parametrize("name", [name for name in POLY_RING_CASES if name != "rescaled mid-fill"])
+def test_cf_series_of_each_ring_matches_the_nested_series(name):
+    spec = POLY_RING_CASES[name][0]
+    for order in range(21):
+        check_cf_series(spec, order)
+
+
+def test_cf_series_names_the_smallest_unreadable_index(monkeypatch):
+    spec = FamilySpec("table", {}, Fraction, Fraction, Fraction, valid_to=9)
+    with pytest.raises(CoeffError, match=r"^coefficient index 10 beyond valid_to=9$"):
+        cf_series(spec.build(), 12)
+    with pytest.raises(FamilyParamError, match="b_4"):
+        cf_series(_failing_at(4, lambda n: 1).build(), 10)
+    monkeypatch.setenv("R1_MEMO_LIMIT", "6")
+    with pytest.raises(MemoLimitError, match=r"^poly cache: 7 entries > R1_MEMO_LIMIT=6 "
+                                             r"\(building P_6 for n=11\)$"):
+        cf_series(spec.build(), 10)
