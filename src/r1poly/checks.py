@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 from . import core, determinants, families, histories, paths
 from .core import (
@@ -39,15 +40,10 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return v
 
 
-def random_system(rng: random.Random, depth: int = 18, nondegenerate_to: int = 8) -> CoeffSystem:
-    """A random rational system, re-rolled until nondegenerate."""
+def _rerolled(draw: Callable[[], CoeffSystem], nondegenerate_to: int = 8) -> CoeffSystem:
+    """``draw()`` again until P_k(-lam_k/a_k) != 0 for every k <= ``nondegenerate_to``."""
     while True:
-        cs = CoeffSystem.from_lists(
-            [random_fraction(rng) for _ in range(depth)],
-            [random_fraction(rng, nonzero=True) for _ in range(depth)],
-            [random_fraction(rng) for _ in range(depth)],
-            name="random",
-        )
+        cs = draw()
         try:
             for k in range(1, nondegenerate_to + 1):
                 cs.nu_table().p_at_root(k)
@@ -56,21 +52,24 @@ def random_system(rng: random.Random, depth: int = 18, nondegenerate_to: int = 8
         return cs
 
 
+def random_system(rng: random.Random, depth: int = 18, nondegenerate_to: int = 8) -> CoeffSystem:
+    """A random rational system, re-rolled until nondegenerate."""
+    return _rerolled(lambda: CoeffSystem.from_lists(
+        [random_fraction(rng) for _ in range(depth)],
+        [random_fraction(rng, nonzero=True) for _ in range(depth)],
+        [random_fraction(rng) for _ in range(depth)],
+        name="random",
+    ), nondegenerate_to)
+
+
 def random_laurent_system(rng: random.Random, depth: int = 18) -> CoeffSystem:
     """A random Laurent (lam = 0) system, re-rolled until nondegenerate."""
-    while True:
-        cs = CoeffSystem.from_lists(
-            [random_fraction(rng, nonzero=True) for _ in range(depth)],
-            [random_fraction(rng, nonzero=True) for _ in range(depth)],
-            [Fraction(0)] * depth,
-            name="laurent",
-        )
-        try:
-            for k in range(1, 9):
-                cs.nu_table().p_at_root(k)
-        except DegeneracyError:
-            continue
-        return cs
+    return _rerolled(lambda: CoeffSystem.from_lists(
+        [random_fraction(rng, nonzero=True) for _ in range(depth)],
+        [random_fraction(rng, nonzero=True) for _ in range(depth)],
+        [Fraction(0)] * depth,
+        name="laurent",
+    ))
 
 
 def _suite_orthogonality(rng: random.Random):

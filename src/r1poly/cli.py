@@ -209,8 +209,25 @@ def cmd_paths(args) -> int:
     return EXIT_OK
 
 
-_DET_KINDS = ("hankel", "prime", "dprime", "tprime",
-              "shifted-prime", "shifted-dprime", "shifted-tprime")
+def _hankel(n: int, cs: CoeffSystem):
+    """The constant family's report (A, B, C at every index), else the value."""
+    if cs.name == "constant":
+        return determinants.hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1))
+    return determinants.hankel(n, cs)
+
+
+# Each kind's report at size n.  The functions are looked up on
+# `determinants` at call time, so a wrapped module attribute is the one run.
+_DET_REPORTS = {
+    "hankel": _hankel,
+    "prime": lambda n, cs: determinants.delta_prime(n, cs),
+    "dprime": lambda n, cs: determinants.delta_dprime(n, cs),
+    "tprime": lambda n, cs: determinants.delta_tprime(n, cs),
+    "shifted-prime": lambda n, cs: determinants.delta_shifted("prime", n, 1, cs),
+    "shifted-dprime": lambda n, cs: determinants.delta_shifted("dprime", n, 1, cs),
+    "shifted-tprime": lambda n, cs: determinants.delta_shifted("tprime", n, 1, cs),
+}
+_DET_KINDS = tuple(_DET_REPORTS)
 
 
 def cmd_dets(args) -> int:
@@ -218,40 +235,21 @@ def cmd_dets(args) -> int:
         return _usage("dets need --n >= 0")
     cs = _load_system(args)
     kinds = args.kinds.split(",") if args.kinds else ["prime", "dprime", "tprime"]
-    constant_params = None
-    if args.family == "constant":
-        constant_params = _parse_params(args.param)
     rows = []
     worst = EXIT_OK
     for kind in kinds:
-        if kind not in _DET_KINDS:
+        if kind not in _DET_REPORTS:
             return _usage(f"unknown determinant kind {kind!r}; known: {','.join(_DET_KINDS)}")
         for n in range(1, args.n + 1):
             try:
-                if kind == "hankel":
-                    if constant_params:
-                        report = determinants.hankel_constant(
-                            n,
-                            constant_params["A"],
-                            constant_params["B"],
-                            constant_params["C"],
-                        )
-                    else:
-                        value = determinants.hankel(n, cs)
-                        rows.append({"n": n, "kind": kind, "computed": str(value),
-                                     "predicted": None, "matched": None})
-                        continue
-                elif kind == "prime":
-                    report = determinants.delta_prime(n, cs)
-                elif kind == "dprime":
-                    report = determinants.delta_dprime(n, cs)
-                elif kind == "tprime":
-                    report = determinants.delta_tprime(n, cs)
-                else:
-                    report = determinants.delta_shifted(kind.split("-")[1], n, 1, cs)
+                report = _DET_REPORTS[kind](n, cs)
             except (HypothesisViolation, DegeneracyError, CoeffError) as exc:
                 rows.append({"n": n, "kind": kind, "error": f"hypothesis violated: {exc}"})
                 worst = max(worst, EXIT_DEGENERACY)
+                continue
+            if not isinstance(report, determinants.DetReport):
+                rows.append({"n": n, "kind": kind, "computed": str(report),
+                             "predicted": None, "matched": None})
                 continue
             rows.append(report.as_dict())
             if not report.matched:

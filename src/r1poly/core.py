@@ -729,11 +729,6 @@ class VElem:
     __rmul__ = __mul__
 
 
-def x_power_Q(n: int, m: int, cs: CoeffSystem) -> VElem:
-    """The element x^n Q_m(x) = x^n P_m(x) / d_m(x)."""
-    return VElem(P(m, cs).shift(n), m, cs)
-
-
 def decompose(v: VElem) -> tuple[Poly, list[Scalar]]:
     """Write numerator/d_m as q(x) + sum_{j=0..m} c_j / d_j.
 

@@ -329,11 +329,6 @@ class Series:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.coeffs, order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented

@@ -19,6 +19,11 @@ All parameters, including q, are exact rationals.  Proportionality
 constants between the monic recurrence polynomials and the hypergeometric
 forms are recovered from leading coefficients, never derived symbolically.
 
+Every terminating (q-)hypergeometric sum, hyp form or Jacobi moment, comes
+from one builder, ``_terminating``: each term is the previous one times its
+term ratio (Gasper-Rahman, Basic Hypergeometric Series, 1.2), the x-part is
+a running product, and a vanishing lower factorial is a ``FamilyParamError``.
+
 The deformed-Hermite material lives here too: the theta moments (binomial
 sums over classical Hermite moments), their Chebyshev-kernel form, the
 two-sided generating function identity, and the product linearization with
@@ -113,14 +118,34 @@ def _nonzero(value: Scalar, what: str):
         raise FamilyParamError(f"degenerate parameters: {what} vanishes")
 
 
-def _hyp2f1(n: int, upper: Scalar, lower: Scalar, arg: Poly) -> Poly:
-    """Terminating 2F1(-n, upper; lower; arg) with a polynomial argument."""
-    out = Poly()
-    for j in range(n + 1):
-        den = pochhammer(lower, j)
-        _nonzero(den, f"({lower})_{j} in a 2F1 denominator")
-        c = pochhammer(Fraction(-n), j) * pochhammer(upper, j) / (den * math.factorial(j))
-        out = out + arg**j * c
+def _terminating(
+    n: int, upper: Sequence[Scalar], lower: Sequence[Scalar], z: Scalar,
+    factor: Callable[[int], Poly] | None = None, q: Scalar | None = None,
+) -> Scalar | Poly:
+    """sum_{j<=n} prod (u)_j / (prod (l)_j j!) z^j prod_{i<j} factor(i) in one pass: each
+    coefficient is the previous one times the term ratio, and ``factor`` folds into a
+    running product (without it the sum is a scalar).  With q: (u;q)_j, (l;q)_j, (q;q)_j.
+    """
+    def step(v: Scalar, j: int) -> Scalar:  # (v)_{j+1} / (v)_j, or its q-analogue
+        return v + j if q is None else 1 - v * q**j
+
+    one = Fraction(1)
+    coeff, prod = one, (one if factor is None else Poly.const(1))
+    out = prod
+    for j in range(n):
+        ratio = as_scalar(z)
+        for u in upper:
+            ratio *= step(u, j)
+        for v in (*lower, one if q is None else q):
+            den = step(v, j)
+            if den == 0:
+                what = f"({v})_{j + 1}" if q is None else f"({v};q)_{j + 1}"
+                raise FamilyParamError(f"degenerate parameters: {what} vanishes in a denominator")
+            ratio /= den
+        coeff *= ratio
+        if factor is not None:
+            prod = prod * factor(j)
+        out = out + prod * coeff
     return out
 
 
@@ -162,18 +187,14 @@ def jacobi11(a: ScalarLike, b: ScalarLike, variant: str = "minus") -> FamilySpec
         hyp_lower = lambda n: a - (n + 1) // 2 + 1
 
     def moment(k: int) -> Scalar:
-        den_ok = all(pochhammer(a + b + 2, s) != 0 for s in range(k + 1))
-        if not den_ok:
-            raise FamilyParamError("degenerate parameters: (a+b+2)_s vanishes")
-        return sum(
-            binomial(k, s) * Fraction(-2) ** s * pochhammer(a + 1, s) / pochhammer(a + b + 2, s)
-            for s in range(k + 1)
-        )
+        # sum_s C(k,s) (-2)^s (a+1)_s / (a+b+2)_s = 2F1(-k, a+1; a+b+2; 2)
+        return _terminating(k, (Fraction(-k), a + 1), (a + b + 2,), Fraction(2))
 
     half = Poly([Fraction(1, 2), Fraction(-1, 2)])  # (1-x)/2
 
     def hyp(n: int) -> Poly:
-        return _hyp2f1(n, a + b + 1, hyp_lower(n), half)
+        return _terminating(n, (Fraction(-n), a + b + 1), (hyp_lower(n),), 1,
+                            lambda i: half)
 
     def B(n):
         return (b * b - a * a) / ((2 * n + a + b) * (2 * n + a + b + 2))
@@ -222,7 +243,7 @@ def jacobi01(a: ScalarLike, b: ScalarLike, variant: str = "oneminus") -> FamilyS
         return pochhammer(a + 1, k) / den
 
     def hyp(n: int) -> Poly:
-        return _hyp2f1(n, a + b + 1, hyp_lower(n), Poly.x())
+        return _terminating(n, (Fraction(-n), a + b + 1), (hyp_lower(n),), 1, lambda i: Poly.x())
 
     return FamilySpec(
         name=f"jacobi01[{variant}]", params={"a": a, "b": b, "variant": variant},
@@ -239,14 +260,7 @@ def laguerre(a: ScalarLike) -> FamilySpec:
     a = as_scalar(a)
 
     def hyp(n: int) -> Poly:
-        out = Poly()
-        for j in range(n + 1):
-            den = pochhammer(a - n + 1, j)
-            _nonzero(den, f"(a-n+1)_{j}")
-            out = out + Poly.x(j) * (
-                pochhammer(Fraction(-n), j) / (den * math.factorial(j))
-            )
-        return out
+        return _terminating(n, (Fraction(-n),), (a - n + 1,), 1, lambda i: Poly.x())
 
     return FamilySpec(
         name="laguerre", params={"a": a},
@@ -272,18 +286,7 @@ def meixner(b: ScalarLike, c: ScalarLike) -> FamilySpec:
 
     def hyp(n: int) -> Poly:
         # 2F1(-n, -x; b-n; 1 - 1/c) with the (-x)_j slot kept polynomial.
-        z = 1 - 1 / c
-        out = Poly()
-        for j in range(n + 1):
-            den = pochhammer(b - n, j)
-            _nonzero(den, f"(b-n)_{j}")
-            px = Poly.const(1)
-            for i in range(j):
-                px = px * Poly.linear(-1, Fraction(i))
-            out = out + px * (
-                pochhammer(Fraction(-n), j) * z**j / (den * math.factorial(j))
-            )
-        return out
+        return _terminating(n, (Fraction(-n),), (b - n,), 1 - 1 / c, lambda i: Poly.linear(-1, i))
 
     def moment(k: int) -> Scalar:
         if k == 0:
@@ -332,13 +335,8 @@ def little_q_jacobi(a: ScalarLike, b: ScalarLike, q: ScalarLike) -> FamilySpec:
         )
 
     def hyp(n: int) -> Poly:
-        out = Poly()
-        for j in range(n + 1):
-            den = qpochhammer(a * q, q, j) * qpochhammer(q, q, j)
-            _nonzero(den, f"(aq;q)_{j} (q;q)_{j}")
-            c = qpochhammer(q**-n, q, j) * qpochhammer(a * b * q, q, j) / den
-            out = out + Poly.x(j) * (c * q**j)
-        return out
+        # 2phi1(q^-n, abq; aq; q; qx)
+        return _terminating(n, (q**-n, a * b * q), (a * q,), q, lambda i: Poly.x(), q)
 
     def moment(k: int) -> Scalar:
         den = qpochhammer(a * b * q * q, q, k)
@@ -398,20 +396,8 @@ def big_q_jacobi(
 
     def hyp(n: int) -> Poly:
         # 3phi2(q^-n, abq, x; lower1, cq; q; q), (x;q)_j kept polynomial
-        out = Poly()
-        for j in range(n + 1):
-            den = (
-                qpochhammer(hyp_lower1(n), q, j)
-                * qpochhammer(c * q, q, j)
-                * qpochhammer(q, q, j)
-            )
-            _nonzero(den, f"3phi2 denominator at j={j}")
-            px = Poly.const(1)
-            for i in range(j):
-                px = px * Poly.linear(-(q**i), 1)
-            coeff = qpochhammer(q**-n, q, j) * qpochhammer(a * b * q, q, j) / den
-            out = out + px * (coeff * q**j)
-        return out
+        return _terminating(n, (q**-n, a * b * q), (hyp_lower1(n), c * q), q,
+                            lambda i: Poly.linear(-(q**i), 1), q)
 
     return FamilySpec(
         name=f"big_q_jacobi[{variant}]",
@@ -450,19 +436,9 @@ def askey_wilson(
         ) * bracket
 
     def hyp(n: int) -> Poly:
-        out = Poly()
-        for j in range(n + 1):
-            den = (
-                qpochhammer(a * c, q, j) * qpochhammer(a * d, q, j)
-                * qpochhammer(a * b * q**-n, q, j) * qpochhammer(q, q, j)
-            )
-            _nonzero(den, f"4phi3 denominator at j={j}")
-            px = Poly.const(1)
-            for i in range(j):
-                px = px * Poly([1 + a * a * q ** (2 * i), -2 * a * q**i])
-            coeff = qpochhammer(q**-n, q, j) * qpochhammer(a * b * c * d / q, q, j) / den
-            out = out + px * (coeff * q**j)
-        return out
+        # 4phi3(q^-n, abcd/q, a e^{i theta}, a e^{-i theta}; ac, ad, ab q^-n; q; q)
+        return _terminating(n, (q**-n, a * b * c * d / q), (a * c, a * d, a * b * q**-n), q,
+                            lambda i: Poly([1 + a * a * q ** (2 * i), -2 * a * q**i]), q)
 
     return FamilySpec(
         name="askey_wilson", params={"a": a, "b": b, "c": c, "d": d, "q": q},
@@ -504,19 +480,9 @@ def q_racah(
     def hyp(n: int) -> Poly:
         if n > N:
             raise FamilyParamError(f"q_racah degree {n} exceeds N = {N}")
-        out = Poly()
-        for j in range(n + 1):
-            den = (
-                qpochhammer(q**-N, q, j) * qpochhammer(b * d * q ** (1 - n), q, j)
-                * qpochhammer(c * q, q, j) * qpochhammer(q, q, j)
-            )
-            _nonzero(den, f"4phi3 denominator at j={j}")
-            px = Poly.const(1)
-            for s in range(j):
-                px = px * Poly([1 + c * d * q ** (1 + 2 * s), -(q**s)])
-            coeff = qpochhammer(q**-n, q, j) * qpochhammer(b * q**-N, q, j) / den
-            out = out + px * (coeff * q**j)
-        return out
+        # 4phi3(q^-n, b q^-N, q^-x, cd q^{x+1}; q^-N, bd q^{1-n}, cq; q; q)
+        return _terminating(n, (q**-n, b * q**-N), (q**-N, b * d * q ** (1 - n), c * q), q,
+                            lambda s: Poly([1 + c * d * q ** (1 + 2 * s), -(q**s)]), q)
 
     def x_node(x: int) -> Scalar:
         # the spectral point X = q^{-x} + c d q^{x+1}
@@ -641,9 +607,9 @@ def chebyshev_weight_hyp(n: int, x: ScalarLike, a: ScalarLike) -> Scalar:
     z = -(a * x) ** 2 / 4
     if n % 2 == 0:
         m = n // 2
-        return _hyp2f1(m, Fraction(m + 1), Fraction(1, 2), Poly.const(z))(0)
+        return _terminating(m, (Fraction(-m), Fraction(m + 1)), (Fraction(1, 2),), z)
     m = (n - 1) // 2
-    return (m + 1) * a * x * _hyp2f1(m, Fraction(m + 2), Fraction(3, 2), Poly.const(z))(0)
+    return (m + 1) * a * x * _terminating(m, (Fraction(-m), Fraction(m + 2)), (Fraction(3, 2),), z)
 
 
 def genthm_check(a: ScalarLike, order: int) -> bool:
@@ -757,8 +723,8 @@ FAMILY_BUILDERS: dict[str, Callable[..., FamilySpec]] = {
 def resolve(name: str, params: dict) -> FamilySpec:
     """Look up a family by name with a parameter dict (CLI/JSON entry point).
 
-    An unknown name, or a parameter the family lacks or does not take,
-    raises ValueError.
+    An unknown name, a parameter the family lacks or does not take, or a
+    non-integer N raises ValueError.
     """
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
@@ -766,7 +732,9 @@ def resolve(name: str, params: dict) -> FamilySpec:
     kwargs = dict(params)
     if "N" in kwargs:
         N = kwargs["N"]
-        kwargs["N"] = int(N) if not isinstance(N, int) else N
+        if not isinstance(N, (int, Fraction)) or N.denominator != 1:
+            raise ValueError(f"family {name}: N must be an integer, got {N}")
+        kwargs["N"] = int(N)
     try:
         inspect.signature(builder).bind(**kwargs)
     except TypeError as exc:

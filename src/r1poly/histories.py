@@ -107,10 +107,6 @@ class LaguerreHistory:
                 if not 1 <= lab <= h:
                     raise ValueError(f"V label {lab} outside 1..{h}")
 
-    @property
-    def length(self) -> int:
-        return sum(1 for s in self.steps if s != "V")
-
     def horizontal_count(self) -> int:
         return self.steps.count("H")
 
@@ -270,10 +266,6 @@ class MeixnerHistory:
             elif lab is not None and not 1 <= lab <= h:
                 raise ValueError(f"H label {lab} outside 1..{h}")
 
-    @property
-    def length(self) -> int:
-        return sum(1 for s in self.steps if s != "V")
-
     def exponents(self) -> tuple[int, int]:
         """(i, j) with weight b^i d^j: U: 1, V: d, unlabeled H: b*d,
         H labeled 0: b, H labeled >= 1: 1."""
@@ -334,10 +326,6 @@ class PartitionCycles:
 
     def blocks(self) -> list[Block]:
         return [blk for cyc in self.cycles for blk in cyc]
-
-    @property
-    def n(self) -> int:
-        return sum(len(blk) for blk in self.blocks())
 
     def exponents(self) -> tuple[int, int]:
         """(#cycles, #blocks): the weight is b^#cycles d^#blocks."""

@@ -67,13 +67,6 @@ class Path:
             x, y = x + dx, y + dy
         return (x, y)
 
-    def max_height(self) -> int:
-        y = top = self.start[1]
-        for s in self.steps:
-            y += DISPLACEMENT[s][1]
-            top = max(top, y)
-        return top
-
     def heights(self) -> list[int]:
         """Starting height of each step, in order."""
         y = self.start[1]

@@ -104,6 +104,43 @@ def test_history_maps_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Recorded before the kinds were mapped to their reports through one table:
+# every kind on a random-looking table, and the constant family's Hankel rows,
+# which read A, B and C from the loaded system.
+_DET_TABLE = {
+    "kind": "table",
+    "b": ["1/2", "-1/3", "2/5", "1", "-3/4", "1/7", "2", "1/3", "-1", "3/2", "1/5", "-2/3"],
+    "a": ["0", "1", "2/3", "-1/2", "3/5", "1", "-2", "5/7", "1/4", "3", "-1/3", "2"],
+    "lambda": ["0", "1/3", "1/2", "-1", "2/7", "1/5", "3", "-1/4", "2", "1/6", "-3/5", "1"],
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("dets --coeffs table.json --kinds hankel,prime,dprime,tprime,shifted-prime,"
+     "shifted-dprime,shifted-tprime --n 5 --format json",
+     "045f61c580b5fc8d96092913edc305cae8d59e7dee3f4a4e6b76a72cd296f9fd"),
+    ("dets --kinds hankel --family constant --param A=2/3 B=-1/2 C=3/4 --n 6",
+     "79329c4422246468d0334cbfe4ccdd2b8098ce9468cab4ea4b9a984f209a7233"),
+])
+def test_dets_output_is_pinned(capsys, tmp_path, argv, digest):
+    (tmp_path / "table.json").write_text(json.dumps(_DET_TABLE))
+    argv = argv.replace("table.json", str(tmp_path / "table.json"))
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dets_constant_hankel_is_the_same_from_a_family_spec(capsys, tmp_path):
+    spec = {"kind": "family", "name": "constant", "params": {"A": "2/3", "B": "-1/2", "C": "3/4"}}
+    (tmp_path / "constant.json").write_text(json.dumps(spec))
+    _, from_file, _ = run(capsys, "dets", "--coeffs", str(tmp_path / "constant.json"),
+                          "--kinds", "hankel", "--n", "4")
+    code, from_family, _ = run(capsys, "dets", "--kinds", "hankel", "--family", "constant",
+                               "--param", "A=2/3", "B=-1/2", "C=3/4", "--n", "4")
+    assert code == 0 and from_file == from_family
+    assert all(json.loads(line)["matched"] for line in from_family.splitlines())
+
+
 def test_bounded_path_sum_is_pinned(capsys):
     code, out, _ = run(capsys, "paths", "sum", "--family", "meixner", "--param", "b=3/2",
                        "c=1/3", "--from", "1,2", "--to", "14,1", "--max-height", "4")
@@ -276,6 +313,8 @@ _BAD_TABLES = {
     "b_zero_denominator.json": {"kind": "table", "b": ["1/0"], "a": ["1"], "lambda": ["1"]},
     "no_lambda.json": {"kind": "table", "b": ["1"], "a": ["1"]},
     "params_not_an_object.json": {"kind": "family", "name": "laguerre", "params": [1]},
+    "q_racah_half_N.json": {"kind": "family", "name": "q_racah", "params": {
+        "b": "1/3", "c": "1/5", "d": "1/7", "N": "9/2", "q": "1/2"}},
 }
 
 _BAD_INPUT = [  # (extra environment, argv)
@@ -304,6 +343,7 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --coeffs b_zero_denominator.json --n 3"),
     ({}, "moments --coeffs no_lambda.json --n 3"),
     ({}, "moments --coeffs params_not_an_object.json --n 3"),
+    ({}, "moments --coeffs q_racah_half_N.json --n 3"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from r1poly import families
 from r1poly.core import CoeffSystem, L_eval, P, VElem, cf_series, moment_series, mu
+from r1poly.exactmath import Poly, binomial, pochhammer, qpochhammer
 from r1poly.families import (
     FamilyParamError,
     NoClosedForm,
@@ -299,3 +300,155 @@ def test_resolve_registry():
     assert fam.params["N"] == 4
     with pytest.raises(ValueError):
         resolve("nope", {})
+    with pytest.raises(ValueError, match="N must be an integer, got 9/2"):
+        resolve("q_racah", {"b": A13, "c": Fraction(1, 5), "d": Fraction(1, 7),
+                            "N": Fraction(9, 2), "q": Q12})
+
+
+# -- the term-ratio builder against the per-term formulas ------------------
+#
+# The oracle below sums each hypergeometric form term by term, every
+# (q-)Pochhammer symbol and every x-product built from scratch, so a wrong
+# term ratio or normalisation in the one-pass builder shows as a different
+# Poly, not only as a different proportionality constant.
+
+
+def _ref_check(den, what):
+    if den == 0:
+        raise FamilyParamError(f"degenerate parameters: {what} vanishes")
+
+
+def _ref_2f1(n, upper, lower, arg):
+    out = Poly()
+    for j in range(n + 1):
+        den = pochhammer(lower, j)
+        _ref_check(den, f"({lower})_{j}")
+        c = pochhammer(Fraction(-n), j) * pochhammer(upper, j) / (den * math.factorial(j))
+        out = out + arg**j * c
+    return out
+
+
+def _ref_qsum(n, upper, lower, q, px_factor):
+    out = Poly()
+    for j in range(n + 1):
+        den = qpochhammer(q, q, j)
+        for v in lower:
+            den *= qpochhammer(v, q, j)
+        _ref_check(den, f"denominator at j={j}")
+        px = Poly.const(1)
+        for i in range(j):
+            px = px * px_factor(i)
+        coeff = Fraction(1)
+        for u in upper:
+            coeff *= qpochhammer(u, q, j)
+        out = out + px * (coeff / den * q**j)
+    return out
+
+
+def _reference_hyp(fam, n):
+    p, name = fam.params, fam.name.split("[")[0]
+    if name == "jacobi11":
+        a, b, v = p["a"], p["b"], p["variant"]
+        lower = {"minus": a - n + 1, "plus": a + 1, "mixed": a - (n + 1) // 2 + 1}[v]
+        return _ref_2f1(n, a + b + 1, lower, Poly([Fraction(1, 2), Fraction(-1, 2)]))
+    if name == "jacobi01":
+        a, b = p["a"], p["b"]
+        lower = a + 1 if p["variant"] == "oneminus" else a - n + 1
+        return _ref_2f1(n, a + b + 1, lower, Poly.x())
+    if name == "laguerre":
+        a = p["a"]
+        out = Poly()
+        for j in range(n + 1):
+            den = pochhammer(a - n + 1, j)
+            _ref_check(den, f"(a-n+1)_{j}")
+            out = out + Poly.x(j) * (pochhammer(Fraction(-n), j) / (den * math.factorial(j)))
+        return out
+    if name == "meixner":
+        b, c = p["b"], p["c"]
+        z = 1 - 1 / c
+        out = Poly()
+        for j in range(n + 1):
+            den = pochhammer(b - n, j)
+            _ref_check(den, f"(b-n)_{j}")
+            px = Poly.const(1)
+            for i in range(j):
+                px = px * Poly.linear(-1, Fraction(i))
+            out = out + px * (pochhammer(Fraction(-n), j) * z**j / (den * math.factorial(j)))
+        return out
+    q = p["q"]
+    if name == "little_q_jacobi":
+        a, b = p["a"], p["b"]
+        return _ref_qsum(n, [q**-n, a * b * q], [a * q], q, lambda i: Poly.x())
+    if name == "big_q_jacobi":
+        a, b, c = p["a"], p["b"], p["c"]
+        lower1 = a * q if p["variant"] == "bshift" else a * q ** (1 - n)
+        return _ref_qsum(n, [q**-n, a * b * q], [lower1, c * q], q,
+                         lambda i: Poly.linear(-(q**i), 1))
+    if name == "askey_wilson":
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        return _ref_qsum(n, [q**-n, a * b * c * d / q], [a * c, a * d, a * b * q**-n], q,
+                         lambda i: Poly([1 + a * a * q ** (2 * i), -2 * a * q**i]))
+    assert name == "q_racah"
+    b, c, d, N = p["b"], p["c"], p["d"], p["N"]
+    return _ref_qsum(n, [q**-n, b * q**-N], [q**-N, b * d * q ** (1 - n), c * q], q,
+                     lambda s: Poly([1 + c * d * q ** (1 + 2 * s), -(q**s)]))
+
+
+REFERENCE_FAMILIES = GLUE_FAMILIES + [
+    jacobi11(Fraction(2, 3), Fraction(1, 5), "mixed"),
+    jacobi01(Fraction(2, 7), Fraction(1, 3), "xpow"),
+    little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(-2, 3)),
+    big_q_jacobi(Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(3, 2), "ashift"),
+    askey_wilson(Q12, A13, Fraction(1, 5), Fraction(1, 7), Q12),
+    askey_wilson(Fraction(2, 3), Fraction(-1, 4), Fraction(1, 3), Fraction(3, 5), Fraction(-1, 3)),
+    q_racah(A13, Fraction(1, 5), Fraction(1, 7), 12, Q12),
+    q_racah(Fraction(2, 5), Fraction(-1, 3), Fraction(3, 4), 14, Fraction(2, 3)),
+]
+
+
+@pytest.mark.parametrize("fam", REFERENCE_FAMILIES,
+                         ids=lambda f: f.name + repr(sorted(f.params.items())))
+def test_hyp_poly_equals_per_term_reference(fam):
+    for n in range(13):
+        assert fam.hyp_poly(n) == _reference_hyp(fam, n), n
+
+
+def test_jacobi11_closed_moment_equals_binomial_sum():
+    for a, b in ((A13, B25), (Fraction(3, 7), Fraction(-1, 5)), (Fraction(-1, 2), Fraction(-1, 2))):
+        fam = jacobi11(a, b)
+        for k in range(21):
+            want = sum(
+                binomial(k, s) * Fraction(-2) ** s * pochhammer(a + 1, s) / pochhammer(a + b + 2, s)
+                for s in range(k + 1)
+            )
+            assert fam.closed_moment(k) == want, (a, b, k)
+
+
+def test_chebyshev_weight_hyp_equals_reference_2f1():
+    a = Fraction(3, 7)
+    for x in (Fraction(1, 3), Fraction(-2, 5)):
+        z = -(a * x) ** 2 / 4
+        for m in range(8):
+            assert chebyshev_weight_hyp(2 * m, x, a) == _ref_2f1(
+                m, Fraction(m + 1), Fraction(1, 2), Poly.const(z))(0)
+            assert chebyshev_weight_hyp(2 * m + 1, x, a) == (m + 1) * a * x * _ref_2f1(
+                m, Fraction(m + 2), Fraction(3, 2), Poly.const(z))(0)
+
+
+def test_vanishing_lower_factorial_raises():
+    # (a-n+1)_j = (-2)_j vanishes at j = 3 <= 5
+    with pytest.raises(FamilyParamError, match=r"^degenerate parameters: \(-2\)_3 vanishes"):
+        laguerre(Fraction(2)).hyp_poly(5)
+    # (b-n)_j = (-3)_j vanishes at j = 4 <= 5
+    with pytest.raises(FamilyParamError, match=r"^degenerate parameters: \(-3\)_4 vanishes"):
+        meixner(Fraction(2), Fraction(1, 3)).hyp_poly(5)
+    # a + b + 2 = -1: (a+b+2)_s vanishes from s = 2 on
+    fam = jacobi11(Fraction(-1, 2), Fraction(-5, 2))
+    assert fam.closed_moment(1) == 1 + Fraction(-2) * (Fraction(1, 2)) / (-1)
+    with pytest.raises(FamilyParamError, match=r"^degenerate parameters: \(-1\)_2 vanishes"):
+        fam.closed_moment(2)
+    # (aq;q)_j = (2;1/2)_j vanishes at j = 2
+    with pytest.raises(FamilyParamError, match=r"^degenerate parameters: \(2;q\)_2 vanishes"):
+        little_q_jacobi(Fraction(4), Fraction(1, 3), Q12).hyp_poly(3)
+    # below the vanishing index the forms still build
+    assert laguerre(Fraction(2)).hyp_poly(2) == _reference_hyp(laguerre(Fraction(2)), 2)
