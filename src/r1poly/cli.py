@@ -48,7 +48,7 @@ def _parse_params(items: list[str] | None) -> dict:
             params[key] = value
             continue
         try:
-            params[key] = int(value) if key == "N" else parse_scalar(value)
+            params[key] = parse_scalar(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SystemExit(_usage(f"bad --param {item!r}: {exc}"))
     return params

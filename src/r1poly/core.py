@@ -10,9 +10,9 @@ read.  Everything else in the package is parameterized by one of these
 systems.  A system reads each b_n, a_n and lam_n from its stream once, on
 first use, checks the index there and memoizes the value; a stream that
 cannot produce a coefficient fails at that read, whatever the index.  Each
-system also carries its own memo tables (polynomials, the mu and nu moment
-grids), which grow monotonically and are dropped only by building a fresh
-system.
+system also carries its own memo tables (the polynomials P_n and d_m, the mu
+and nu moment grids), which grow monotonically and are dropped only by
+building a fresh system.
 
 The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
 program, ``PathColumns``, which makes each column of path sums from the one
@@ -20,8 +20,10 @@ before by ``column_step``.  ``P`` runs the three-term recurrence on the last
 two rows of coefficients, ``_PolyRows``.  A rational system runs both over
 integers scaled by powers of the lcm D of the denominators read so far
 (``_ScaledWeights``: weights D*b, D*a, D^2*lam), and divides only what it
-hands out; once D has more than ``SCALED_MAX_BITS`` bits, as for the Jacobi
-and q-families within their first rows, it turns to Fraction.
+hands out.  Once D has more than ``SCALED_MAX_BITS`` bits, as for the Jacobi
+and q-families within their first rows, the path walk keeps each column as
+integers over one common denominator, the lcm of the column's reduced
+denominators, and ``P`` keeps Fraction rows.
 
 ``cf_series`` expands the branched continued fraction from its convergent
 P*^(1)_N / P*_{N+1}, the reversed recurrence polynomials of the shifted and
@@ -119,6 +121,7 @@ class CoeffSystem:
         self.valid_to = valid_to
         self.name = name
         self._poly_cache: list[Poly] = [Poly.const(1)]
+        self._d_cache: list[Poly] = [Poly.const(1)]
         self._poly_rows = _PolyRows(self)
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
@@ -220,11 +223,16 @@ def shift(cs: CoeffSystem, s: int) -> CoeffSystem:
 
 
 def d_poly(m: int, cs: CoeffSystem) -> Poly:
-    """Denominator product d_m(x) = prod_{i=1..m} (a_i x + lam_i)."""
-    out = Poly.const(1)
-    for i in range(1, m + 1):
-        out = out * Poly.linear(cs.a(i), cs.lam(i))
-    return out
+    """Denominator product d_m(x) = prod_{i=1..m} (a_i x + lam_i).
+
+    The system keeps d_0, d_1, ... in its d cache, each one linear factor
+    times the one before."""
+    cache = cs._d_cache
+    while len(cache) <= m:
+        i = len(cache)
+        cache.append(cache[-1] * Poly.linear(cs.a(i), cs.lam(i)))
+        _check_memo("d cache", len(cache), f"building d_{i} for m={m}")
+    return cache[max(m, 0)]
 
 
 # -- Favard tilings -----------------------------------------------------
@@ -310,9 +318,10 @@ def P_via_tilings(n: int, cs: CoeffSystem) -> Poly:
 
 # -- the path-column kernel ---------------------------------------------
 
-# A rational path walk or P recurrence leaves the scaled integers for
-# Fraction entries once the lcm D of the denominators it has read has more
-# bits than this, and stays there.  A D that stops growing is cheap at any
+# A rational path walk or P recurrence leaves the scaled integers once the
+# lcm D of the denominators it has read has more bits than this, and does
+# not come back: the walk then keeps each column over its own common
+# denominator, P keeps Fraction rows.  A D that stops growing is cheap at any
 # size, but one that grows with the index (the Jacobi and q-families, which
 # cross the gate within their first rows) pads every entry by D^e far past
 # its reduced Fraction.
@@ -369,8 +378,9 @@ class _ScaledWeights:
     exponent e is stored as D^e times its value, and the weights are D*b,
     D*a and D^2*lam.  A new denominator rescales the stored entries by
     (D'/D)^e.  Once D has more than ``SCALED_MAX_BITS`` bits the entries
-    turn into Fractions, the weights are the coefficients again, and the
-    recurrence stays on Fraction.  A subclass keeps the entries.
+    turn into Fractions and the weights are the coefficients again, for
+    good; ``PathColumns`` then puts each column over one denominator.  A
+    subclass keeps the entries.
     """
 
     def __init__(self, cs: CoeffSystem):
@@ -436,7 +446,13 @@ class PathColumns(_ScaledWeights):
 
     A rational walk stores entry (x, y) scaled as ``_ScaledWeights`` says,
     with exponent e = (x - x0) - (y - y0) = h + v + 2d for every path
-    there; U still weighs 1.  Only ``read`` divides.
+    there; U still weighs 1.  Past the gate it stores column x as integers
+    N_y over one denominator Q_x = ``dens[x - x0]``, the lcm of the reduced
+    denominators of the column.  The step is linear, so ``column_step`` on
+    the N_y, with the coefficients as weights, gives Q_x times the next
+    column in Fractions whose denominators are small (those of the
+    coefficients); with R their lcm the next column is stored over Q_x*R,
+    both sides divided by their gcd.  Only ``read`` divides.
 
     Each coefficient is read from the system once, in the order in which
     the columns first use it, so a stream fails where a plain Fraction walk
@@ -450,6 +466,7 @@ class PathColumns(_ScaledWeights):
         self.x0, self.y0 = start
         self.x = self.x0
         self.col: list = []
+        self.dens: list[int] | None = None  # Q_x past the gate; 1 for a column not kept
         y0 = self.y0
         self._fetch([(1, y) for y in range(y0, 0, -1)])
         a = self._weights[1]
@@ -481,11 +498,22 @@ class PathColumns(_ScaledWeights):
 
     def read(self, x: int, y: int, stored) -> Scalar:
         """The value of an entry stored for (x, y)."""
-        if self.scale is None:
-            return stored
-        return Fraction(stored, self._power(x - self.x0 - y + self.y0))
+        if self.scale is not None:
+            return Fraction(stored, self._power(x - self.x0 - y + self.y0))
+        if self.dens is not None:
+            return Fraction(stored, self.dens[x - self.x0])
+        return stored
 
     def _keep(self, col: list) -> None:
+        if self.dens is not None:  # col is Q_{x-1} times column x (Q = 1 at the start)
+            r = math.lcm(*(v.denominator for v in col))
+            col = [v.numerator * (r // v.denominator) for v in col]
+            den = (self.dens[-1] if self.dens else 1) * r
+            g = math.gcd(den, *col)  # skips the rest once the gcd is 1
+            if g > 1:
+                den //= g
+                col = [v // g for v in col]
+            self.dens.append(den)
         self.col = col
         if self.memo is not None:
             x = self.x
@@ -499,6 +527,23 @@ class PathColumns(_ScaledWeights):
         if self.memo is not None:
             for (xk, y), v in self.memo.items():
                 self.memo[(xk, y)] = f(v, xk - x0 - y + y0)
+
+    def _rescale(self, scale: int) -> None:
+        super()._rescale(scale)
+        if self.scale is not None:
+            return
+        # Past the gate now: each kept column over the lcm of its reduced
+        # denominators.  A memo holds the current column too; a walk that
+        # crosses while reading its start's a_y has kept nothing yet.
+        x0, memo = self.x0, self.memo or {}
+        dens = self.dens = [1] * (self.x - x0 + 1) if self.col else []
+        for (x, _), v in memo.items():
+            dens[x - x0] = math.lcm(dens[x - x0], v.denominator)
+        if self.col:
+            dens[-1] = math.lcm(*(v.denominator for v in self.col))
+        for key, v in memo.items():
+            memo[key] = v.numerator * (dens[key[0] - x0] // v.denominator)
+        self.col = [v.numerator * (dens[-1] // v.denominator) for v in self.col]
 
 
 class _PolyRows(_ScaledWeights):
@@ -556,8 +601,9 @@ class MuTable:
 
     Only + and * are used, so the entries lie in the ring of the system's
     coefficients.  For a rational system ``memo`` holds the walk's scaled
-    integers D^(n-m) mu_{n,m} until D passes the gate, and ``value``
-    returns the Fraction.
+    integers D^(n-m) mu_{n,m} until D passes the gate, and after it the
+    integers Q_n mu_{n,m} over the common denominator Q_n of row n;
+    ``value`` returns the Fraction.
     """
 
     def __init__(self, cs: CoeffSystem):

@@ -508,15 +508,17 @@ def constant(A: ScalarLike, B: ScalarLike, C: ScalarLike) -> FamilySpec:
 
     def hyp(n: int) -> Poly:
         # U_n((x-B)/(2 sqrt(Ax+C))) (sqrt(Ax+C))^n collapses to a polynomial:
-        # sum_k (-1)^k C(n-k, k) (x-B)^{n-2k} (Ax+C)^k
-        out = Poly()
-        for k in range(n // 2 + 1):
-            out = out + (
-                Poly.linear(1, -B) ** (n - 2 * k)
-                * Poly.linear(A, C) ** k
-                * (Fraction(-1) ** k * binomial(n - k, k))
-            )
-        return out
+        # sum_k (-1)^k C(n-k, k) (x-B)^{n-2k} (Ax+C)^k.  With K = n // 2 that
+        # is (x-B)^(n-2K) sum_k c_k ((x-B)^2)^(K-k) (Ax+C)^k, summed by Horner
+        # over k, so each step multiplies by a degree-2 and a degree-1 factor.
+        if n < 0:
+            return Poly()
+        u, w = Poly.linear(1, -B), Poly.linear(A, C)
+        u2, w_k, out = u * u, Poly.const(1), Poly.const(1)
+        for k in range(1, n // 2 + 1):
+            w_k = w_k * w
+            out = out * u2 + w_k * ((-1) ** k * binomial(n - k, k))
+        return out * u if n % 2 else out
 
     return FamilySpec(
         name="constant", params={"A": A, "B": B, "C": C},
@@ -627,8 +629,11 @@ def genthm_check(a: ScalarLike, order: int) -> bool:
 
 
 def hermite_linearization_check(n: int, m: int, a: ScalarLike = Fraction(2, 3)) -> bool:
-    """H_n H_m = sum_s C(n,s) C(m,s) s! (1+a x)^s H_{n+m-2s}, both as the raw
-    polynomial identity and through the expansion functional."""
+    """H_n H_m = sum_s C(n,s) C(m,s) s! (1+a x)^s H_{n+m-2s} as a raw
+    polynomial identity; for a != 0 also the expansion of H_n H_m in the
+    basis P_k through the functional, c_k = L(p (Q_k - a_{k+1} Q_{k+1})),
+    which must have degree n + m, a nonzero top coefficient, and sum back
+    to H_n H_m."""
     a = as_scalar(a)
     cs = r1_hermite(a).build()
     lhs = P(n, cs) * P(m, cs)
@@ -643,8 +648,11 @@ def hermite_linearization_check(n: int, m: int, a: ScalarLike = Fraction(2, 3)) 
         return False
     if a == 0:
         return True
-    # cross-check through the expansion coefficients c_k = L(lhs (Q_k - a_{k+1} Q_{k+1}))
-    return expand_in_P(lhs, cs) == expand_in_P(rhs, cs)
+    c = expand_in_P(lhs, cs)
+    back = Poly()
+    for k, c_k in enumerate(c):
+        back = back + P(k, cs) * c_k
+    return len(c) == n + m + 1 and c[-1] != 0 and back == lhs
 
 
 # -- gluing checks -------------------------------------------------------

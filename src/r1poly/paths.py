@@ -19,7 +19,8 @@ kind U < H < V < D at every position.  Weights come from the ring of the
 coefficient system behind a ``WeightSystem``: rationals, or the indexed
 symbols themselves for ``symbolic_weights()``.  A rational walk runs over
 integers scaled by D^((x - x0) - (y - y0)), D the lcm of the denominators
-read, until D passes ``core.SCALED_MAX_BITS`` bits.
+read, until D passes ``core.SCALED_MAX_BITS`` bits, and over integers with
+one common denominator per column after that.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def weight_sum(
     """Sum of path weights from start to end, by the column dynamic program.
 
     A ``PathColumns`` walk from the start steps one column at a time to the
-    end's column; a rational system walks over scaled integers while the
-    lcm of its denominators stays small, so only the answer is divided.
+    end's column; a rational system walks over integers, scaled while the
+    lcm of its denominators stays small and over one denominator per
+    column after that, so only the answer is divided.
     """
     x0, y0 = start
     x1, y1 = end

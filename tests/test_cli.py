@@ -60,12 +60,19 @@ def test_symbolic_output_is_pinned(capsys, argv, digest):
 
 # Recorded before the moment grids ran over scaled integers: laguerre stays
 # scaled for every row, jacobi11 leaves the scaled ring mid-fill, and the
-# bounded path sum runs the column step from a start off the origin.
+# bounded path sum runs the column step from a start off the origin.  The
+# little q-Jacobi and Askey-Wilson rows were recorded before a gated walk
+# kept each column over one common denominator; both cross the gate within
+# their first rows.
 @pytest.mark.parametrize("argv, digest", [
     ("moments --family laguerre --param a=8/7 --n 300",
      "104df80832d118ccbce2ede5de20196e2eabff8232af26f9953002b81769eb18"),
     ("moments --family jacobi11 --param a=6/5 b=7/5 --n 120",
      "5abab039a53246f3a5a8c07c8d73aef2f204efdf469c3a8523d4728127637881"),
+    ("moments --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 --n 100",
+     "98b4cb388c24dec338f909f6f6f11aa2a43622c98a62c07bd2bd6174175dfe49"),
+    ("moments --family askey_wilson --param a=1/3 b=1/13 c=1/11 d=1/5 q=1/2 --n 80",
+     "f7e387ab3af1a12c046e80f3a5132e295b962d9ddfedf1a15587b893f47bdbe5"),
 ])
 def test_rational_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
@@ -139,6 +146,21 @@ def test_dets_constant_hankel_is_the_same_from_a_family_spec(capsys, tmp_path):
                                "--param", "A=2/3", "B=-1/2", "C=3/4", "--n", "4")
     assert code == 0 and from_file == from_family
     assert all(json.loads(line)["matched"] for line in from_family.splitlines())
+
+
+def test_q_racah_N_is_read_as_a_scalar(capsys, tmp_path):
+    params = ["b=1/3", "c=1/5", "d=1/7", "q=1/2"]
+    code, want, _ = run(capsys, "moments", "--family", "q_racah", "--param", *params, "N=4",
+                        "--n", "2")
+    assert code == 0 and want
+    code, out, _ = run(capsys, "moments", "--family", "q_racah", "--param", *params, "N=4/1",
+                       "--n", "2")
+    assert code == 0 and out == want
+    spec = {"kind": "family", "name": "q_racah", "params": {
+        "b": "1/3", "c": "1/5", "d": "1/7", "N": "4/1", "q": "1/2"}}
+    (tmp_path / "q_racah.json").write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "moments", "--coeffs", str(tmp_path / "q_racah.json"), "--n", "2")
+    assert code == 0 and out == want
 
 
 def test_bounded_path_sum_is_pinned(capsys):
@@ -320,6 +342,7 @@ _BAD_TABLES = {
 _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --family laguerre --param a=abc --n 3"),
     ({}, "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=x q=1/2 --n 3"),
+    ({}, "moments --family q_racah --param b=1/3 c=1/5 d=1/7 N=9/2 q=1/2 --n 2"),
     ({}, "paths count --from 0,0 --to a,0"),
     ({}, "paths count --from 0,-1 --to 2,0"),
     ({}, "paths enumerate --from 0,0 --to 2,-3"),

@@ -467,3 +467,18 @@ def test_d_poly(rng):
     cs = random_system(rng)
     assert d_poly(0, cs) == Poly.const(1)
     assert d_poly(2, cs) == Poly.linear(cs.a(1), cs.lam(1)) * Poly.linear(cs.a(2), cs.lam(2))
+
+
+def test_d_poly_is_built_once_per_system(rng, monkeypatch):
+    cs = random_system(rng)
+    d6 = d_poly(6, cs)
+    want = Poly.const(1)
+    for i in range(1, 7):
+        want = want * Poly.linear(cs.a(i), cs.lam(i))
+    assert d6 == want and len(cs._d_cache) == 7
+    assert d_poly(4, cs) is cs._d_cache[4] and d_poly(6, cs) is d6
+    assert d_poly(-1, cs) == Poly.const(1)
+    monkeypatch.setenv("R1_MEMO_LIMIT", "9")
+    with pytest.raises(MemoLimitError, match=r"^d cache: 10 entries > R1_MEMO_LIMIT=9 "
+                                             r"\(building d_9 for m=12\)$"):
+        d_poly(12, cs)

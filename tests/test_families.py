@@ -242,6 +242,16 @@ def test_constant_family():
         constant(Fraction(0), Fraction(1), Fraction(1))
 
 
+@pytest.mark.parametrize("A, B, C", [(Fraction(2, 3), Fraction(-1, 2), Fraction(3, 4)),
+                                     (Fraction(-5, 3), Fraction(7, 4), Fraction(-2, 9))])
+def test_constant_hyp_is_P_to_degree_40(A, B, C):
+    fam = constant(A, B, C)
+    cs = fam.build()
+    for n in range(41):
+        assert fam.hyp_poly(n) == P(n, cs), n
+    assert fam.hyp_poly(-1) == Poly()
+
+
 def test_hermite_egf():
     a = Fraction(2, 3)
     cs = r1_hermite(a).build()
@@ -290,6 +300,18 @@ def test_hermite_linearization():
     for n in range(5):
         for m in range(5):
             assert hermite_linearization_check(n, m, Fraction(2, 3))
+
+
+def test_hermite_linearization_checks_its_expansion(monkeypatch):
+    """The expansion of H_n H_m in the P_k must have degree n + m and sum back."""
+    expand = families.expand_in_P
+    for broken in (lambda p, cs: expand(p, cs)[:-1],
+                   lambda p, cs: expand(p, cs) + [Fraction(0)],
+                   lambda p, cs: [c + 1 for c in expand(p, cs)]):
+        monkeypatch.setattr(families, "expand_in_P", broken)
+        assert not hermite_linearization_check(2, 3, Fraction(2, 3))
+    monkeypatch.setattr(families, "expand_in_P", expand)
+    assert hermite_linearization_check(2, 3, Fraction(2, 3))
 
 
 def test_resolve_registry():

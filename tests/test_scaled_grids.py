@@ -2,13 +2,17 @@
 plain Fraction references.
 
 Rational systems walk over integers scaled by a power of the lcm D of the
-denominators read, and leave them for Fraction once D passes
-``core.SCALED_MAX_BITS`` bits.  The references below are the recurrences
+denominators read until D passes ``core.SCALED_MAX_BITS`` bits.  Past that
+gate the path walk stores each column as integers over one common
+denominator, which must be the lcm of the column's reduced denominators,
+and P keeps Fraction rows.  The references below are the recurrences
 written out over Fraction, reading the coefficients lazily in the order of
 a plain Fraction fill, so the values, the reads and the errors can all be
 compared.
 """
 
+import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r1poly import families
-from r1poly.core import CoeffError, CoeffSystem, MemoLimitError, P, cf_series, mu, mu_nm
+from r1poly.core import (CoeffError, CoeffSystem, MemoLimitError, P, PathColumns, cf_series, mu,
+                         mu_nm)
 from r1poly.exactmath import Poly, Series, series_from_rational
 from r1poly.families import FamilyParamError, FamilySpec
 from r1poly.paths import WeightSystem, finite_cf_rational, weight_sum
@@ -48,15 +53,15 @@ def reference_mu_rows(cs: CoeffSystem, upto: int, rows: list | None = None) -> l
     return rows
 
 
-def reference_weight_sum(cs: CoeffSystem, start, end, max_height=None) -> Fraction:
-    """The path sum by a dict-per-column program over Fraction."""
-    (x0, y0), (x1, y1) = start, end
-    if x1 < x0 or (max_height is not None and max(y0, y1) > max_height):
-        return Fraction(0)
+def reference_columns(cs: CoeffSystem, start, max_height=None):
+    """The columns x0, x0 + 1, ... of path sums from start, as dicts from
+    height to Fraction, by a dict-per-column program."""
+    x0, y0 = start
     col = {y0: Fraction(1)}
     for y in range(y0 - 1, -1, -1):
         col[y] = col[y + 1] * cs.a(y + 1)
-    for x in range(x0 + 1, x1 + 1):
+    yield col
+    for x in itertools.count(x0 + 1):
         top = y0 + x - x0 if max_height is None else min(y0 + x - x0, max_height)
         nxt: dict = {}
         for y in range(top, -1, -1):
@@ -69,6 +74,15 @@ def reference_weight_sum(cs: CoeffSystem, start, end, max_height=None) -> Fracti
                 val += nxt[y + 1] * cs.a(y + 1)
             nxt[y] = val
         col = nxt
+        yield col
+
+
+def reference_weight_sum(cs: CoeffSystem, start, end, max_height=None) -> Fraction:
+    """The path sum by the dict-per-column program over Fraction."""
+    (x0, y0), (x1, y1) = start, end
+    if x1 < x0 or (max_height is not None and max(y0, y1) > max_height):
+        return Fraction(0)
+    col = next(itertools.islice(reference_columns(cs, start, max_height), x1 - x0, None))
     return col.get(y1, Fraction(0))
 
 
@@ -84,7 +98,8 @@ def recording(cs: CoeffSystem, log: list) -> CoeffSystem:
 
 
 def ring_of(cs: CoeffSystem) -> str:
-    """Which ring the system's mu walk is on now."""
+    """Which ring the system's mu walk is on now: "fraction" past the gate,
+    where it steps with the coefficients themselves as weights."""
     return "fraction" if cs.mu_table()._walk.scale is None else "scaled"
 
 
@@ -129,14 +144,30 @@ def _growing_denominators() -> FamilySpec:
                       lambda n: Fraction(n % 3 + 1, den(n)), lambda n: Fraction(n % 4, den(n)))
 
 
-RING_CASES = {  # system, rows filled, the ring after row 2, the ring at the end
+def _sparse_gated() -> FamilySpec:
+    """b_n = 0 and a_n = 0 below index 16, so mu_{n,m} = 0 whenever n - m
+    is odd and n + m < 32; a new 20-bit denominator from index 6 on, so the
+    walk crosses the gate at row 10, among those zeros."""
+    def den(n):
+        return 1 if n < 6 else (1 << 20) + 7 * n
+    return FamilySpec("sparse", {}, lambda n: Fraction(0),
+                      lambda n: Fraction(0) if n < 16 else Fraction(n % 3 + 1, den(n)),
+                      lambda n: Fraction(n % 4 + 1, den(n)))
+
+
+# system, mu rows filled and P_n built, the ring after row 2 and P_2, the ring at the end
+RING_CASES = {
     "laguerre": (families.laguerre(Fraction(8, 7)), 60, "scaled", "scaled"),
     "meixner": (families.meixner(Fraction(6, 5), Fraction(4, 7)), 60, "scaled", "scaled"),
     "rescaled mid-fill": (_growing_denominators(), 45, "scaled", "scaled"),
     "jacobi11": (families.jacobi11(Fraction(6, 5), Fraction(7, 5)), 40, "scaled", "fraction"),
     "little_q_jacobi": (families.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)),
                         25, "scaled", "fraction"),
+    "askey_wilson": (families.askey_wilson(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+                                           Fraction(1, 11), Fraction(1, 2)), 25, "scaled", "fraction"),
+    "sparse, gated mid-walk": (_sparse_gated(), 35, "scaled", "fraction"),
 }
+GATED = [name for name, case in RING_CASES.items() if case[3] == "fraction"]
 
 
 @pytest.mark.parametrize("name", RING_CASES)
@@ -220,6 +251,62 @@ def test_memo_limit_on_a_scaled_table(monkeypatch):
     assert mu(9, cs) == reference_mu_rows(families.laguerre(Fraction(8, 7)).build(), 9)[9][0]
 
 
+def lcm_of_denominators(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gated_rows_are_kept_over_the_lcm_of_their_denominators(name):
+    spec, n, _, _ = RING_CASES[name]
+    rows = reference_mu_rows(spec.build(), n)
+    cs = spec.build()
+    mu(n, cs)
+    table = cs.mu_table()
+    dens = table._walk.dens
+    assert len(dens) == n + 1
+    for k, row in enumerate(rows):  # rows kept before the gate are put over it too
+        assert dens[k] == lcm_of_denominators(row)
+        assert all(type(table.memo[(k, m)]) is int for m in range(k + 1))
+    if name.startswith("sparse"):  # whole zero entries sit among the gated rows
+        assert any(row[m] == 0 for row in rows[11:] for m in range(len(row)))
+
+
+@pytest.mark.parametrize("name", GATED)
+@pytest.mark.parametrize("start, cap", [((3, 2), 18), ((1, 19), 21), ((2, 4), None)])
+def test_gated_walks_from_off_the_origin(name, start, cap):
+    """Every column against the reference, each walk past the gate; a start
+    at height 19 crosses it while reading its own a_y."""
+    spec = RING_CASES[name][0]
+    walk = PathColumns(spec.build(), start, cap)
+    assert (walk.dens is not None) == (start[1] == 19)
+    reference = reference_columns(spec.build(), start, cap)
+    for x in range(start[0], start[0] + 30):
+        if x > start[0]:
+            walk.advance()
+        want = next(reference)
+        assert [walk.value(y) for y in range(len(want))] == [want[y] for y in range(len(want))]
+        if walk.dens is not None:
+            assert walk.dens[-1] == lcm_of_denominators(want.values())
+    assert walk.dens is not None
+    assert weight_sum(start, (start[0] + 29, 1), WeightSystem(spec.build()), cap) == want[1]
+
+
+def test_memo_limit_on_a_gated_table(monkeypatch):
+    spec = RING_CASES["little_q_jacobi"][0]
+    cs = spec.build()
+    mu(10, cs)
+    assert ring_of(cs) == "fraction"
+    monkeypatch.setenv("R1_MEMO_LIMIT", "90")
+    with pytest.raises(MemoLimitError, match=r"^mu table: 91 entries > R1_MEMO_LIMIT=90 "
+                                             r"\(filling row 12 for n=15\)$"):
+        mu(15, cs)
+    assert sorted(cs.mu_table().memo) == sorted((n, m) for n in range(13) for m in range(n + 1))
+    monkeypatch.delenv("R1_MEMO_LIMIT")
+    rows = reference_mu_rows(spec.build(), 15)
+    assert [mu(k, cs) for k in range(16)] == [row[0] for row in rows]
+    assert cs.mu_table()._walk.dens == [lcm_of_denominators(row) for row in rows]
+
+
 # -- P_n ------------------------------------------------------------------
 
 
@@ -254,16 +341,9 @@ def test_P_matches_the_fraction_recurrence(case):
         assert all(type(c) is Fraction for c in got.coeffs)
 
 
-# system, P_n built, the ring after P_2, the ring at the end
-POLY_RING_CASES = RING_CASES | {
-    "askey_wilson": (families.askey_wilson(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
-                                           Fraction(1, 11), Fraction(1, 2)), 25, "scaled", "fraction"),
-}
-
-
-@pytest.mark.parametrize("name", POLY_RING_CASES)
+@pytest.mark.parametrize("name", RING_CASES)
 def test_each_P_ring_matches_the_reference(name):
-    spec, n, early, late = POLY_RING_CASES[name]
+    spec, n, early, late = RING_CASES[name]
     want = reference_P(spec.build(), n)
     by_row, at_once = spec.build(), spec.build()
     P(2, by_row)
@@ -292,9 +372,9 @@ def test_growing_denominators_rescale_the_P_rows():
     assert P(45, cs) == reference_P(_growing_denominators().build(), 45)[45]
 
 
-@pytest.mark.parametrize("name", POLY_RING_CASES)
+@pytest.mark.parametrize("name", RING_CASES)
 def test_P_reads_as_the_fraction_recurrence_reads(name):
-    spec, n, _, _ = POLY_RING_CASES[name]
+    spec, n, _, _ = RING_CASES[name]
     built, reference = [], []
     P(n, recording(spec.build(), built))
     reference_P(recording(spec.build(), reference), n)
@@ -355,9 +435,9 @@ def test_cf_series_matches_the_nested_series(case):
     check_cf_series(lists, order)
 
 
-@pytest.mark.parametrize("name", [name for name in POLY_RING_CASES if name != "rescaled mid-fill"])
+@pytest.mark.parametrize("name", [name for name in RING_CASES if name != "rescaled mid-fill"])
 def test_cf_series_of_each_ring_matches_the_nested_series(name):
-    spec = POLY_RING_CASES[name][0]
+    spec = RING_CASES[name][0]
     for order in range(21):
         check_cf_series(spec, order)
 
