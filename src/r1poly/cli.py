@@ -289,23 +289,24 @@ def cmd_histories(args) -> int:
     if not 0 <= n <= cap:
         return _usage(f"{args.kind} histories need 0 <= n <= {cap}")
     if args.map:
-        rows = []
         if args.kind == "laguerre":
-            for h in histories.enumerate_LH(n):
-                rows.append({
-                    "path": h.steps,
-                    "labels": [[i, lab] for i, lab in zip(
-                        [j for j, s in enumerate(h.steps) if s == "V"], h.labels)],
-                    "image": [list(c) for c in histories.phi(h)],
-                })
+            rows = ({
+                "path": h.steps,
+                "labels": [[i, lab] for i, lab in zip(
+                    [j for j, s in enumerate(h.steps) if s == "V"], h.labels)],
+                "image": [list(c) for c in histories.phi(h)],
+            } for h in histories._iter_LH(n))
         else:
-            for h in histories.enumerate_MH(n):
-                rows.append({
-                    "path": h.steps,
-                    "labels": h.labeled_pairs(),
-                    "image": [[list(blk) for blk in cyc] for cyc in histories.psi(h).cycles],
-                })
-        _emit(args, [json.dumps(r) for r in rows], {"histories": rows})
+            rows = ({
+                "path": h.steps,
+                "labels": h.labeled_pairs(),
+                "image": [[list(blk) for blk in cyc] for cyc in histories.psi(h).cycles],
+            } for h in histories._iter_MH(n))
+        if args.format == "json":
+            _emit(args, [], {"histories": list(rows)})
+        else:  # one line per row as it is built, so no row is kept
+            for row in rows:
+                print(json.dumps(row))
         return EXIT_OK
     if args.kind == "laguerre":
         count, ok = histories.laguerre_bijection_check(n)

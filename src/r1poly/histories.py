@@ -16,13 +16,19 @@ Two history families live here, both labeled restricted lattice paths:
     states with distinct weights (b versus bd).
 
 Both maps come with explicit inverses and exhaustive enumeration for the
-small sizes the identities are checked at.
+small sizes the bijections are checked at.  The bijection checks stream the
+histories once, through the map and a private inverse that answers only for
+canonical images and builds no validated history.  The history sums are not
+enumerated: a history weighs the product of its steps' weights, and a step
+with several labels weighs the sum over them, so one column DP over
+peak-free paths (``_peak_free_sum``) gives each sum as a polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +93,58 @@ def _peak_free_shapes(n: int) -> Iterator[str]:
     yield from rec(0, 0, "", [])
 
 
+# What a step lets follow it: anything, anything but a V, only a V.
+_FREE, _NO_V, _MUST_V = range(3)
+# Non-vertical step kinds: height change and what may follow.  H is a plain
+# horizontal step; H+ and H- are horizontal steps that are and are not
+# followed by a V, for weights that tell the two apart.
+_ADVANCE = {"U": (1, _NO_V), "H": (0, _FREE), "H+": (0, _MUST_V),
+            "H-": (0, _NO_V), "D": (-1, _FREE)}
+
+
+def _add_product(acc: dict, poly: dict, weight: dict) -> None:
+    """acc += poly * weight, polynomials as {exponent tuple: coefficient}."""
+    for f, c in weight.items():
+        if c:
+            for e, m in poly.items():
+                key = tuple(map(operator.add, e, f))
+                acc[key] = acc.get(key, 0) + m * c
+
+
+def _peak_free_sum(n: int, steps: dict) -> Counter:
+    """Sum over peak-free paths (0,0) -> (n,0) of the product of their step
+    weights, as a polynomial {exponent tuple: coefficient}.
+
+    ``steps`` maps the step kinds the paths use (U, V and some of H, H+, H-,
+    D; U = (1,1), V = (0,-1), D = (1,-1), the H kinds (1,0)) to their weight
+    at starting height h.  No V follows a U (no peak) or an H-, and a V
+    always follows an H+.  One column DP over states (height, what may follow): V steps
+    stay in their column and are taken top down, so runs of them chain.
+    """
+    unit = (0,) * len(next(iter(steps["U"](0))))  # U weighs one
+    moves = [(_ADVANCE[kind], weight) for kind, weight in steps.items() if kind != "V"]
+    col: dict = {(0, _FREE): {unit: 1}}
+    for x in range(n + 1):
+        for h in range(x, 0, -1):
+            weight = steps["V"](h)
+            acc = col.setdefault((h - 1, _FREE), {})
+            for poly in (col.pop((h, _MUST_V), None), col.get((h, _FREE))):
+                if poly:
+                    _add_product(acc, poly, weight)
+        col.pop((0, _MUST_V), None)  # an H+ on the axis has no V to take
+        if x == n:
+            break
+        nxt: dict = {}
+        for (h, _), poly in col.items():
+            for (rise, after), weight in moves:
+                if h + rise >= 0:
+                    _add_product(nxt.setdefault((h + rise, after), {}), poly, weight(h))
+        col = nxt
+    out = Counter(col.get((0, _FREE), {}))
+    out.update(col.get((0, _NO_V), {}))
+    return Counter({e: m for e, m in out.items() if m})
+
+
 # -- Laguerre histories ---------------------------------------------------
 
 
@@ -128,13 +186,14 @@ def enumerate_LH(n: int) -> list[LaguerreHistory]:
 Cycles = tuple[tuple[int, ...], ...]
 
 
-def _canonical_cycles(cycles: Cycles) -> Cycles:
-    """Each cycle rotated to start at its maximum, cycles listed by maximum."""
+def _canonical_cycles(cycles, key=None) -> tuple:
+    """Each cycle rotated to start at its maximum entry, cycles listed by
+    that maximum; ``key`` ranks the entries (``max`` for blocks)."""
     rotated = []
     for cyc in cycles:
-        top = cyc.index(max(cyc))
+        top = cyc.index(max(cyc, key=key))
         rotated.append(cyc[top:] + cyc[:top])
-    return tuple(sorted(rotated, key=lambda c: c[0]))
+    return tuple(sorted(rotated, key=lambda c: key(c[0]) if key else c[0]))
 
 
 def phi(history: LaguerreHistory) -> Cycles:
@@ -159,49 +218,68 @@ def phi(history: LaguerreHistory) -> Cycles:
     return tuple(map(tuple, cycles))
 
 
-def phi_inv(cycles: Cycles) -> LaguerreHistory:
-    """Inverse of phi: cycle maxima become horizontal steps."""
-    elements = [e for cyc in cycles for e in cyc]
-    n = len(elements)
-    if sorted(elements) != list(range(1, n + 1)):
-        raise ValueError("cycles do not form a permutation of 1..n")
-    by_max = {c[0]: c for c in _canonical_cycles(cycles)}
-    free: list[int] = []  # the integers below i not yet placed, increasing
+def _phi_inv(cycles: Cycles) -> tuple[str, tuple[int, ...]] | None:
+    """(steps, labels) of the history phi sends to ``cycles``: cycle maxima
+    become horizontal steps.  None unless ``cycles`` is a permutation of
+    1..n in canonical form (each cycle starts at its maximum, cycles listed
+    by maximum), tested in the same pass.  The result is not validated:
+    equal to a valid history's (steps, labels), it is that history.
+    """
+    free: list[int] = []  # the integers below x not yet placed, increasing
     steps: list[str] = []
     labels: list[int] = []
-    for i in range(1, n + 1):
-        if i not in by_max:
-            steps.append("U")
-            free.append(i)
-            continue
-        steps.append("H")
-        for e in by_max[i][1:]:
+    x = 0
+    for cyc in cycles:
+        top = cyc[0]
+        if top <= x:
+            return None
+        free.extend(range(x + 1, top))
+        steps.append("U" * (top - x - 1) + "H" + "V" * (len(cyc) - 1))
+        x = top
+        for e in cyc[1:]:
+            if e not in free:  # above top, a maximum, or placed already
+                return None
             rank = free.index(e)
             del free[rank]
             labels.append(rank + 1)
-            steps.append("V")
-    return LaguerreHistory("".join(steps), tuple(labels))
+    return None if free else ("".join(steps), tuple(labels))
+
+
+def phi_inv(cycles: Cycles) -> LaguerreHistory:
+    """Inverse of phi, for cycles in any rotation and order."""
+    elements = sorted(e for cyc in cycles for e in cyc)
+    if elements != list(range(1, len(elements) + 1)):
+        raise ValueError("cycles do not form a permutation of 1..n")
+    return LaguerreHistory(*_phi_inv(_canonical_cycles(cycles)))
 
 
 def laguerre_bijection_check(n: int) -> tuple[int, bool]:
-    """(count, ok) over all Laguerre histories of length n: phi_inv undoes
-    phi, horizontal steps become cycles, and phi is a bijection onto the n!
-    permutations of [n].
+    """(count, ok) over all Laguerre histories of length n: the inverse
+    undoes phi, horizontal steps become cycles, and phi is a bijection onto
+    the n! permutations of [n].
 
-    The histories stream past once and no image is kept.  phi_inv(phi(h)) == h
-    for every h makes phi injective on the cycle tuples it returns; every
-    image being in canonical form (cycles start at their maximum, listed by
-    maximum) makes equal tuples the same permutation, so distinct histories
-    give distinct permutations; and n! distinct permutations are all of them.
+    The histories stream past once and no image is kept.  ``_phi_inv`` of
+    every image must give back h's steps and labels; it answers only for a
+    permutation in canonical form, so equal images are the same permutation,
+    and phi is injective; and n! distinct permutations are all of them.
     """
     count = 0
     ok = True
     for h in _iter_LH(n):
         count += 1
         img = phi(h)
-        ok = (ok and _canonical_cycles(img) == img and phi_inv(img) == h
+        ok = (ok and _phi_inv(img) == (h.steps, h.labels)
               and h.horizontal_count() == len(img))
     return count, ok and count == math.factorial(n)
+
+
+# Step weights at starting height h for ``_peak_free_sum``: t^#H, and every
+# V counted once per label it may carry (1..h).
+_LAGUERRE_STEPS = {
+    "U": lambda h: {(0,): 1},
+    "H": lambda h: {(1,): 1},
+    "V": lambda h: {(0,): h},
+}
 
 
 def lh_moment_check(n: int, a: ScalarLike) -> bool:
@@ -209,29 +287,20 @@ def lh_moment_check(n: int, a: ScalarLike) -> bool:
     factorial, and collapsing (U,V) peaks into horizontal steps preserves
     the Schroeder weight sum (b_k = a-k, a_k = k versus b = a+1, a_k = k).
 
-    The first holds as a polynomial in a: the histories with k horizontal
-    steps number c(n, k), the coefficients of (x)_n = sum_k c(n, k) x^k.
+    The first holds as a polynomial in a: the peak-free path sum with t per
+    H and h per V at height h counts the histories by horizontal steps, and
+    these must be c(n, k), the coefficients of (x)_n = sum_k c(n, k) x^k.
+    At t = a + 1 the same sum is the collapsed one.
     """
     a = as_scalar(a)
-    counts = Counter(h.horizontal_count() for h in _iter_LH(n))
-    if counts != Counter({k: stirling1(n, k) for k in range(n + 1)}):
+    counts = _peak_free_sum(n, _LAGUERRE_STEPS)
+    if counts != Counter({(k,): stirling1(n, k) for k in range(n + 1)}):
         return False
-    total = sum(m * (a + 1) ** k for k, m in counts.items())
-    if total != pochhammer(a + 1, n):
+    collapsed = sum(m * (a + 1) ** k for (k,), m in counts.items())
+    if collapsed != pochhammer(a + 1, n):
         return False
     cs = CoeffSystem(lambda k: a - k, lambda k: Fraction(k), lambda k: Fraction(0))
-    ws = pathmod.WeightSystem(cs)
-    full = pathmod.weight_sum((0, 0), (n, 0), ws)
-    collapsed = Fraction(0)
-    for shape in _peak_free_shapes(n):
-        w = Fraction(1)
-        for _, s, h in _walk(shape):
-            if s == "H":
-                w *= a + 1
-            elif s == "V":
-                w *= h
-        collapsed += w
-    return full == collapsed
+    return pathmod.weight_sum((0, 0), (n, 0), pathmod.WeightSystem(cs)) == collapsed
 
 
 # -- Meixner histories ----------------------------------------------------
@@ -312,6 +381,7 @@ def enumerate_MH(n: int) -> list[MeixnerHistory]:
 
 Block = tuple[int, ...]
 Cycle = tuple[Block, ...]
+_UNSEEN, _OPEN, _CLOSED = range(3)  # block states in _psi_inv
 
 
 @dataclass(frozen=True)
@@ -336,11 +406,9 @@ class PartitionCycles:
         return b**i * d**j
 
     def canonical(self) -> tuple:
-        out = []
-        for cyc in self.cycles:
-            top = cyc.index(max(cyc, key=max))
-            out.append(cyc[top:] + cyc[:top])
-        return tuple(sorted(out, key=lambda c: max(c[0])))
+        """The cycles, each rotated to start at the block holding its
+        maximum, listed by that maximum."""
+        return _canonical_cycles(self.cycles, max)
 
 
 def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
@@ -357,173 +425,182 @@ def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
     cycle-closing steps, the pool after acting for the others.
     """
     steps = history.steps
-    labels = history.labels
     # Blocks not yet consumed by a cycle, by smallest element.  A block opens
     # at the current x and grows only by the current x, which exceeds all its
     # elements, so the pool and each block stay sorted without re-sorting.
     avail: list[list[int]] = []
-    cycles: list[list[list[int]]] = []
-
-    def snapshot():
-        if trace is not None:
-            trace.append(tuple(map(tuple, avail)))
-
+    cycles: list = []  # of cycles, each a sequence of block tuples
     x = 0
-    for idx, s in enumerate(steps):
-        lab = labels[idx]
-        if s == "U":
-            x += 1
-            avail.append([x])
-        elif s == "H":
-            x += 1
-            if steps[idx + 1 : idx + 2] == "V":
-                # closes a cycle from the pool; label 0 seats x in the
-                # first block the V run picks, no label starts with [x]
-                snapshot()
-                cycle = [] if lab == 0 else [[x]]
-                cycles.append(cycle)
-                continue
-            if lab is None:
-                cycles.append([[x]])
-            else:
-                avail[lab - 1].append(x)
-        else:
+    for idx, (s, lab) in enumerate(zip(steps, history.labels)):
+        if s == "V":
             blk = avail.pop(lab - 1)
             if not cycle:
                 blk.append(x)
-            cycle.append(blk)
+            cycle.append(tuple(blk))
             continue
-        snapshot()
+        x += 1
+        if s == "U":
+            avail.append([x])
+        elif steps[idx + 1 : idx + 2] == "V":
+            # closes a cycle from the pool; label 0 seats x in the first
+            # block the V run picks, no label starts with the block (x,)
+            if trace is not None:
+                trace.append(tuple(map(tuple, avail)))
+            cycle = [] if lab == 0 else [(x,)]
+            cycles.append(cycle)
+            continue
+        elif lab is None:
+            cycles.append(((x,),))
+        else:
+            avail[lab - 1].append(x)
+        if trace is not None:
+            trace.append(tuple(map(tuple, avail)))
     if avail:
         raise AssertionError("unconsumed blocks after a complete history")
-    return PartitionCycles(tuple(tuple(map(tuple, cyc)) for cyc in cycles))
+    return PartitionCycles(tuple(map(tuple, cycles)))
+
+
+def _psi_inv(cycles: tuple[Cycle, ...]) -> tuple[str, tuple[int | None, ...]] | None:
+    """(steps, labels) of the history psi sends to ``cycles``, by the case
+    analysis on each i = 1..n in turn.  None unless ``cycles`` partitions
+    1..n in canonical form (each cycle starts with the block holding its
+    maximum, cycles listed by maximum), tested in the same pass.  The result
+    is not validated: equal to a valid history's (steps, labels), it is that
+    history.
+    """
+    blocks = [blk for cyc in cycles for blk in cyc]
+    n = sum(map(len, blocks))
+    block_of = [-1] * (n + 1)  # element -> index of its block in ``blocks``
+    for k, blk in enumerate(blocks):
+        for e in blk:
+            if not 0 < e <= n or block_of[e] >= 0:
+                return None
+            block_of[e] = k
+    # A block opens at its smallest element and waits in ``avail`` (by
+    # smallest element) until its cycle closes; then no element may follow.
+    state = [_UNSEEN] * len(blocks)
+    avail: list[int] = []
+    steps: list[str] = []
+    labels: list[int | None] = []
+    x = 0
+    for cyc in cycles:
+        top = max(cyc[0])
+        if top <= x:
+            return None
+        for i in range(x + 1, top):  # below the cycle's maximum: U or a labeled H
+            k = block_of[i]
+            if state[k] == _OPEN:
+                steps.append("H")
+                labels.append(avail.index(k) + 1)
+            elif state[k] == _UNSEEN:
+                state[k] = _OPEN
+                avail.append(k)
+                steps.append("U")
+                labels.append(None)
+            else:  # i is above the maximum of its block's closed cycle
+                return None
+        x = top
+        # top closes its cycle
+        if len(cyc[0]) == 1:
+            labels.append(None)
+            to_take = cyc[1:]
+        else:
+            labels.append(0)
+            to_take = cyc  # r_1 picks the block that receives top itself
+        steps.append("H" + "V" * len(to_take))
+        for blk in to_take:
+            k = block_of[blk[0]]
+            if state[k] != _OPEN:
+                return None
+            state[k] = _CLOSED
+            rank = avail.index(k)
+            del avail[rank]
+            labels.append(rank + 1)
+    return None if x < n else ("".join(steps), tuple(labels))
 
 
 def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
-    """Inverse of psi, by the case analysis on each i = 1..n in turn."""
-    blocks = pc.blocks()
-    elements = sorted(e for blk in blocks for e in blk)
-    n = len(elements)
-    if elements != list(range(1, n + 1)):
+    """Inverse of psi, for cycles and blocks in any rotation and order."""
+    found = _psi_inv(pc.canonical())
+    if found is None:
         raise ValueError("blocks do not partition 1..n")
-
-    block_of = {e: blk for blk in blocks for e in blk}
-    cycle_of = {blk: cyc for cyc in pc.cycles for blk in cyc}
-    cyc_max = {cyc: max(map(max, cyc)) for cyc in pc.cycles}
-
-    # Blocks with an element below i whose cycle survives to i, by smallest
-    # element: a block joins at its smallest element and leaves with its cycle.
-    avail: list[Block] = []
-    steps: list[str] = []
-    labels: list[int | None] = []
-    for i in range(1, n + 1):
-        blk = block_of[i]
-        cyc = cycle_of[blk]
-        if i < cyc_max[cyc]:
-            if min(blk) == i:
-                steps.append("U")
-                labels.append(None)
-                avail.append(blk)
-            else:
-                steps.append("H")
-                labels.append(avail.index(blk) + 1)
-            continue
-        # i closes its cycle
-        start = cyc.index(blk)
-        ordered = cyc[start:] + cyc[:start]
-        steps.append("H")
-        if blk == (i,):
-            labels.append(None)
-            to_take = ordered[1:]
-        else:
-            labels.append(0)
-            to_take = ordered  # r_1 picks the block that receives i itself
-        for B in to_take:
-            rank = avail.index(B)
-            del avail[rank]
-            labels.append(rank + 1)
-            steps.append("V")
-    return MeixnerHistory("".join(steps), tuple(labels))
+    return MeixnerHistory(*found)
 
 
 def meixner_bijection_check(n: int, b: ScalarLike, d: ScalarLike) -> tuple[int, bool]:
-    """(count, ok) over all Meixner histories of length n: psi_inv undoes
-    psi, psi keeps the weight, and psi is a bijection onto the
+    """(count, ok) over all Meixner histories of length n: the inverse
+    undoes psi, psi keeps the weight, and psi is a bijection onto the
     Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n].
 
     Weights are compared as their exponent pairs (i, j) of b^i d^j, so they
     agree at every (b, d), the given point included.  The histories stream
-    past once and no image is kept.  psi_inv(psi(h)) == h for every h makes
-    psi injective on the cycle tuples it returns; every image being in
-    canonical form makes equal tuples the same partition-cycle pair, so
-    distinct histories give distinct pairs; and Fubini(n) distinct pairs are
-    all of them.
+    past once and no image is kept.  ``_psi_inv`` of every image must give
+    back h's steps and labels; it answers only for a partition of [n] in
+    canonical form and reads blocks as sets, so equal images are the same
+    pair, and psi is injective; and Fubini(n) distinct pairs are all of them.
     """
     count = 0
     ok = True
     for h in _iter_MH(n):
         count += 1
         pc = psi(h)
-        ok = (ok and pc.canonical() == pc.cycles and psi_inv(pc) == h
+        ok = (ok and _psi_inv(pc.cycles) == (h.steps, h.labels)
               and h.exponents() == pc.exponents())
     fubini = sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
     return count, ok and count == fubini
 
 
+# Step weights at starting height h for ``_peak_free_sum``, as b^i d^j.
+# Histories: V d per label (1..h); an H before a V b*d unlabeled or b
+# labeled 0 (H+), any other H b*d unlabeled or 1 per label in 1..h (H-).
+_MEIXNER_STEPS = {
+    "U": lambda h: {(0, 0): 1},
+    "H-": lambda h: {(1, 1): 1, (0, 0): h},
+    "H+": lambda h: {(1, 1): 1, (1, 0): 1},
+    "V": lambda h: {(0, 1): h},
+}
+# Peak-free Schroeder paths with diagonal steps: b'_h = h + bd, a_h = hd,
+# lam_h = bdh - dh^2.
+_DIAGONAL_STEPS = {
+    "U": lambda h: {(0, 0): 1},
+    "H": lambda h: {(0, 0): h, (1, 1): 1},
+    "V": lambda h: {(0, 1): h},
+    "D": lambda h: {(1, 1): h, (0, 1): -h * h},
+}
+
+
+def _at(poly: Counter, b: Scalar, d: Scalar) -> Scalar:
+    """A polynomial {(i, j): coefficient} of b^i d^j, evaluated."""
+    return sum((m * b**i * d**j for (i, j), m in poly.items()), Fraction(0))
+
+
 def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
     """The full weight-preserving chain down to the Stirling closed form.
 
-    Four sums agree: all paths under the raw weights (b_k = k - dk + bd - d,
-    a_k = kd, lam_k = bdk - dk^2); peak-free paths under b'_k = k + bd;
-    diagonal-free peak-free paths under the split horizontal weights; and
-    labeled histories.  All equal sum_j S(n,j) (b)_j d^j.  The history sum
-    also holds as a polynomial in (b, d): the histories with weight b^k d^j
-    number S(n, j) c(j, k), the coefficients of that sum.
+    Three sums agree: all paths under the raw weights (b_k = k - dk + bd - d,
+    a_k = kd, lam_k = bdk - dk^2); peak-free paths under b'_k = k + bd,
+    diagonal steps still allowed; and diagonal-free peak-free paths under the
+    split horizontal weights, which is the labeled-history sum (each step
+    weighs the sum over its labels).  All equal sum_j S(n,j) (b)_j d^j.  The
+    last two are one column DP each (``_peak_free_sum``), as polynomials in
+    (b, d), and the history sum also holds as a polynomial: the histories
+    with weight b^k d^j number S(n, j) c(j, k), the coefficients of that sum.
     """
     b, d = as_scalar(b), as_scalar(d)
     if n == 0:
         return True
     target = sum(stirling2(n, j) * pochhammer(b, j) * d**j for j in range(1, n + 1))
-
     cs = CoeffSystem(
         lambda k: k - d * k + b * d - d,
         lambda k: k * d,
         lambda k: b * d * k - d * k * k,
     )
-    ws = pathmod.WeightSystem(cs)
-    s1 = pathmod.weight_sum((0, 0), (n, 0), ws)
-
-    # peak-free paths, diagonal steps still allowed, weights b'_k = k + bd
-    s2 = Fraction(0)
-    for p in pathmod.enumerate_paths((0, 0), (n, 0)):
-        if "UV" in p.steps:
-            continue
-        w = Fraction(1)
-        for s, h in zip(p.steps, p.heights()):
-            if s == "H":
-                w *= h + b * d
-            elif s == "V":
-                w *= h * d
-            elif s == "D":
-                w *= b * d * h - d * h * h
-        s2 += w
-
-    s3 = Fraction(0)
-    for shape in _peak_free_shapes(n):
-        w = Fraction(1)
-        for idx, s, h in _walk(shape):
-            if s == "V":
-                w *= h * d
-            elif s == "H":
-                followed = idx + 1 < len(shape) and shape[idx + 1] == "V"
-                w *= (b * d + b) if followed else (b * d + h)
-        s3 += w
-
-    counts = Counter(h.exponents() for h in _iter_MH(n))
+    s1 = pathmod.weight_sum((0, 0), (n, 0), pathmod.WeightSystem(cs))
+    s2 = _at(_peak_free_sum(n, _DIAGONAL_STEPS), b, d)
+    counts = _peak_free_sum(n, _MEIXNER_STEPS)
     want = Counter({(k, j): stirling2(n, j) * stirling1(j, k)
                     for j in range(n + 1) for k in range(j + 1)})
-    s4 = sum((m * b**i * d**j for (i, j), m in counts.items()), Fraction(0))
-    return counts == want and s1 == s2 == s3 == s4 == target
+    return counts == want and s1 == s2 == _at(counts, b, d) == target
 
 
 def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:

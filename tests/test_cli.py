@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -282,6 +284,23 @@ def test_histories_map_json(capsys):
     rows = json.loads(out)["histories"]
     assert len(rows) == 6
     assert all("image" in r for r in rows)
+
+
+def _traced_peak(argv):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_histories_map_text_mode_keeps_no_rows():
+    # JSON mode builds its whole payload (5040 rows at n = 7); text mode
+    # prints each row as it is built
+    argv = ["histories", "laguerre", "--n", "7", "--map"]
+    assert 10 * _traced_peak(argv) < _traced_peak(argv + ["--format", "json"])
 
 
 def test_verify_deterministic(capsys):

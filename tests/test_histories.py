@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import r1poly.histories as histories_module
-from r1poly.exactmath import stirling2
+from r1poly.exactmath import stirling1, stirling2
 from r1poly.histories import (
     LaguerreHistory,
     MeixnerHistory,
@@ -23,6 +24,7 @@ from r1poly.histories import (
     psi,
     psi_inv,
 )
+from r1poly.paths import enumerate_paths
 
 FIG_LAGUERRE = LaguerreHistory("UUUHVVUUUHHVVHUHHVVV", (2, 2, 4, 1, 1, 2, 1))
 FIG_LAGUERRE_IMAGE = ((4, 2, 3), (8,), (9, 7, 1), (10,), (12,), (13, 5, 11, 6))
@@ -90,9 +92,13 @@ def test_phi_bijective_with_statistic():
 
 
 def test_bijection_checks_report_a_broken_inverse(monkeypatch):
-    monkeypatch.setattr(histories_module, "phi_inv", lambda cycles: FIG_LAGUERRE)
+    # the checks invert through the private inverses, which return
+    # (steps, labels); these fakes always answer the worked examples
+    monkeypatch.setattr(histories_module, "_phi_inv",
+                        lambda cycles: (FIG_LAGUERRE.steps, FIG_LAGUERRE.labels))
     assert laguerre_bijection_check(3) == (6, False)
-    monkeypatch.setattr(histories_module, "psi_inv", lambda pc: FIG_MEIXNER)
+    monkeypatch.setattr(histories_module, "_psi_inv",
+                        lambda cycles: (FIG_MEIXNER.steps, FIG_MEIXNER.labels))
     assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (13, False)
 
 
@@ -314,6 +320,32 @@ def test_inverses_ignore_the_presentation_of_cycles_and_blocks():
             assert psi_inv(pc) == h
 
 
+def test_private_inverses_answer_only_canonical_images():
+    img = phi(FIG_LAGUERRE)
+    assert histories_module._phi_inv(img) == (FIG_LAGUERRE.steps, FIG_LAGUERRE.labels)
+    for bad in (
+        img[1:],  # 2 and 3 never placed
+        img[1:2] + img[:1] + img[2:],  # maxima out of order
+        tuple(c[1:] + c[:1] for c in img),  # not started at the maximum
+        img + ((13,),),  # 13 twice
+    ):
+        assert histories_module._phi_inv(bad) is None
+    pc = psi(FIG_MEIXNER).cycles
+    assert histories_module._psi_inv(pc) == (FIG_MEIXNER.steps, FIG_MEIXNER.labels)
+    for bad in (
+        pc[1:],  # blocks beyond the element count
+        pc[1:2] + pc[:1] + pc[2:],  # maxima out of order
+        tuple(c[1:] + c[:1] for c in pc),  # first block without the maximum
+        pc[:-1] + ((pc[-1][0], (2, 15)),),  # 15 above its cycle's maximum 14
+        pc[:-1] + ((pc[-1][0], (2, 3)),),  # 3 twice
+    ):
+        assert histories_module._psi_inv(bad) is None
+    with pytest.raises(ValueError):
+        phi_inv(((1, 2), (2,)))
+    with pytest.raises(ValueError):
+        psi_inv(PartitionCycles((((1,), (1,)),)))
+
+
 def _rotated_psi(h):
     return PartitionCycles(tuple(c[1:] + c[:1] for c in psi(h).cycles))
 
@@ -362,3 +394,76 @@ def test_exponents_count_the_step_weights():
                     i += 1
             assert h.exponents() == (i, j) == psi(h).exponents()
     assert FIG_MEIXNER.exponents() == (5, 11)
+
+
+# -- the peak-free path DP behind the history sums ----------------------------
+
+
+def _poly_mul(p, q):
+    out = Counter()
+    for e, m in p.items():
+        for f, c in q.items():
+            out[tuple(a + b for a, b in zip(e, f))] += m * c
+    return out
+
+
+def test_dp_counts_the_enumerated_histories():
+    for n in range(8):
+        assert histories_module._peak_free_sum(n, histories_module._LAGUERRE_STEPS) == Counter(
+            (h.horizontal_count(),) for h in enumerate_LH(n))
+        assert histories_module._peak_free_sum(n, histories_module._MEIXNER_STEPS) == Counter(
+            h.exponents() for h in enumerate_MH(n))
+
+
+def test_dp_diagonal_sum_matches_the_enumerated_paths():
+    # every peak-free Schroeder path with its weights b'_h = h + bd, a_h = hd,
+    # lam_h = bdh - dh^2 multiplied out as a polynomial {(i, j): c} of b^i d^j
+    weight = {
+        "U": lambda h: {(0, 0): 1},
+        "H": lambda h: {(0, 0): h, (1, 1): 1},
+        "V": lambda h: {(0, 1): h},
+        "D": lambda h: {(1, 1): h, (0, 1): -h * h},
+    }
+    for n in range(7):
+        total = Counter()
+        for p in enumerate_paths((0, 0), (n, 0)):
+            if "UV" in p.steps:
+                continue
+            w = Counter({(0, 0): 1})
+            for s, h in zip(p.steps, p.heights()):
+                w = _poly_mul(w, weight[s](h))
+            total.update(w)
+        total = Counter({e: m for e, m in total.items() if m})
+        assert histories_module._peak_free_sum(n, histories_module._DIAGONAL_STEPS) == total
+
+
+def test_history_sums_are_the_stirling_polynomials_to_n_20():
+    # sum_k c(n, k) t^k = (t)_n, and sum_{j,k} S(n, j) c(j, k) b^k d^j =
+    # sum_j S(n, j) (b)_j d^j, for the histories and the diagonal paths alike
+    dp = histories_module._peak_free_sum
+    for n in range(21):
+        assert dp(n, histories_module._LAGUERRE_STEPS) == Counter(
+            {(k,): stirling1(n, k) for k in range(n + 1)})
+        want = Counter({(k, j): stirling2(n, j) * stirling1(j, k)
+                        for j in range(n + 1) for k in range(j + 1)})
+        assert dp(n, histories_module._MEIXNER_STEPS) == want
+        assert dp(n, histories_module._DIAGONAL_STEPS) == want
+
+
+@pytest.mark.parametrize("table, kind, weight", [
+    ("_LAGUERRE_STEPS", "V", lambda h: {(0,): h + 1}),
+    ("_LAGUERRE_STEPS", "H", lambda h: {(1,): 1, (0,): 1}),
+    ("_MEIXNER_STEPS", "H+", lambda h: {(1, 1): 1}),
+    ("_MEIXNER_STEPS", "H-", lambda h: {(1, 1): 1, (0, 0): h, (1, 0): 1}),
+    ("_MEIXNER_STEPS", "V", lambda h: {(0, 1): h, (0, 0): 1}),
+    ("_DIAGONAL_STEPS", "D", lambda h: {(1, 1): h}),
+    ("_DIAGONAL_STEPS", "H", lambda h: {(0, 0): h + 1, (1, 1): 1}),
+])
+def test_moment_checks_report_a_changed_step_weight(monkeypatch, table, kind, weight):
+    a, b, d = Fraction(3, 5), Fraction(2, 3), Fraction(1, 4)
+    assert lh_moment_check(5, a) and mh_moment_check(5, b, d)
+    monkeypatch.setitem(getattr(histories_module, table), kind, weight)
+    if table == "_LAGUERRE_STEPS":
+        assert not lh_moment_check(5, a)
+    else:
+        assert not mh_moment_check(5, b, d)
