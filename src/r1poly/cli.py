@@ -235,11 +235,12 @@ def cmd_dets(args) -> int:
         return _usage("dets need --n >= 0")
     cs = _load_system(args)
     kinds = args.kinds.split(",") if args.kinds else ["prime", "dprime", "tprime"]
+    unknown = next((kind for kind in kinds if kind not in _DET_REPORTS), None)
+    if unknown is not None:
+        return _usage(f"unknown determinant kind {unknown!r}; known: {','.join(_DET_KINDS)}")
     rows = []
     worst = EXIT_OK
     for kind in kinds:
-        if kind not in _DET_REPORTS:
-            return _usage(f"unknown determinant kind {kind!r}; known: {','.join(_DET_KINDS)}")
         for n in range(1, args.n + 1):
             try:
                 report = _DET_REPORTS[kind](n, cs)

@@ -124,19 +124,66 @@ _DET_TABLE = {
 }
 
 
+# A table whose Hankel matrices have vanishing leading minors: H_1 = H_3 = 0
+# for mu, H_1 = 0 for nu_{k,3} and for nu_{1+k,4}.  Its rows and the
+# jacobi01 rows were recorded before the Hankel kinds ran the Chebyshev
+# algorithm; on this table they take its det_exact fallback.
+_DET_FALLBACK_TABLE = {
+    "kind": "table",
+    "b": ["0", "-1", "1", "1/2", "1", "0", "-1/2", "-1", "1/2", "-1", "0", "1", "-1/2", "2",
+          "-2", "0"],
+    "a": ["0", "-1/2", "-1", "1/2", "1/2", "-1/2", "1", "-2", "2", "1", "-2", "-1", "-1", "1/2",
+          "1", "1"],
+    "lambda": ["0", "-1", "1/2", "0", "0", "-1", "1", "2", "0", "1/2", "0", "1", "0", "1/2",
+               "1/2", "2"],
+}
+
+
 @pytest.mark.parametrize("argv, digest", [
     ("dets --coeffs table.json --kinds hankel,prime,dprime,tprime,shifted-prime,"
      "shifted-dprime,shifted-tprime --n 5 --format json",
      "045f61c580b5fc8d96092913edc305cae8d59e7dee3f4a4e6b76a72cd296f9fd"),
     ("dets --kinds hankel --family constant --param A=2/3 B=-1/2 C=3/4 --n 6",
      "79329c4422246468d0334cbfe4ccdd2b8098ce9468cab4ea4b9a984f209a7233"),
+    ("dets --family jacobi01 --param a=6/5 b=7/5 --kinds hankel,prime,shifted-prime --n 14 "
+     "--format json",
+     "e3f451e91c720275aad438bd32e500a8bd2bb70fe73a81491681fe98dc1a73c8"),
+    ("dets --coeffs fallback.json --kinds hankel,prime,shifted-prime --n 7 --format json",
+     "1ed43fbcc4f16c25fd9906e95ce3f08ff7637c806542249577a60d8033963c5e"),
 ])
 def test_dets_output_is_pinned(capsys, tmp_path, argv, digest):
-    (tmp_path / "table.json").write_text(json.dumps(_DET_TABLE))
-    argv = argv.replace("table.json", str(tmp_path / "table.json"))
+    for name, spec in (("table.json", _DET_TABLE), ("fallback.json", _DET_FALLBACK_TABLE)):
+        (tmp_path / name).write_text(json.dumps(spec))
+        argv = argv.replace(name, str(tmp_path / name))
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dets_reports_the_first_failing_entry_past_the_fallback(capsys, tmp_path):
+    # mu_16 is the first entry the n = 8 Hankel matrix cannot read; H_1 = 0
+    # sends that size to the fallback, and the row names the same index.
+    (tmp_path / "fallback.json").write_text(json.dumps(_DET_FALLBACK_TABLE))
+    code, out, _ = run(capsys, "dets", "--coeffs", str(tmp_path / "fallback.json"),
+                       "--kinds", "hankel", "--n", "8")
+    assert code == 2
+    assert json.loads(out.splitlines()[-1]) == {
+        "n": 8, "kind": "hankel",
+        "error": "hypothesis violated: coefficient index 16 beyond valid_to=15"}
+
+
+def test_dets_checks_every_kind_before_computing(capsys, monkeypatch):
+    from r1poly import determinants
+
+    def never(*args):
+        raise AssertionError("a report was computed before the kinds were checked")
+
+    monkeypatch.setattr(determinants, "delta_prime", never)
+    code, out, err = run(capsys, "dets", "--family", "jacobi01", "--param", "a=6/5", "b=7/5",
+                         "--kinds", "prime,bogus", "--n", "30")
+    assert code == 3 and out == ""
+    assert err == ("error: unknown determinant kind 'bogus'; known: hankel,prime,dprime,tprime,"
+                   "shifted-prime,shifted-dprime,shifted-tprime\n")
 
 
 def test_dets_constant_hankel_is_the_same_from_a_family_spec(capsys, tmp_path):

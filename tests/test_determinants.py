@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from r1poly import core, determinants
 from r1poly.checks import random_fraction, random_system
-from r1poly.core import CoeffSystem, L_laurent, P, VElem, cf_series, mu
+from r1poly.core import CoeffSystem, L_laurent, P, VElem, cf_series, mu, nu
 from r1poly.determinants import (
     HypothesisViolation,
     P_via_det,
@@ -17,6 +18,7 @@ from r1poly.determinants import (
     det_exact,
     hankel,
     hankel_constant,
+    hankel_minors,
     lemma_xin_check,
 )
 from r1poly.exactmath import Poly
@@ -57,6 +59,100 @@ def test_det_singular():
 def test_det_requires_square():
     with pytest.raises(ValueError):
         det_exact([[1, 2, 3], [4, 5, 6]])
+
+
+def hankel_prefix_dets(seq, n):
+    """Every leading minor of the Hankel matrix of ``seq``, each by det_exact."""
+    return [det_exact([list(seq[i:i + m + 1]) for i in range(m + 1)]) for m in range(n + 1)]
+
+
+def moment_sequences(cs, n):
+    """mu_k, nu_{k,n} and (n >= 1) nu_{1+k,n}, each long enough for H_n."""
+    seqs = [[mu(k, cs) for k in range(2 * n + 1)], [nu(k, n, cs) for k in range(2 * n + 1)]]
+    if n:
+        seqs.append([nu(1 + k, n, cs) for k in range(2 * n + 1)])
+    return seqs
+
+
+def xin_moments(t, n):
+    cs = CoeffSystem(lambda k: t, lambda k: Fraction(1), lambda k: Fraction(0), name="xin")
+    return [mu(k, cs) for k in range(2 * n + 1)]
+
+
+# Hand-made sequences with vanishing leading minors: c_0 = 0, an interior
+# zero (H_1 = 0, H_2 = -1), the xin system at t = -1 (H_k = 0 for k >= 1),
+# and an all-zero tail.
+_DEGENERATE = [
+    ([0, 1, 2, 3, 5], 2),
+    ([1, 1, 1, 0, 3], 2),
+    (xin_moments(Fraction(-1), 5), 5),
+    ([2, 0, 0, 0, 0, 0, 0], 3),
+]
+
+
+def test_hankel_minors_match_det_exact_on_random_systems(random_systems):
+    fallbacks = 0
+    for cs in random_systems:
+        for n in range(9):
+            for seq in moment_sequences(cs, n):
+                want = hankel_prefix_dets(seq, n)
+                assert hankel_minors(seq, n) == want, (n, seq)
+                fallbacks += 0 in want[:-1]
+                for start in range(n + 1):
+                    assert hankel_minors(seq, n, start) == want[start:]
+    assert fallbacks  # the random tables reach the fallback too
+
+
+def test_hankel_minors_edge_cases():
+    assert hankel_minors([Fraction(3, 4)], 0) == [Fraction(3, 4)]
+    assert hankel_minors([5, 7, 9], 0) == [5]
+    assert hankel_minors([1, 1, 1, 0, 3], 2) == [1, 0, -1]
+    assert hankel_minors([0, 1, 2, 3, 5], 2) == hankel_prefix_dets([0, 1, 2, 3, 5], 2)
+    assert hankel_minors(xin_moments(Fraction(-1), 5), 5) == [1, 0, 0, 0, 0, 0]
+    assert lemma_xin_check(Fraction(-1), 4).computed == 0
+    with pytest.raises(ValueError):
+        hankel_minors([1, 2], 1)
+
+
+def test_hankel_minors_fall_back_exactly_at_a_vanishing_pivot(random_systems, monkeypatch):
+    cases = list(_DEGENERATE)
+    for cs in random_systems:
+        for n in range(9):
+            cases += [(seq, n) for seq in moment_sequences(cs, n)]
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return det_exact(matrix)
+
+    monkeypatch.setattr(determinants, "det_exact", counting)
+    fallbacks = 0
+    for seq, n in cases:
+        want = hankel_prefix_dets(seq, n)
+        # sigma_{j,j} = H_j / H_{j-1}, so the first vanishing pivot is the
+        # first vanishing minor
+        first_zero = next((k for k in range(n) if want[k] == 0), None)
+        for start in range(n + 1):
+            calls.clear()
+            assert hankel_minors(seq, n, start) == want[start:]
+            if first_zero is None:
+                assert calls == [], (seq, n, start)
+            else:
+                assert calls == list(range(max(first_zero + 1, start) + 1, n + 2))
+                fallbacks += 1
+    assert fallbacks
+
+
+def test_cramer_monicity_check_compares_two_minors(random_systems, monkeypatch):
+    cs, n = random_systems[0], 4
+    assert cramer_monicity_check(n, cs)
+
+    def nudged(k, m, system):
+        return core.nu(k, m, system) + (1 if (k, m) == (2 * n, n) else 0)
+
+    monkeypatch.setattr(determinants, "nu", nudged)
+    assert not cramer_monicity_check(n, cs)
+    assert cramer_monicity_check(n - 1, cs)
 
 
 def test_delta_prime_first_value(rng):
