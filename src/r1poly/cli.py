@@ -6,9 +6,13 @@ Coefficient systems come from --coeffs FILE (JSON, table or family form) or
 never as decimals; --format json emits the documented schemas.
 
 Exit codes: 0 success, 1 identity failure, 2 degeneracy or hypothesis
-violation, 3 usage error or a memo table over R1_MEMO_LIMIT.  The verify
-suites live in r1poly.checks; they derive everything from --seed and print
-the seed in the report, so runs are byte-identical.
+violation, 3 usage error or a tripped limit (a memo table over
+R1_MEMO_LIMIT, a path enumeration over its cap).  A verb returns the code
+of what it reports and raises on anything else; ``main`` alone turns an
+exception into an exit code and one ``error:`` line, from ``_DEGENERATE``
+(exit 2) and ``_BAD_INPUT`` (exit 3).  The verify suites live in
+r1poly.checks; they derive everything from --seed and print the seed in the
+report, so runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,14 +25,20 @@ from fractions import Fraction
 
 from . import checks, core, determinants, families, histories, paths
 from .core import CoeffError, CoeffSystem, DegeneracyError, L_eval, P, VElem, mu, mu_symbolic
-from .determinants import HypothesisViolation
+from .determinants import HypothesisViolation, PQUniqueError
 from .exactmath import Poly, format_scalar, parse_scalar
-from .families import FamilyParamError, NoClosedForm
+from .families import FamilyParamError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_DEGENERACY = 2
 EXIT_USAGE = 3
+
+# Degenerate coefficients or a theorem hypothesis that fails: exit 2 from
+# `main`, an error row in `dets`, an ERROR line in `verify`.
+_DEGENERATE = (CoeffError, DegeneracyError, FamilyParamError, HypothesisViolation, PQUniqueError)
+# Bad input (every other ValueError, an unreadable --coeffs) and tripped limits: exit 3.
+_BAD_INPUT = (ValueError, OSError, core.MemoLimitError, paths.PathOverflowError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,34 +53,24 @@ def _parse_params(items: list[str] | None) -> dict:
     for item in items or []:
         key, sep, value = item.partition("=")
         if not sep:
-            raise SystemExit(_usage(f"malformed --param {item!r}, expected k=v"))
+            raise ValueError(f"malformed --param {item!r}, expected k=v")
         if key in ("variant",):
             params[key] = value
             continue
         try:
             params[key] = parse_scalar(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SystemExit(_usage(f"bad --param {item!r}: {exc}"))
+            raise ValueError(f"bad --param {item!r}: {exc}")
     return params
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _load_system(args) -> CoeffSystem:
-    try:
-        if getattr(args, "coeffs", None):
-            with open(args.coeffs) as fh:
-                return core.coeffs_from_spec(json.load(fh))
-        if getattr(args, "family", None):
-            return families.resolve(args.family, _parse_params(args.param)).build()
-    except (FamilyParamError, CoeffError, DegeneracyError):
-        raise  # degenerate coefficients, not a usage error
-    except ValueError as exc:
-        raise SystemExit(_usage(str(exc)))
-    raise SystemExit(_usage("need a coefficient source: --coeffs FILE or --family NAME"))
+    if getattr(args, "coeffs", None):
+        with open(args.coeffs) as fh:
+            return core.coeffs_from_spec(json.load(fh))
+    if getattr(args, "family", None):
+        return families.resolve(args.family, _parse_params(args.param)).build()
+    raise ValueError("need a coefficient source: --coeffs FILE or --family NAME")
 
 
 def _emit(args, text_lines, payload):
@@ -86,7 +86,7 @@ def _emit(args, text_lines, payload):
 
 def cmd_moments(args) -> int:
     if args.n < 0:
-        return _usage("moments need --n >= 0")
+        raise ValueError("moments need --n >= 0")
     if args.symbolic:
         values = [str(mu_symbolic(n)) for n in range(args.n + 1)]
         _emit(args, values, {"symbolic": True, "moments": values})
@@ -103,7 +103,7 @@ def cmd_moments(args) -> int:
 
 def cmd_poly(args) -> int:
     if args.n < 0:
-        return _usage("poly needs --n >= 0")
+        raise ValueError("poly needs --n >= 0")
     cs = _load_system(args)
     if args.method == "recurrence":
         p = P(args.n, cs)
@@ -158,12 +158,7 @@ def parse_functional_expr(expr: str, cs: CoeffSystem) -> VElem:
 
 
 def cmd_functional(args) -> int:
-    cs = _load_system(args)
-    try:
-        elem = parse_functional_expr(args.expr, cs)
-    except ValueError as exc:
-        return _usage(str(exc))
-    value = L_eval(elem)
+    value = L_eval(parse_functional_expr(args.expr, _load_system(args)))
     _emit(args, [format_scalar(value)], {"expr": args.expr, "value": format_scalar(value)})
     return EXIT_OK
 
@@ -173,16 +168,16 @@ def _parse_point(text: str) -> tuple[int, int]:
     try:
         point = (int(x), int(y))
     except ValueError:
-        raise SystemExit(_usage(f"bad point {text!r}, expected x,y with integer x and y"))
+        raise ValueError(f"bad point {text!r}, expected x,y with integer x and y")
     if point[1] < 0:
-        raise SystemExit(_usage(f"bad point {text!r}, paths need height y >= 0"))
+        raise ValueError(f"bad point {text!r}, paths need height y >= 0")
     return point
 
 
 def cmd_paths(args) -> int:
     start, end = _parse_point(getattr(args, "from")), _parse_point(args.to)
     if args.max_height is not None and args.max_height < 0:
-        return _usage("paths need --max-height >= 0")
+        raise ValueError("paths need --max-height >= 0")
     if args.action == "count":
         found = paths.enumerate_paths(start, end, max_height=args.max_height)
         _emit(args, [str(len(found))], {"count": len(found)})
@@ -212,7 +207,7 @@ def cmd_paths(args) -> int:
 def _hankel(n: int, cs: CoeffSystem):
     """The constant family's report (A, B, C at every index), else the value."""
     if cs.name == "constant":
-        return determinants.hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1))
+        return determinants.hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1), cs)
     return determinants.hankel(n, cs)
 
 
@@ -232,19 +227,19 @@ _DET_KINDS = tuple(_DET_REPORTS)
 
 def cmd_dets(args) -> int:
     if args.n < 0:
-        return _usage("dets need --n >= 0")
+        raise ValueError("dets need --n >= 0")
     cs = _load_system(args)
     kinds = args.kinds.split(",") if args.kinds else ["prime", "dprime", "tprime"]
     unknown = next((kind for kind in kinds if kind not in _DET_REPORTS), None)
     if unknown is not None:
-        return _usage(f"unknown determinant kind {unknown!r}; known: {','.join(_DET_KINDS)}")
+        raise ValueError(f"unknown determinant kind {unknown!r}; known: {','.join(_DET_KINDS)}")
     rows = []
     worst = EXIT_OK
     for kind in kinds:
         for n in range(1, args.n + 1):
             try:
                 report = _DET_REPORTS[kind](n, cs)
-            except (HypothesisViolation, DegeneracyError, CoeffError) as exc:
+            except _DEGENERATE as exc:
                 rows.append({"n": n, "kind": kind, "error": f"hypothesis violated: {exc}"})
                 worst = max(worst, EXIT_DEGENERACY)
                 continue
@@ -261,7 +256,7 @@ def cmd_dets(args) -> int:
 
 def cmd_family(args) -> int:
     if args.n is not None and args.n < 0:
-        return _usage("family needs --n >= 0")
+        raise ValueError("family needs --n >= 0")
     cs = _load_system(args)
     top = args.n if args.n is not None else 8
     if args.emit == "coeffs":
@@ -288,7 +283,7 @@ def cmd_histories(args) -> int:
     n = args.n
     cap = histories.CAPS[args.kind]
     if not 0 <= n <= cap:
-        return _usage(f"{args.kind} histories need 0 <= n <= {cap}")
+        raise ValueError(f"{args.kind} histories need 0 <= n <= {cap}")
     if args.map:
         if args.kind == "laguerre":
             rows = ({
@@ -337,7 +332,7 @@ def cmd_verify(args) -> int:
                 else:
                     failures += 1
                     print(f"  FAIL {label}")
-        except (DegeneracyError, HypothesisViolation, CoeffError, FamilyParamError) as exc:
+        except _DEGENERATE as exc:
             hypothesis_problems += 1
             print(f"  ERROR {exc}")
     print(f"verify: {total - failures}/{total} checks passed (seed {args.seed})")
@@ -422,12 +417,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DegeneracyError, HypothesisViolation, CoeffError, FamilyParamError) as exc:
+    except (*_DEGENERATE, *_BAD_INPUT) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except (FileNotFoundError, json.JSONDecodeError, NoClosedForm, core.MemoLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DEGENERACY if isinstance(exc, _DEGENERATE) else EXIT_USAGE
 
 
 if __name__ == "__main__":

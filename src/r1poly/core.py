@@ -47,6 +47,7 @@ import functools
 import math
 import operator
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -100,6 +101,8 @@ class CoeffSystem:
     means every index).  A system with its tables is a single-writer session
     object; share only the immutable values it returns.  ``zero``, ``one``
     and ``total`` (the sum of a list) are those of the coefficient ring.
+    The tables it owns reach it through a weak proxy, so a dropped system
+    and its grids are freed at once, without waiting for the cyclic GC.
     """
 
     zero = Fraction(0)
@@ -122,7 +125,7 @@ class CoeffSystem:
         self.name = name
         self._poly_cache: list[Poly] = [Poly.const(1)]
         self._d_cache: list[Poly] = [Poly.const(1)]
-        self._poly_rows = _PolyRows(self)
+        self._poly_rows = _PolyRows(weakref.proxy(self))
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
 
@@ -172,12 +175,12 @@ class CoeffSystem:
 
     def mu_table(self) -> "MuTable":
         if self._mu is None:
-            self._mu = MuTable(self)
+            self._mu = MuTable(weakref.proxy(self))
         return self._mu
 
     def nu_table(self) -> "NuTable":
         if self._nu is None:
-            self._nu = NuTable(self)
+            self._nu = NuTable(weakref.proxy(self))
         return self._nu
 
     def __repr__(self):
@@ -858,15 +861,18 @@ def cf_series(cs: CoeffSystem, order: int) -> Series:
 
 
 def Vm_series(m: int, cs: CoeffSystem, order: int) -> Series:
-    """V_m(x) = a_m nu_{0,m}/(a_m + lam_m x) + x V_{m-1}(x)/(a_m + lam_m x)."""
-    if m == 0:
-        return moment_series(cs, order)
-    prev = Vm_series(m - 1, cs, order)
-    a_m = cs.a_nonzero(m)
-    nu0m = cs.nu_table().value(0, m)
-    den = Series([a_m, cs.lam(m)], order).inverse()
-    shifted = Series((Fraction(0),) + prev.coeffs, order)
-    return (Series([a_m * nu0m], order) + shifted) * den
+    """V_m(x) = a_m nu_{0,m}/(a_m + lam_m x) + x V_{m-1}(x)/(a_m + lam_m x),
+    from V_0 = the moment series up, one level j = 1..m at a time."""
+    if m < 0:
+        raise ValueError("V_m needs m >= 0")
+    v = moment_series(cs, order)
+    for j in range(1, m + 1):
+        a_j = cs.a_nonzero(j)
+        nu0j = cs.nu_table().value(0, j)
+        den = Series([a_j, cs.lam(j)], order).inverse()
+        shifted = Series((Fraction(0),) + v.coeffs, order)
+        v = (Series([a_j * nu0j], order) + shifted) * den
+    return v
 
 
 # -- Laurent specialization (lam = 0) ------------------------------------

@@ -164,9 +164,14 @@ def hankel(n: int, cs: CoeffSystem) -> Scalar:
     return hankel_minors([mu(k, cs) for k in range(2 * n + 1)], n, n)[0]
 
 
-def hankel_constant(n: int, A: Scalar, B: Scalar, C: Scalar) -> DetReport:
-    """Constant-coefficient Hankel factorization (A^2+AB+C)^{n(n+1)/2}."""
-    cs = CoeffSystem(lambda k: B, lambda k: A, lambda k: C, name="constant")
+def hankel_constant(n: int, A: Scalar, B: Scalar, C: Scalar,
+                    cs: CoeffSystem | None = None) -> DetReport:
+    """Constant-coefficient Hankel factorization (A^2+AB+C)^{n(n+1)/2}.
+
+    The moments are read from ``cs``, a system with b_k = B, a_k = A and
+    lam_k = C, whose grid then serves every n; a fresh one when not given."""
+    if cs is None:
+        cs = CoeffSystem(lambda k: B, lambda k: A, lambda k: C, name="constant")
     predicted = (A * A + A * B + C) ** _binom2(n + 1)
     return DetReport(n, "hankel", hankel(n, cs), predicted)
 
@@ -292,20 +297,17 @@ def Q_via_det(n: int, cs: CoeffSystem, variant: int) -> VElem:
         for k in range(1, n + 1):
             if cs.lam(k) == 0:
                 raise HypothesisViolation(f"lam_{k} = 0: x^j/d_j basis degenerates")
-        denom = det_exact(
-            [[nu(i + j, j, cs) for j in range(n + 1)] for i in range(n + 1)]
-        )
-        if denom == 0:
-            raise PQUniqueError(f"D''_{n} = 0: Q_{n} is not determined")
-        rows = [[nu(i + j, j, cs) for j in range(n + 1)] for i in range(n)]
+        matrix = [[nu(i + j, j, cs) for j in range(n + 1)] for i in range(n + 1)]
         basis = [Poly.x(j) for j in range(n + 1)]
     else:
-        denom = det_exact([[nu(i, j, cs) for j in range(n + 1)] for i in range(n + 1)])
-        if denom == 0:
-            raise PQUniqueError(f"D'''_{n} = 0: Q_{n} is not determined")
-        rows = [[nu(i, j, cs) for j in range(n + 1)] for i in range(n)]
+        matrix = [[nu(i, j, cs) for j in range(n + 1)] for i in range(n + 1)]
         basis = [Poly.const(1)] * (n + 1)
-    coeffs = _bordered_coeffs(rows)
+    denom = det_exact(matrix)
+    if denom == 0:
+        primes = "'" * variant  # D''_n for variant 2, D'''_n for variant 3
+        raise PQUniqueError(f"D{primes}_{n} = 0: Q_{n} is not determined")
+    # the cofactors of the last row are minors of the first n rows
+    coeffs = _bordered_coeffs(matrix[:n])
     numerator = Poly()
     scale = Poly.const(1)  # d_n / d_j
     for j in range(n, -1, -1):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import r1poly
+from r1poly import cli
 from r1poly.cli import main
 from r1poly.paths import Path
 
@@ -362,19 +363,16 @@ def test_usage_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 3
-    with pytest.raises(SystemExit) as err:
-        main(["moments", "--family", "constant", "--param", "A", "--n", "3"])
-    assert err.value.code == 3
+    assert main(["moments", "--family", "constant", "--param", "A", "--n", "3"]) == 3
 
 
 def test_missing_source_exits_three(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["moments", "--n", "3"])
-    assert err.value.code == 3
+    assert main(["moments", "--n", "3"]) == 3
 
 
 _DEGENERATE_INPUT = [
     "functional --family jacobi11 --param a=-61/2 b=1/2 --expr x^40",
+    "functional --family jacobi11 --param a=1 b=-3 --expr P_3",
     "family meixner --param b=2 c=1",
     "moments --family meixner --param b=2 c=1 --n 3",
 ]
@@ -433,6 +431,8 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --coeffs no_lambda.json --n 3"),
     ({}, "moments --coeffs params_not_an_object.json --n 3"),
     ({}, "moments --coeffs q_racah_half_N.json --n 3"),
+    ({}, "moments --coeffs . --n 3"),
+    ({}, "poly --family laguerre --param a=1 --n 25 --method tiling"),
 ]
 
 
@@ -447,3 +447,45 @@ def test_bad_input_is_one_line_usage_error(extra_env, argv, tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
 
+
+def test_coefficient_past_a_table_exits_two_whichever_factor_reads_it(capsys, tmp_path):
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps({"kind": "table", "b": ["1"], "a": ["1"], "lambda": ["1"]}))
+    for expr in ("x^5", "P_5"):
+        code, _, err = run(capsys, "functional", "--coeffs", str(path), "--expr", expr)
+        assert (code, err) == (2, "error: coefficient index 1 beyond valid_to=0\n"), expr
+
+
+def test_dets_family_coefficient_division_by_zero_is_an_error_row(capsys):
+    code, out, err = run(capsys, "dets", "--family", "jacobi01", "--param", "a=-9/2", "b=1/2",
+                         "--kinds", "prime", "--n", "6")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and err == ""
+    assert [r["n"] for r in rows] == list(range(1, 7))
+    assert all(r["matched"] for r in rows[:2])
+    assert all("a_3 divides by zero" in r["error"] for r in rows[2:])
+
+
+def test_path_overflow_exits_three(capsys, monkeypatch):
+    # a real overflow (`--to 11,0`) enumerates for seconds before the cap trips
+    def overflow(*args, **kwargs):
+        raise r1poly.paths.PathOverflowError("more than cap=1000000 paths")
+
+    monkeypatch.setattr(r1poly.paths, "enumerate_paths", overflow)
+    code, out, err = run(capsys, "paths", "count", "--from", "0,0", "--to", "11,0")
+    assert (code, out, err) == (3, "", "error: more than cap=1000000 paths\n")
+
+
+def _error_classes(cls=BaseException):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("r1poly"):
+            yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_package_error_has_an_exit_code():
+    found = set(_error_classes())
+    assert {"CoeffError", "MemoLimitError", "PathOverflowError", "PQUniqueError"} <= {
+        c.__name__ for c in found}
+    for cls in found:
+        assert issubclass(cls, cli._DEGENERATE + cli._BAD_INPUT), cls

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -230,6 +232,40 @@ def test_Vm_series_functional_equation(rng):
         lhs = (vm - Series([nu(0, m, cs)], N)) * cs.a(m) + x * vm * cs.lam(m)
         assert lhs == x * vprev
         assert all(vm[n] == nu(n, m, cs) for n in range(N + 1))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_Vm_series_depth_does_not_grow_the_stack(ones):
+    # V_150 under a stack limit 100 frames above the caller's: a recursion
+    # over the levels would need at least 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        vm = Vm_series(150, ones, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert vm[0] == nu(0, 150, ones) and vm[3] == nu(3, 150, ones)
+
+
+def test_a_dropped_system_is_freed_without_the_cyclic_gc(rng):
+    systems = [random_system(rng), r1poly.laguerre(Fraction(5, 2)).build()]
+    for cs in systems:  # fill the mu, nu and P tables
+        mu(8, cs)
+        nu(4, 4, cs)
+        P(8, cs)
+    refs = [weakref.ref(cs) for cs in systems]
+    gc.disable()
+    try:
+        del cs, systems
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_velem_equality_up_to_denominator(rng):
