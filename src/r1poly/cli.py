@@ -2,7 +2,10 @@
 
 Verbs: moments, poly, functional, paths, dets, family, histories, verify.
 Coefficient systems come from --coeffs FILE (JSON, table or family form) or
---family NAME --param k=v [k=v ...].  Rationals always print as "p/q",
+--family NAME --param k=v [k=v ...], the family spec with params {k: "v"}, so
+a spec file takes every --param, variant included.  `paths count` is the
+unit-weight path sum, with no cap; `paths enumerate` keeps the cap.  The
+`dets` kinds are ``determinants.REPORTS``.  Rationals always print as "p/q",
 never as decimals; --format json emits the documented schemas.
 
 Exit codes: 0 success, 1 identity failure, 2 degeneracy or hypothesis
@@ -23,10 +26,10 @@ import re
 import sys
 from fractions import Fraction
 
-from . import checks, core, determinants, families, histories, paths
+from . import checks, core, determinants, histories, paths
 from .core import CoeffError, CoeffSystem, DegeneracyError, L_eval, P, VElem, mu, mu_symbolic
 from .determinants import HypothesisViolation, PQUniqueError
-from .exactmath import Poly, format_scalar, parse_scalar
+from .exactmath import Poly, format_scalar
 from .families import FamilyParamError
 
 EXIT_OK = 0
@@ -48,29 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_params(items: list[str] | None) -> dict:
-    params = {}
-    for item in items or []:
-        key, sep, value = item.partition("=")
-        if not sep:
+def _parse_params(items: list[str]) -> dict:
+    for item in items:
+        if "=" not in item:
             raise ValueError(f"malformed --param {item!r}, expected k=v")
-        if key in ("variant",):
-            params[key] = value
-            continue
-        try:
-            params[key] = parse_scalar(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad --param {item!r}: {exc}")
-    return params
+    return dict(item.split("=", 1) for item in items)
 
 
 def _load_system(args) -> CoeffSystem:
     if getattr(args, "coeffs", None):
         with open(args.coeffs) as fh:
-            return core.coeffs_from_spec(json.load(fh))
-    if getattr(args, "family", None):
-        return families.resolve(args.family, _parse_params(args.param)).build()
-    raise ValueError("need a coefficient source: --coeffs FILE or --family NAME")
+            spec = json.load(fh)
+    elif getattr(args, "family", None):
+        spec = {"kind": "family", "name": args.family, "params": _parse_params(args.param)}
+    else:
+        raise ValueError("need a coefficient source: --coeffs FILE or --family NAME")
+    return core.coeffs_from_spec(spec)
 
 
 def _emit(args, text_lines, payload):
@@ -178,9 +174,10 @@ def cmd_paths(args) -> int:
     start, end = _parse_point(getattr(args, "from")), _parse_point(args.to)
     if args.max_height is not None and args.max_height < 0:
         raise ValueError("paths need --max-height >= 0")
-    if args.action == "count":
-        found = paths.enumerate_paths(start, end, max_height=args.max_height)
-        _emit(args, [str(len(found))], {"count": len(found)})
+    if args.action == "count":  # the unit-weight path sum: no path is built
+        unit = paths.WeightSystem(CoeffSystem(lambda k: 1, lambda k: 1, lambda k: 1))
+        count = int(paths.weight_sum(start, end, unit, max_height=args.max_height))
+        _emit(args, [str(count)], {"count": count})
         return EXIT_OK
     if args.action == "sum":
         if args.symbolic:
@@ -204,41 +201,21 @@ def cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _hankel(n: int, cs: CoeffSystem):
-    """The constant family's report (A, B, C at every index), else the value."""
-    if cs.name == "constant":
-        return determinants.hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1), cs)
-    return determinants.hankel(n, cs)
-
-
-# Each kind's report at size n.  The functions are looked up on
-# `determinants` at call time, so a wrapped module attribute is the one run.
-_DET_REPORTS = {
-    "hankel": _hankel,
-    "prime": lambda n, cs: determinants.delta_prime(n, cs),
-    "dprime": lambda n, cs: determinants.delta_dprime(n, cs),
-    "tprime": lambda n, cs: determinants.delta_tprime(n, cs),
-    "shifted-prime": lambda n, cs: determinants.delta_shifted("prime", n, 1, cs),
-    "shifted-dprime": lambda n, cs: determinants.delta_shifted("dprime", n, 1, cs),
-    "shifted-tprime": lambda n, cs: determinants.delta_shifted("tprime", n, 1, cs),
-}
-_DET_KINDS = tuple(_DET_REPORTS)
-
-
 def cmd_dets(args) -> int:
     if args.n < 0:
         raise ValueError("dets need --n >= 0")
     cs = _load_system(args)
     kinds = args.kinds.split(",") if args.kinds else ["prime", "dprime", "tprime"]
-    unknown = next((kind for kind in kinds if kind not in _DET_REPORTS), None)
+    unknown = next((kind for kind in kinds if kind not in determinants.REPORTS), None)
     if unknown is not None:
-        raise ValueError(f"unknown determinant kind {unknown!r}; known: {','.join(_DET_KINDS)}")
+        raise ValueError(
+            f"unknown determinant kind {unknown!r}; known: {','.join(determinants.REPORTS)}")
     rows = []
     worst = EXIT_OK
     for kind in kinds:
         for n in range(1, args.n + 1):
             try:
-                report = _DET_REPORTS[kind](n, cs)
+                report = determinants.REPORTS[kind](n, cs)
             except _DEGENERATE as exc:
                 rows.append({"n": n, "kind": kind, "error": f"hypothesis violated: {exc}"})
                 worst = max(worst, EXIT_DEGENERACY)
@@ -260,15 +237,7 @@ def cmd_family(args) -> int:
     cs = _load_system(args)
     top = args.n if args.n is not None else 8
     if args.emit == "coeffs":
-        if cs.valid_to is not None:
-            top = min(top, cs.valid_to)
-        payload = {
-            "kind": "table",
-            "b": [format_scalar(cs.b(i)) for i in range(top + 1)],
-            "a": ["0"] + [format_scalar(cs.a(i)) for i in range(1, top + 1)],
-            "lambda": ["0"] + [format_scalar(cs.lam(i)) for i in range(1, top + 1)],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(core.table_spec(cs, top), indent=2, sort_keys=True))
         return EXIT_OK
     values = [mu(n, cs) for n in range(top + 1)]
     _emit(
@@ -285,19 +254,10 @@ def cmd_histories(args) -> int:
     if not 0 <= n <= cap:
         raise ValueError(f"{args.kind} histories need 0 <= n <= {cap}")
     if args.map:
-        if args.kind == "laguerre":
-            rows = ({
-                "path": h.steps,
-                "labels": [[i, lab] for i, lab in zip(
-                    [j for j, s in enumerate(h.steps) if s == "V"], h.labels)],
-                "image": [list(c) for c in histories.phi(h)],
-            } for h in histories._iter_LH(n))
-        else:
-            rows = ({
-                "path": h.steps,
-                "labels": h.labeled_pairs(),
-                "image": [[list(blk) for blk in cyc] for cyc in histories.psi(h).cycles],
-            } for h in histories._iter_MH(n))
+        found, image = ((histories._iter_LH, histories.phi) if args.kind == "laguerre"
+                        else (histories._iter_MH, lambda h: histories.psi(h).cycles))
+        rows = ({"path": h.steps, "labels": h.labeled_pairs(), "image": image(h)}
+                for h in found(n))
         if args.format == "json":
             _emit(args, [], {"histories": list(rows)})
         else:  # one line per row as it is built, so no row is kept
@@ -384,7 +344,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dets", help="determinant factorization reports")
     add_source(p)
-    p.add_argument("--kinds", default="", help=",".join(_DET_KINDS))
+    p.add_argument("--kinds", default="", help=",".join(determinants.REPORTS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_dets)
 

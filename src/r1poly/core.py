@@ -59,8 +59,9 @@ from .exactmath import (
     Series,
     SymPoly,
     as_scalar,
-    parse_scalar,
+    format_scalar,
     poly_divrem,
+    read_scalar,
     series_from_rational,
 )
 
@@ -940,19 +941,13 @@ def F_eval(v: VElem, cs: CoeffSystem | None = None) -> Scalar:
 # -- coefficient-system JSON ----------------------------------------------
 
 
-def _spec_scalar(value, where: str) -> Scalar:
-    try:
-        return parse_scalar(value) if isinstance(value, str) else as_scalar(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"bad scalar {value!r} in {where}: {exc}") from None
-
-
 def coeffs_from_spec(spec: dict) -> CoeffSystem:
     """Build a system from the JSON spec form.
 
     {"kind": "table", "b": [...], "a": [...], "lambda": [...]} with rational
     strings, or {"kind": "family", "name": ..., "params": {...}} resolved by
-    the families module.  A malformed spec raises ValueError.
+    ``families.resolve``, which reads the parameter values.  A malformed spec
+    raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("coefficient spec must be a JSON object")
@@ -962,13 +957,25 @@ def coeffs_from_spec(spec: dict) -> CoeffSystem:
         for key in keys:
             if not isinstance(spec.get(key), list):
                 raise ValueError(f"coefficient table needs a {key!r} list")
-        return CoeffSystem.from_lists(*([_spec_scalar(v, key) for v in spec[key]] for key in keys))
+        return CoeffSystem.from_lists(*([read_scalar(v, key) for v in spec[key]] for key in keys))
     if kind == "family":
         from . import families
 
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("family spec needs a 'params' object")
-        params = {k: _spec_scalar(v, k) for k, v in params.items()}
         return families.resolve(spec.get("name"), params).build()
     raise ValueError(f"unknown coefficient spec kind {kind!r}")
+
+
+def table_spec(cs: CoeffSystem, top: int) -> dict:
+    """The table spec ``coeffs_from_spec`` reads: b, a, lam up to ``top`` clamped
+    to ``valid_to``, with "0" for the unread a_0 and lam_0."""
+    if cs.valid_to is not None:
+        top = min(top, cs.valid_to)
+    return {
+        "kind": "table",
+        "b": [format_scalar(cs.b(i)) for i in range(top + 1)],
+        "a": ["0"] + [format_scalar(cs.a(i)) for i in range(1, top + 1)],
+        "lambda": ["0"] + [format_scalar(cs.lam(i)) for i in range(1, top + 1)],
+    }

@@ -241,6 +241,21 @@ def delta_shifted(kind: str, n: int, s: int, cs: CoeffSystem) -> DetReport:
     return DetReport(n, f"shifted-{kind}", computed, predicted)
 
 
+# Each `dets` kind's report at size n, in order: the constant family alone has
+# a Hankel prediction.  Lambdas look the functions up at call time, so a
+# wrapped module attribute is the one run.
+REPORTS = {
+    "hankel": lambda n, cs: (hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1), cs)
+                             if cs.name == "constant" else hankel(n, cs)),
+    "prime": lambda n, cs: delta_prime(n, cs),
+    "dprime": lambda n, cs: delta_dprime(n, cs),
+    "tprime": lambda n, cs: delta_tprime(n, cs),
+    "shifted-prime": lambda n, cs: delta_shifted("prime", n, 1, cs),
+    "shifted-dprime": lambda n, cs: delta_shifted("dprime", n, 1, cs),
+    "shifted-tprime": lambda n, cs: delta_shifted("tprime", n, 1, cs),
+}
+
+
 def cramer_monicity_check(n: int, cs: CoeffSystem) -> bool:
     """det(nu_{i+j,n})_{0..n} = det(nu_{i+j,n})_{0..n-1} (monic Cramer solution)."""
     if n == 0:

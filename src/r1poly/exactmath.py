@@ -52,6 +52,14 @@ def parse_scalar(text: str) -> Scalar:
     return Fraction(text.strip())
 
 
+def read_scalar(value, where: str) -> Scalar:
+    """A wire string "p/q" or an int/Fraction; ValueError naming ``where`` otherwise."""
+    try:
+        return parse_scalar(value) if isinstance(value, str) else as_scalar(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"bad scalar {value!r} in {where}: {exc}") from None
+
+
 def format_scalar(value: Scalar) -> str:
     """Wire form: "p/q", or just "p" when the denominator is 1."""
     return str(value)

@@ -48,6 +48,7 @@ from .exactmath import (
     binomial,
     pochhammer,
     qpochhammer,
+    read_scalar,
     stirling2,
 )
 
@@ -731,16 +732,17 @@ FAMILY_BUILDERS: dict[str, Callable[..., FamilySpec]] = {
 def resolve(name: str, params: dict) -> FamilySpec:
     """Look up a family by name with a parameter dict (CLI/JSON entry point).
 
-    An unknown name, a parameter the family lacks or does not take, or a
-    non-integer N raises ValueError.
+    The one reader of parameter values: ``variant`` passes as given, the rest
+    through ``read_scalar``, and N must be an integer.  An unknown name, a bad
+    value, or a parameter the family lacks or does not take raises ValueError.
     """
-    if name not in FAMILY_BUILDERS:
+    if not isinstance(name, str) or name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
     builder = FAMILY_BUILDERS[name]
-    kwargs = dict(params)
+    kwargs = {k: v if k == "variant" else read_scalar(v, k) for k, v in params.items()}
     if "N" in kwargs:
         N = kwargs["N"]
-        if not isinstance(N, (int, Fraction)) or N.denominator != 1:
+        if N.denominator != 1:
             raise ValueError(f"family {name}: N must be an integer, got {N}")
         kwargs["N"] = int(N)
     try:

@@ -168,6 +168,11 @@ class LaguerreHistory:
     def horizontal_count(self) -> int:
         return self.steps.count("H")
 
+    def labeled_pairs(self) -> list[list[int]]:
+        """Wire form: [[stepIndex, label], ...] for the V steps."""
+        vs = (i for i, s in enumerate(self.steps) if s == "V")
+        return [[i, lab] for i, lab in zip(vs, self.labels)]
+
 
 def _iter_LH(n: int) -> Iterator[LaguerreHistory]:
     if n > CAPS["laguerre"]:

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -287,6 +288,8 @@ def test_family_emit_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "family", "laguerre", "--param", "a=5/2",
                        "--emit", "coeffs", "--n", "10")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3c90c2533289de1c2be0af0dc17d79dede8e2e481574b93dec77cb5b5697de7b")
     spec = json.loads(out)
     assert spec["kind"] == "table"
     coeff_file = tmp_path / "laguerre.json"
@@ -399,6 +402,7 @@ _BAD_TABLES = {
     "b_zero_denominator.json": {"kind": "table", "b": ["1/0"], "a": ["1"], "lambda": ["1"]},
     "no_lambda.json": {"kind": "table", "b": ["1"], "a": ["1"]},
     "params_not_an_object.json": {"kind": "family", "name": "laguerre", "params": [1]},
+    "name_not_a_string.json": {"kind": "family", "name": ["laguerre"], "params": {"a": "1"}},
     "q_racah_half_N.json": {"kind": "family", "name": "q_racah", "params": {
         "b": "1/3", "c": "1/5", "d": "1/7", "N": "9/2", "q": "1/2"}},
 }
@@ -430,6 +434,7 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --coeffs b_zero_denominator.json --n 3"),
     ({}, "moments --coeffs no_lambda.json --n 3"),
     ({}, "moments --coeffs params_not_an_object.json --n 3"),
+    ({}, "moments --coeffs name_not_a_string.json --n 3"),
     ({}, "moments --coeffs q_racah_half_N.json --n 3"),
     ({}, "moments --coeffs . --n 3"),
     ({}, "poly --family laguerre --param a=1 --n 25 --method tiling"),
@@ -467,13 +472,102 @@ def test_dets_family_coefficient_division_by_zero_is_an_error_row(capsys):
 
 
 def test_path_overflow_exits_three(capsys, monkeypatch):
-    # a real overflow (`--to 11,0`) enumerates for seconds before the cap trips
+    # only `enumerate` builds paths; a real overflow (`--to 11,0`) enumerates
+    # for seconds before the cap trips
     def overflow(*args, **kwargs):
         raise r1poly.paths.PathOverflowError("more than cap=1000000 paths")
 
     monkeypatch.setattr(r1poly.paths, "enumerate_paths", overflow)
-    code, out, err = run(capsys, "paths", "count", "--from", "0,0", "--to", "11,0")
+    code, out, err = run(capsys, "paths", "enumerate", "--from", "0,0", "--to", "11,0")
     assert (code, out, err) == (3, "", "error: more than cap=1000000 paths\n")
+
+
+def test_path_count_is_the_enumeration_length(capsys):
+    for start in itertools.product(range(3), range(3)):
+        for end in itertools.product(range(6), range(4)):
+            for height in (None, 0, 1, 2, 3):
+                argv = ["paths", "count", "--from", "%d,%d" % start, "--to", "%d,%d" % end]
+                if height is not None:
+                    argv += ["--max-height", str(height)]
+                want = len(r1poly.enumerate_paths(start, end, max_height=height))
+                assert run(capsys, *argv) == (0, f"{want}\n", ""), argv
+
+
+def test_path_count_has_no_cap(capsys):
+    # past the enumeration cap of 10^6 paths
+    code, out, _ = run(capsys, "paths", "count", "--from", "0,0", "--to", "11,0",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == {"count": 16487795}
+
+
+# One parameter set per family, values as the --param strings.
+_FAMILY_PARAMS = {
+    "jacobi11": {"a": "1/3", "b": "2/5", "variant": "plus"},
+    "jacobi01": {"a": "6/5", "b": "7/5", "variant": "xpow"},
+    "laguerre": {"a": "5/2"},
+    "meixner": {"b": "3/2", "c": "1/3"},
+    "little_q_jacobi": {"a": "4/7", "b": "5/7", "q": "1/2"},
+    "big_q_jacobi": {"a": "1/3", "b": "1/5", "c": "1/7", "q": "1/2", "variant": "ashift"},
+    "askey_wilson": {"a": "1/3", "b": "1/13", "c": "1/11", "d": "1/5", "q": "1/2"},
+    "q_racah": {"b": "1/3", "c": "1/5", "d": "1/7", "N": "4/1", "q": "1/2"},
+    "constant": {"A": "2/3", "B": "-1/2", "C": "3/4"},
+    "r1_hermite": {"a": "3/2"},
+}
+
+
+def test_family_params_and_family_spec_are_one_system(capsys, tmp_path):
+    assert set(_FAMILY_PARAMS) == set(r1poly.families.FAMILY_BUILDERS)
+    for name, params in _FAMILY_PARAMS.items():
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"kind": "family", "name": name, "params": params}))
+        code, from_params, _ = run(capsys, "moments", "--family", name, "--param",
+                                   *(f"{k}={v}" for k, v in params.items()), "--n", "3")
+        assert code == 0, name
+        assert run(capsys, "moments", "--coeffs", str(spec), "--n", "3") == (0, from_params, "")
+
+
+@pytest.mark.parametrize("params, fragment", [
+    (["a=x"], "bad scalar 'x' in a: "),
+    ({"a": None}, "bad scalar None in a: "),
+    ({"a": [1]}, "bad scalar [1] in a: "),
+    (["a=1", "z=2"], "unexpected keyword argument 'z'"),
+    ({"a": "1", "z": "2"}, "unexpected keyword argument 'z'"),
+])
+def test_bad_family_parameter_is_named(capsys, tmp_path, params, fragment):
+    if isinstance(params, dict):
+        spec = tmp_path / "laguerre.json"
+        spec.write_text(json.dumps({"kind": "family", "name": "laguerre", "params": params}))
+        argv = ["moments", "--coeffs", str(spec), "--n", "3"]
+    else:
+        argv = ["moments", "--family", "laguerre", "--param", *params, "--n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err.startswith("error: ") and fragment in err, err
+
+
+def test_bad_variant_and_N_are_named(capsys, tmp_path):
+    spec = tmp_path / "jacobi11.json"
+    spec.write_text(json.dumps({"kind": "family", "name": "jacobi11",
+                                "params": {"a": "1/3", "b": "2/5", "variant": 3}}))
+    code, _, err = run(capsys, "moments", "--coeffs", str(spec), "--n", "3")
+    assert (code, err) == (3, "error: unknown jacobi11 variant 3\n")
+    params = [f"{k}={v}" for k, v in _FAMILY_PARAMS["q_racah"].items() if k != "N"]
+    code, _, err = run(capsys, "moments", "--family", "q_racah", "--param", *params, "N=9/2",
+                       "--n", "3")
+    assert (code, err) == (3, "error: family q_racah: N must be an integer, got 9/2\n")
+
+
+def test_family_emit_clamps_to_valid_to_and_reads_back(capsys, tmp_path):
+    params = [f"{k}={v}" for k, v in _FAMILY_PARAMS["q_racah"].items()]
+    code, out, _ = run(capsys, "family", "q_racah", "--param", *params, "--emit", "coeffs",
+                       "--n", "10")
+    table = json.loads(out)
+    assert code == 0 and [len(table[k]) for k in ("b", "a", "lambda")] == [4, 4, 4]
+    assert table["a"][0] == table["lambda"][0] == "0"
+    (tmp_path / "q_racah.json").write_text(out)
+    for n in ("3", "4"):  # mu_4 reads index 4, past valid_to = N - 1 = 3
+        assert (run(capsys, "moments", "--coeffs", str(tmp_path / "q_racah.json"), "--n", n)
+                == run(capsys, "moments", "--family", "q_racah", "--param", *params, "--n", n))
 
 
 def _error_classes(cls=BaseException):

@@ -39,6 +39,7 @@ from r1poly.core import (
     nu,
     rho,
     shift,
+    table_spec,
 )
 from r1poly.exactmath import Poly, Series, SymPoly, poly_divrem
 from r1poly.paths import WeightSystem, rho_sum, weight_sum
@@ -497,6 +498,18 @@ def test_coeffs_from_spec_table():
 def test_coeffs_from_spec_family():
     cs = coeffs_from_spec({"kind": "family", "name": "laguerre", "params": {"a": "5/2"}})
     assert cs.b(0) == Fraction(5, 2) and cs.a(2) == 2 and cs.lam(3) == 0
+
+
+def test_table_spec_reads_back(rng):
+    cs = random_system(rng)  # b, a, lam readable to index 17
+    for top, last in ((5, 5), (40, 17)):
+        back = coeffs_from_spec(table_spec(cs, top))
+        assert back.valid_to == last
+        assert [back.b(i) for i in range(last + 1)] == [cs.b(i) for i in range(last + 1)]
+        for i in range(1, last + 1):
+            assert (back.a(i), back.lam(i)) == (cs.a(i), cs.lam(i))
+    assert table_spec(cs, 0) == {"kind": "table", "b": [str(cs.b(0))], "a": ["0"],
+                                 "lambda": ["0"]}
 
 
 def test_d_poly(rng):

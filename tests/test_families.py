@@ -320,6 +320,8 @@ def test_resolve_registry():
     fam = resolve("q_racah", {"b": A13, "c": Fraction(1, 5), "d": Fraction(1, 7),
                               "N": Fraction(4), "q": Q12})
     assert fam.params["N"] == 4
+    fam = resolve("jacobi11", {"a": "1/3", "b": 2, "variant": "plus"})
+    assert fam.params == {"a": Fraction(1, 3), "b": 2, "variant": "plus"}
     with pytest.raises(ValueError):
         resolve("nope", {})
     with pytest.raises(ValueError, match="N must be an integer, got 9/2"):
