@@ -296,14 +296,11 @@ def _suite_families(rng: random.Random):
             if fam.moment is not None:
                 ok = all(fam.closed_moment(k) == mu(k, cs) for k in range(9))
                 yield f"{fam.name} closed moments", ok
-            ok = all(
-                families.glue_shift_check(fam, n, sample_xs, order=8).proportional
-                for n in range(1, 5)
-            )
-            yield f"{fam.name} shifted-classical proportionality", ok
-            rep = families.glue_shift_check(fam, 2, sample_xs, order=8)
-            if rep.series_match is not None:
-                yield f"{fam.name} moment series vs classical", rep.series_match
+            reps = [families.glue_shift_check(fam, n, sample_xs, order=8) for n in range(1, 5)]
+            yield f"{fam.name} shifted-classical proportionality", all(
+                rep.proportional for rep in reps)
+            if reps[1].series_match is not None:
+                yield f"{fam.name} moment series vs classical", reps[1].series_match
     j01 = families.jacobi01(Fraction(1, 2), Fraction(1, 2))
     yield "Catalan 4^k mu_k", [4**k * j01.closed_moment(k) for k in range(5)] == [1, 2, 5, 14, 42]
     j11 = families.jacobi11(Fraction(-1, 2), Fraction(-1, 2))

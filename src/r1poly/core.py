@@ -32,9 +32,10 @@ of the given system, with one series division.
 The functional L lives on the space V of rational functions p(x)/d_m(x)
 with d_m(x) = prod_{i=1..m} (a_i x + lam_i); ``VElem`` is that
 representation and ``L_eval`` evaluates the unique functional with
-L(1) = 1 and L(x^n P_m / d_m) = 0 for n < m.  Evaluation decomposes the
-argument over the basis {x^n} + {1/d_m} by repeated division by the
-linear factors, then reads off mu- and nu-moments.
+L(1) = 1 and L(x^n P_m / d_m) = 0 for n < m.  L is fixed by the moments
+nu_{n,m} = L(x^n / d_m), which the system's ``NuTable`` memoizes, so
+L(p / d_m) reads column m of that table: one dot product with the
+coefficients of p.
 
 Division by a_n and by P_n(-lam_n/a_n) happens exactly where the theory
 divides; both conditions are checked there and raise hard, named errors
@@ -779,40 +780,24 @@ class VElem:
     __rmul__ = __mul__
 
 
-def decompose(v: VElem) -> tuple[Poly, list[Scalar]]:
-    """Write numerator/d_m as q(x) + sum_{j=0..m} c_j / d_j.
-
-    Peels one linear factor at a time: polynomial division by d_m gives the
-    polynomial part, then each remainder splits as r = (a_j x + lam_j) r' + c_j.
-    """
-    cs = v.owner
-    m = v.denom_index
-    for i in range(1, m + 1):
-        cs.a_nonzero(i)  # the divisions below need every a_i != 0
-    q, r = poly_divrem(v.numerator, d_poly(m, cs))
-    consts = [Fraction(0)] * (m + 1)
-    for j in range(m, 0, -1):
-        r, c = poly_divrem(r, Poly.linear(cs.a(j), cs.lam(j)))
-        consts[j] = c[0]
-    consts[0] = r[0]
-    return q, consts
-
-
 def L_eval(v: VElem, cs: CoeffSystem | None = None) -> Scalar:
-    """Evaluate the unique functional L on an element of V."""
+    """Evaluate the unique functional L on an element of V.
+
+    L(p / d_m) = sum_k p_k nu_{k,m}, a dot product with column m of the
+    system's nu table.  Every a_i, i <= m, is checked first; the top term
+    is read first, so one fill makes the column prefix the others read."""
     cs = cs or v.owner
     if cs is not v.owner:
         raise ValueError("VElem belongs to a different coefficient system")
-    q, consts = decompose(v)
-    mu_t = cs.mu_table()
+    m = v.denom_index
+    for i in range(1, m + 1):
+        cs.a_nonzero(i)
     nu_t = cs.nu_table()
+    coeffs = v.numerator.coeffs
     total = Fraction(0)
-    for k, coeff in enumerate(q.coeffs):
-        if coeff != 0:
-            total += coeff * mu_t.value(k, 0)
-    for j, c in enumerate(consts):
-        if c != 0:
-            total += c * nu_t.value(0, j)
+    for k in range(len(coeffs) - 1, -1, -1):
+        if coeffs[k] != 0:
+            total += coeffs[k] * nu_t.value(k, m)
     return total
 
 

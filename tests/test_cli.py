@@ -239,6 +239,30 @@ def test_functional_orthogonality(capsys, ones_file):
     assert code == 0 and out.strip() == "1"
 
 
+# Recorded while L decomposed its argument by polynomial division, before it
+# read the nu column: a gated table, x^40 over d_20.
+def test_functional_at_large_m_is_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "family", "jacobi01", "--param", "a=6/5", "b=7/5",
+                       "--emit", "coeffs", "--n", "80")
+    assert code == 0
+    table = tmp_path / "jacobi01.json"
+    table.write_text(out)
+    code, out, _ = run(capsys, "functional", "--coeffs", str(table), "--expr", "x^40*Q_20")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e93265cf8103ced967753fe717c2d4d48c2ea72137a079e52667409d6a335f2e")
+
+
+def test_functional_on_a_degenerate_table_exits_two(capsys, tmp_path):
+    # P_1(-lam_1/a_1) = 0: no functional has L(1) = 1 and L(Q_1) = 0
+    table = tmp_path / "degenerate.json"
+    table.write_text(json.dumps({"kind": "table", "b": ["0", "0", "0"],
+                                 "a": ["0", "1", "1"], "lambda": ["0", "0", "0"]}))
+    code, out, err = run(capsys, "functional", "--coeffs", str(table), "--expr", "Q_1")
+    assert code == 2 and out == ""
+    assert err == "error: degenerate system: P_1(-lam_1/a_1) = 0\n"
+
+
 def test_functional_rejects_double_denominator(capsys, ones_file):
     code, _, err = run(capsys, "functional", "--coeffs", ones_file, "--expr", "Q_2*Q_3")
     assert code == 3 and "outside V" in err

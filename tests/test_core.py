@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import r1poly
+from r1poly import checks, families
 from r1poly.checks import random_fraction, random_system
 from r1poly.core import (
     CoeffError,
@@ -140,6 +141,65 @@ def test_L_PnQm_product(random_systems):
                 for i in range(m + 1, n + 1):
                     want *= cs.a(i)
                 assert L_eval(VElem(P(n, cs) * P(m, cs), m, cs)) == want
+
+
+def reference_L_eval(v: VElem) -> Fraction:
+    """L by the plain decomposition, on a twin of the system with fresh tables.
+
+    Division by d_m splits numerator/d_m into q(x) + r(x)/d_m, and peeling the
+    linear factors a_j x + lam_j one at a time writes r/d_m as sum_j c_j / d_j.
+    Then L(q) reads mu_k and L(1/d_j) = nu_{0,j}."""
+    cs, m = v.owner, v.denom_index
+    twin = CoeffSystem(cs.b, cs.a, cs.lam)
+    q, r = poly_divrem(v.numerator, d_poly(m, twin))
+    total = sum((c * mu(k, twin) for k, c in enumerate(q.coeffs) if c != 0), Fraction(0))
+    for j in range(m, 0, -1):
+        r, c = poly_divrem(r, Poly.linear(twin.a(j), twin.lam(j)))
+        if c[0] != 0:
+            total += c[0] * nu(0, j, twin)
+    return total + r[0]
+
+
+def _assert_L_matches_reference(cs, rng, max_m, max_degree=20):
+    for m in range(max_m + 1):
+        # L(x^k / d_m) reads mu up to k - m, and mu_n reads coefficients to index n
+        top = max_degree if cs.valid_to is None else min(max_degree, cs.valid_to + m)
+        numerators = [Poly(), P(m, cs), P(m, cs).shift(max(m - 1, 0))]
+        numerators += [Poly([random_fraction(rng) for _ in range(rng.randint(1, top + 1))])
+                       for _ in range(3)]
+        for p in numerators:
+            v = VElem(p, m, cs)
+            assert L_eval(v) == reference_L_eval(v)
+
+
+def test_L_eval_matches_the_decomposition(random_systems, rng):
+    for cs in random_systems:
+        _assert_L_matches_reference(cs, rng, max_m=8)
+
+
+def test_L_eval_matches_the_decomposition_on_a_laurent_system(laurent_system, rng):
+    _assert_L_matches_reference(laurent_system, rng, max_m=8)
+
+
+def test_L_eval_matches_the_decomposition_past_the_gate(rng):
+    cs = families.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    _assert_L_matches_reference(cs, rng, max_m=10)
+
+
+def test_a_corrupt_nu_entry_fails_the_orthogonality_check(monkeypatch):
+    def first_orthogonality_check(corrupt):
+        def draw(rng):
+            cs = random_system(rng)
+            cs.nu_table().value(3, 2)
+            if corrupt:
+                cs.nu_table().memo[(1, 2)] += 1
+            return cs
+        monkeypatch.setattr(checks, "random_system", draw)
+        return next(ok for label, ok in checks.run("orthogonality", 42)
+                    if label.startswith("L(x^n Q_m) = 0"))
+
+    assert first_orthogonality_check(corrupt=False) is True
+    assert first_orthogonality_check(corrupt=True) is False
 
 
 def test_L_inverse_denominator(rng):
@@ -300,6 +360,15 @@ def test_degeneracy_error_names_index():
     )
     with pytest.raises(DegeneracyError) as err:
         nu(0, 1, cs)
+    assert err.value.k == 1
+
+
+def test_L_eval_names_the_degeneracy_the_decomposition_missed():
+    # P_1(-lam_1/a_1) = P_1(0) = 0, so Q_1 = P_1/d_1 = 1 and L(Q_1) = 0
+    # would contradict L(1) = 1: the system has no functional
+    cs = CoeffSystem(lambda n: Fraction(0), lambda n: Fraction(1), lambda n: Fraction(0))
+    with pytest.raises(DegeneracyError) as err:
+        L_eval(VElem(P(1, cs), 1, cs))
     assert err.value.k == 1
 
 
