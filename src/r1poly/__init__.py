@@ -12,6 +12,7 @@ from .exactmath import (
     Poly,
     Scalar,
     Series,
+    SymDegreeError,
     SymPoly,
     binomial,
     format_scalar,

@@ -213,9 +213,9 @@ def cmd_dets(args) -> int:
     rows = []
     worst = EXIT_OK
     for kind in kinds:
-        for n in range(1, args.n + 1):
+        for n, row in enumerate(determinants.REPORTS[kind](args.n, cs), 1):
             try:
-                report = determinants.REPORTS[kind](n, cs)
+                report = row()
             except _DEGENERATE as exc:
                 rows.append({"n": n, "kind": kind, "error": f"hypothesis violated: {exc}"})
                 worst = max(worst, EXIT_DEGENERACY)

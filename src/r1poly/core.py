@@ -126,7 +126,6 @@ class CoeffSystem:
         self.valid_to = valid_to
         self.name = name
         self._poly_cache: list[Poly] = [Poly.const(1)]
-        self._d_cache: list[Poly] = [Poly.const(1)]
         self._poly_rows = _PolyRows(weakref.proxy(self))
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
@@ -228,16 +227,11 @@ def shift(cs: CoeffSystem, s: int) -> CoeffSystem:
 
 
 def d_poly(m: int, cs: CoeffSystem) -> Poly:
-    """Denominator product d_m(x) = prod_{i=1..m} (a_i x + lam_i).
-
-    The system keeps d_0, d_1, ... in its d cache, each one linear factor
-    times the one before."""
-    cache = cs._d_cache
-    while len(cache) <= m:
-        i = len(cache)
-        cache.append(cache[-1] * Poly.linear(cs.a(i), cs.lam(i)))
-        _check_memo("d cache", len(cache), f"building d_{i} for m={m}")
-    return cache[max(m, 0)]
+    """Denominator product d_m(x) = prod_{i=1..m} (a_i x + lam_i); 1 for m <= 0."""
+    out = Poly.const(1)
+    for i in range(1, m + 1):
+        out = out * Poly.linear(cs.a(i), cs.lam(i))
+    return out
 
 
 # -- Favard tilings -----------------------------------------------------

@@ -21,7 +21,8 @@ hypothesis violation distinctly from an identity failure.
 
 The Hankel-shaped determinants (``hankel``, D'_n, the shifted D'_{n-1,1},
 the Cramer monicity check and the denominator of ``P_via_det``) are leading
-minors of one sequence.  ``hankel_minors`` takes them all from the modified
+minors of one sequence, and the `hankel` rows 1..N of ``dets`` come from one
+pass over mu_0..mu_2N.  ``hankel_minors`` takes them all from the modified
 Chebyshev algorithm in O(n^2) field operations, H_k = prod_{j<=k} sigma_{j,j}
 (Flajolet 1980; Gautschi 2004, section 2.1), and works from the sequence
 values alone, never from the recurrence data whose product it is checked
@@ -37,9 +38,10 @@ Bareiss elimination over a common denominator measured slower: 3.5 s against
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CoeffSystem,
@@ -241,18 +243,53 @@ def delta_shifted(kind: str, n: int, s: int, cs: CoeffSystem) -> DetReport:
     return DetReport(n, f"shifted-{kind}", computed, predicted)
 
 
-# Each `dets` kind's report at size n, in order: the constant family alone has
-# a Hankel prediction.  Lambdas look the functions up at call time, so a
-# wrapped module attribute is the one run.
+def _hankel_rows(N: int, cs: CoeffSystem) -> list[Callable[[], DetReport | Scalar]]:
+    """The `hankel` rows n = 1..N from one Chebyshev pass over mu_0..mu_2N.
+
+    Row n is H_n; on the constant family it is checked against
+    (A^2+AB+C)^{n(n+1)/2} as ``hankel_constant`` does.  Row n reads
+    mu_0..mu_2n, so when a coefficient that mu_k reads is rejected, the rows
+    with 2n < k come from the moments before it and each later row raises
+    that same error, as one pass per row would.  Row N reads every moment,
+    so the error is never lost.
+    """
+    seq, failure = [], None
+    try:
+        for k in range(2 * N + 1):
+            seq.append(mu(k, cs))
+    except ValueError as exc:  # CoeffError and the other named degeneracies
+        failure = exc
+    top = (len(seq) - 1) // 2
+    minors = hankel_minors(seq, top, 1) if seq else []  # H_1..H_top
+
+    def row(n: int):
+        if n > top:
+            raise failure
+        if cs.name != "constant":
+            return minors[n - 1]
+        A, B, C = cs.a(1), cs.b(0), cs.lam(1)
+        return DetReport(n, "hankel", minors[n - 1], (A * A + A * B + C) ** _binom2(n + 1))
+
+    return [functools.partial(row, n) for n in range(1, N + 1)]
+
+
+def _each_n(report: Callable[[int, CoeffSystem], DetReport]):
+    """The rows of a kind whose report at each size n is computed on its own."""
+    return lambda N, cs: [functools.partial(report, n, cs) for n in range(1, N + 1)]
+
+
+# Each `dets` kind, in order: its rows n = 1..N for a system, one call per
+# row that returns the row's report or raises its error.  The constant family
+# alone has a Hankel prediction.  The lambdas look the report functions up at
+# call time, so a wrapped module attribute is the one run.
 REPORTS = {
-    "hankel": lambda n, cs: (hankel_constant(n, cs.a(1), cs.b(0), cs.lam(1), cs)
-                             if cs.name == "constant" else hankel(n, cs)),
-    "prime": lambda n, cs: delta_prime(n, cs),
-    "dprime": lambda n, cs: delta_dprime(n, cs),
-    "tprime": lambda n, cs: delta_tprime(n, cs),
-    "shifted-prime": lambda n, cs: delta_shifted("prime", n, 1, cs),
-    "shifted-dprime": lambda n, cs: delta_shifted("dprime", n, 1, cs),
-    "shifted-tprime": lambda n, cs: delta_shifted("tprime", n, 1, cs),
+    "hankel": _hankel_rows,
+    "prime": _each_n(lambda n, cs: delta_prime(n, cs)),
+    "dprime": _each_n(lambda n, cs: delta_dprime(n, cs)),
+    "tprime": _each_n(lambda n, cs: delta_tprime(n, cs)),
+    "shifted-prime": _each_n(lambda n, cs: delta_shifted("prime", n, 1, cs)),
+    "shifted-dprime": _each_n(lambda n, cs: delta_shifted("dprime", n, 1, cs)),
+    "shifted-tprime": _each_n(lambda n, cs: delta_shifted("tprime", n, 1, cs)),
 }
 
 

@@ -20,16 +20,25 @@ Three container types are built on top of it:
 ``SymPoly``
     Sparse multivariate polynomial in the indexed symbols b_i, a_i, lam_i,
     with ring operations only (no division).  Monomial counts explode with
-    path counts, so this one is sparse.  Its terms are kept canonical
-    (sorted monomial keys, whole coefficients as ``int``), so ring
-    operations never re-sort, and ``evaluate`` sums over ints and divides
-    once.
+    path counts, so this one is sparse.  Each monomial is one int, its
+    packed exponent vector: symbol (kind, i) has the code c = 3*i +
+    rank(kind) with b < a < lam, and its exponent fills the FIELD_BITS-bit
+    field at bit FIELD_BITS*c.  A product of monomials is then one int
+    addition.  Every SymPoly carries a bound on its total degree, and a
+    product whose bound passes MAX_DEGREE = 2^FIELD_BITS - 1 raises
+    ``SymDegreeError`` rather than let a field carry into the next.  The
+    ``terms`` property decodes the keys on every read into the canonical
+    dict of ``((kind, index), ...)`` monomials that ``SymPoly(dict)`` takes.
+    Whole coefficients are ``int``, and ``evaluate`` sums over ints and
+    divides once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
+import operator
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -425,57 +434,112 @@ Symbol = tuple[str, int]
 Monomial = tuple[Symbol, ...]
 Coeff = Union[int, Fraction]
 
+# A monomial is packed into one int.  Symbol (kind, i) has the code
+# c = 3*i + rank(kind), which orders symbols by index and then b < a < lam,
+# and its exponent is the field of FIELD_BITS bits at bit FIELD_BITS*c.  A
+# field is one byte, so ``key.to_bytes(n, "little")[c]`` is the exponent of
+# code c.  No exponent exceeds the total degree, so a total degree of at
+# most MAX_DEGREE keeps every field from carrying into the next.
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_EVAL_CODES = 6  # fields that one pass of ``SymPoly.evaluate`` takes off
 
-def _sym_key(sym: Symbol):
-    return (sym[1], _KIND_RANK[sym[0]])
+
+class SymDegreeError(ValueError):
+    """A SymPoly monomial of total degree above MAX_DEGREE: it cannot be packed."""
 
 
-def _mono_sort_key(mono: Monomial):
-    return (len(mono), tuple(_sym_key(s) for s in mono))
+def _code(sym: Symbol) -> int:
+    kind, index = sym
+    if kind not in _KIND_RANK:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise ValueError(f"symbol index must be an int >= 0, got {index!r}")
+    return 3 * index + _KIND_RANK[kind]
+
+
+def _symbol(code: int) -> Symbol:
+    return SYM_KINDS[code % 3], code // 3
+
+
+def _factor(code: int, e: int) -> str:
+    kind, index = _symbol(code)
+    return f"{kind}{index}" if e == 1 else f"{kind}{index}^{e}"
+
+
+def _fields(key: int) -> list[tuple[int, int]]:
+    """(code, exponent) of each symbol of a packed monomial, codes ascending."""
+    exps = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return [(c, e) for c, e in enumerate(exps) if e]
+
+
+def _monomial(key: int) -> Monomial:
+    """The canonical tuple of a packed monomial: symbols with repetition, sorted."""
+    mono: Monomial = ()
+    for c, e in _fields(key):
+        mono += (_symbol(c),) * e
+    return mono
+
+
+def _check_degree(deg: int) -> int:
+    if deg > MAX_DEGREE:
+        raise SymDegreeError(f"SymPoly total degree {deg} exceeds MAX_DEGREE={MAX_DEGREE}")
+    return deg
 
 
 def _whole(c: Coeff) -> Coeff:
     """A whole coefficient as int; any other stays a Fraction."""
-    return c.numerator if c.denominator == 1 else c
+    return c if type(c) is int else c.numerator if c.denominator == 1 else c
 
 
 class SymPoly:
     """Sparse polynomial in the indexed symbols b_i, a_i, lam_i over Scalar.
 
-    ``terms`` maps monomials to coefficients and is always canonical: a
-    monomial is a tuple of symbols (with repetition) sorted by ``_sym_key``,
-    so index first and then b < a < lam; a whole coefficient is an ``int``
-    and any other a ``Fraction``; no coefficient is zero.  ``SymPoly(terms)``
-    normalises arbitrary input into that form.  The ring operations build
-    their results canonical and hand them to the trusted ``_canonical``,
-    which stores a dict as given, so no result is re-sorted; ``SymPoly.sum``
-    adds many at once into one copy of the largest; a product with
-    a single term c*s only inserts s into each monomial at its sorted
-    place.  Only ring operations are provided: + and * (no division), plus
-    fraction-free evaluation by substituting scalars.
+    The terms are kept as a dict from packed monomials (one int each, see
+    FIELD_BITS) to coefficients: a whole coefficient is an ``int`` and any
+    other a ``Fraction``, and no coefficient is zero.  Multiplying two
+    monomials adds their keys, so a product with a single term c*s adds one
+    int to each key, and ``SymPoly.sum`` merges int-keyed dicts into one copy
+    of the largest.  Each SymPoly carries a bound on its total degree; a
+    product whose bound would pass MAX_DEGREE raises ``SymDegreeError``
+    before any key is added, so no field ever carries into the next.
+
+    ``SymPoly(terms)`` takes monomials as tuples of ``(kind, index)``
+    symbols in any order.  ``terms`` decodes the keys on every read into
+    that canonical form: symbols with repetition, sorted by index and then
+    b < a < lam.  Only ring operations are provided: + and * (no division),
+    plus fraction-free evaluation by substituting scalars.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, terms: dict[Monomial, ScalarLike] | None = None):
-        clean: dict[Monomial, Coeff] = {}
+        clean: dict[int, Coeff] = {}
+        deg = 0
         for mono, coeff in (terms or {}).items():
-            try:
-                key = tuple(sorted(mono, key=_sym_key))
-            except KeyError as exc:
-                raise ValueError(f"unknown symbol kind {exc.args[0]!r}") from None
+            deg = max(deg, _check_degree(len(mono)))
+            key = sum(1 << FIELD_BITS * _code(sym) for sym in mono)
             clean[key] = clean.get(key, 0) + as_scalar(coeff)
-        object.__setattr__(self, "terms", {m: _whole(c) for m, c in clean.items() if c})
+        self._set({m: _whole(c) for m, c in clean.items() if c}, deg)
+
+    def _set(self, terms: dict[int, Coeff], deg: int):
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_deg", deg)
 
     @classmethod
-    def _canonical(cls, terms: dict[Monomial, Coeff]) -> "SymPoly":
-        """Wrap a dict that is already canonical, without checking it."""
+    def _canonical(cls, terms: dict[int, Coeff], deg: int) -> "SymPoly":
+        """Wrap packed terms that are already canonical, without checking them."""
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        out._set(terms, deg)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Monomial, Coeff]:
+        """The terms with tuple monomials, decoded on every read."""
+        return {_monomial(m): c for m, c in self._terms.items()}
 
     @staticmethod
     def const(c: ScalarLike) -> "SymPoly":
@@ -483,9 +547,7 @@ class SymPoly:
 
     @staticmethod
     def symbol(kind: str, index: int) -> "SymPoly":
-        if kind not in SYM_KINDS:
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        return SymPoly._canonical({((kind, index),): 1})
+        return SymPoly._canonical({1 << FIELD_BITS * _code((kind, index)): 1}, 1)
 
     @staticmethod
     def b(i: int) -> "SymPoly":
@@ -500,41 +562,41 @@ class SymPoly:
         return SymPoly.symbol("lam", i)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         other = _coerce_sympoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     @staticmethod
     def sum(polys: Sequence["SymPoly"]) -> "SymPoly":
         """The sum of several SymPolys: one copy of the largest, the rest folded in."""
         if not polys:
             return SymPoly()
-        sizes = [len(p.terms) for p in polys]
+        sizes = [len(p._terms) for p in polys]
         big = sizes.index(max(sizes))
-        out = dict(polys[big].terms)
+        out = dict(polys[big]._terms)
         for k, poly in enumerate(polys):
             if k == big:
                 continue
-            for mono, c in poly.terms.items():
+            for mono, c in poly._terms.items():
                 if mono not in out:
                     out[mono] = c
                     continue
-                c = out[mono] + c
+                c += out[mono]
                 if c:
-                    out[mono] = _whole(c)
+                    out[mono] = c if type(c) is int else _whole(c)
                 else:
                     del out[mono]
-        return SymPoly._canonical(out)
+        return SymPoly._canonical(out, max(p._deg for p in polys))
 
     def __add__(self, other) -> "SymPoly":
         other = _coerce_sympoly(other)
@@ -545,7 +607,7 @@ class SymPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly._canonical({m: -c for m, c in self.terms.items()})
+        return SymPoly._canonical({m: -c for m, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other) -> "SymPoly":
         other = _coerce_sympoly(other)
@@ -560,71 +622,86 @@ class SymPoly:
         other = _coerce_sympoly(other)
         if other is NotImplemented:
             return NotImplemented
-        for factor, poly in ((other, self), (self, other)):
-            single = _one_symbol(factor.terms)
-            if single:
-                return SymPoly._canonical(_times_symbol(poly.terms, *single))
-        out: dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2, key=_sym_key))
+        deg = _check_degree(self._deg + other._deg)
+        for factor, poly in ((other._terms, self._terms), (self._terms, other._terms)):
+            if len(factor) == 1:
+                # Distinct keys plus one key stay distinct: nothing merges.
+                ((m, c),) = factor.items()
+                if c == 1:
+                    return SymPoly._canonical(dict(zip(map(m.__add__, poly), poly.values())), deg)
+                return SymPoly._canonical({k + m: _whole(v * c) for k, v in poly.items()}, deg)
+        out: dict[int, Coeff] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                key = m1 + m2
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymPoly._canonical({m: _whole(c) for m, c in out.items() if c})
+        return SymPoly._canonical({m: _whole(c) for m, c in out.items() if c}, deg)
 
     __rmul__ = __mul__
 
     def evaluate(self, assign: Callable[[str, int], ScalarLike]) -> Scalar:
         """Substitute scalars for symbols; assign(kind, index) -> Scalar.
 
-        ``assign`` is called once per distinct symbol.  The sum runs on
-        ints: the values are scaled by D, the lcm of their denominators,
-        the coefficients by E, the lcm of theirs, and a term of degree j is
-        padded by D^(k - j), where k is the top degree.  The exact total is
-        divided by E * D^k once at the end, so the result is the Fraction
-        that per-term Fraction products give.
+        ``assign`` is called once per distinct symbol, read from the OR of
+        the keys.  The sum runs on ints: the values are scaled by D, the
+        lcm of their denominators, and the coefficients by E, the lcm of
+        theirs.  It is a Horner scheme in the keys: each pass takes the
+        lowest _EVAL_CODES fields off every key, multiplies each term by the
+        product of those fields' powers, and merges the terms whose rest
+        agrees.  A pass computes each distinct product once and pads it by
+        D^(t - j), j its degree and t the top degree of the pass, so the
+        exact total is divided by E * D^(sum of the t) once at the end and
+        the result is the Fraction that per-term Fraction products give.
         """
-        values: dict[Symbol, Scalar] = {}
-        for mono in self.terms:
-            for sym in mono:
-                if sym not in values:
-                    values[sym] = as_scalar(assign(*sym))
+        terms = self._terms
+        used = functools.reduce(operator.or_, terms, 0)
+        values = {c: as_scalar(assign(*_symbol(c))) for c, _ in _fields(used)}
         d = math.lcm(*(v.denominator for v in values.values()))
-        e = math.lcm(*(c.denominator for c in self.terms.values()))
-        scaled = {sym: v.numerator * (d // v.denominator) for sym, v in values.items()}
-        top = max(map(len, self.terms), default=0)
-        pad = [d ** (top - j) for j in range(top + 1)]
-        total = 0
-        for mono, c in self.terms.items():
-            prod = c.numerator * (e // c.denominator) * pad[len(mono)]
-            for sym in mono:
-                prod *= scaled[sym]
-            total += prod
-        return Fraction(total, e * d**top)
+        e = math.lcm(*(c.denominator for c in set(terms.values())))
+        scaled = {c: v.numerator * (d // v.denominator) for c, v in values.items()}
+        acc = terms if e == 1 else {m: c.numerator * (e // c.denominator) for m, c in terms.items()}
+        bits = FIELD_BITS * _EVAL_CODES
+        mask = (1 << bits) - 1
+        pad = 0
+        for offset in range(0, -(-used.bit_length() // FIELD_BITS), _EVAL_CODES):
+            raw = {}
+            for low in {m & mask for m in acc}:
+                prod, deg = 1, 0
+                for c, k in _fields(low):
+                    prod *= scaled[offset + c] ** k
+                    deg += k
+                raw[low] = prod, deg
+            top = max(deg for _, deg in raw.values())
+            pad += top
+            factor = {low: prod * d ** (top - deg) for low, (prod, deg) in raw.items()}
+            rest: dict[int, int] = defaultdict(int)
+            for m, v in acc.items():
+                rest[m >> bits] += v * factor[m & mask]
+            acc = rest
+        return Fraction(acc.get(0, 0), e * d**pad)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
+        rows = []
+        for mono, coeff in self._terms.items():
+            fields = _fields(mono)
+            codes: tuple[int, ...] = ()
+            for c, e in fields:
+                codes += (c,) * e
+            rows.append((len(codes), codes, fields, coeff))
+        rows.sort()  # by degree, then the codes with repetition; no two tie
         parts = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            coeff = self.terms[mono]
-            factors = []
-            i = 0
-            while i < len(mono):
-                j = i
-                while j < len(mono) and mono[j] == mono[i]:
-                    j += 1
-                kind, idx = mono[i]
-                name = f"{kind}{idx}"
-                factors.append(name if j - i == 1 else f"{name}^{j - i}")
-                i = j
+        for _, _, fields, coeff in rows:
+            factors = "*".join([_factor(c, e) for c, e in fields])
             if not factors:
                 parts.append(format_scalar(coeff))
             elif coeff == 1:
-                parts.append("*".join(factors))
+                parts.append(factors)
             elif coeff == -1:
-                parts.append("-" + "*".join(factors))
+                parts.append("-" + factors)
             else:
-                parts.append(format_scalar(coeff) + "*" + "*".join(factors))
+                parts.append(format_scalar(coeff) + "*" + factors)
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -637,27 +714,6 @@ def _coerce_sympoly(value) -> "SymPoly":
     if isinstance(value, (int, Fraction)):
         return SymPoly.const(value)
     return NotImplemented
-
-
-def _one_symbol(terms: dict[Monomial, Coeff]) -> tuple[Symbol, Coeff] | None:
-    """(sym, c) when ``terms`` is the single term c*sym, else None."""
-    if len(terms) == 1:
-        ((mono, c),) = terms.items()
-        if len(mono) == 1:
-            return mono[0], c
-    return None
-
-
-def _times_symbol(terms: dict[Monomial, Coeff], sym: Symbol, c: Coeff) -> dict[Monomial, Coeff]:
-    """The canonical terms of ``terms`` times c*sym.  sym goes into each
-    monomial at its sorted place; distinct monomials stay distinct, so no
-    two terms merge and none cancels."""
-    key = _sym_key(sym)
-    out: dict[Monomial, Coeff] = {}
-    for mono, coeff in terms.items():
-        i = bisect_right(mono, key, key=_sym_key)
-        out[mono[:i] + (sym,) + mono[i:]] = coeff if c == 1 else _whole(coeff * c)
-    return out
 
 
 def binomial(n: int, k: int) -> int:

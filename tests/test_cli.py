@@ -164,14 +164,20 @@ def test_dets_output_is_pinned(capsys, tmp_path, argv, digest):
 
 def test_dets_reports_the_first_failing_entry_past_the_fallback(capsys, tmp_path):
     # mu_16 is the first entry the n = 8 Hankel matrix cannot read; H_1 = 0
-    # sends that size to the fallback, and the row names the same index.
+    # sends that size to the fallback, and the row names the same index.  The
+    # rows below it still come from the moments before it, and every larger
+    # size names the same entry.
     (tmp_path / "fallback.json").write_text(json.dumps(_DET_FALLBACK_TABLE))
     code, out, _ = run(capsys, "dets", "--coeffs", str(tmp_path / "fallback.json"),
-                       "--kinds", "hankel", "--n", "8")
+                       "--kinds", "hankel", "--n", "10")
     assert code == 2
-    assert json.loads(out.splitlines()[-1]) == {
-        "n": 8, "kind": "hankel",
-        "error": "hypothesis violated: coefficient index 16 beyond valid_to=15"}
+    rows = [json.loads(line) for line in out.splitlines()]
+    cs = r1poly.coeffs_from_spec(_DET_FALLBACK_TABLE)
+    assert [(r["n"], r["computed"]) for r in rows[:7]] == [
+        (n, str(r1poly.hankel(n, cs))) for n in range(1, 8)]
+    assert rows[7:] == [{
+        "n": n, "kind": "hankel",
+        "error": "hypothesis violated: coefficient index 16 beyond valid_to=15"} for n in (8, 9, 10)]
 
 
 def test_dets_checks_every_kind_before_computing(capsys, monkeypatch):

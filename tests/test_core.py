@@ -235,6 +235,18 @@ def test_symbolic_moment_displays():
     assert mu_symbolic(2) == b0 * b0 + l1 + 2 * a1 * b0 + a2 * a1 + b1 * a1 + a1 * a1
 
 
+def test_mu_n_reads_a_n():
+    # U^n V^n ends at (n, 0) with weight a_1...a_n, so mu_n needs a_n: a table
+    # must reach index n, not n/2, for mu_n.
+    for n in range(11):
+        top = tuple(("a", i) for i in range(1, n + 1))
+        assert mu_symbolic(n).terms[top] == 1
+    six = CoeffSystem.from_lists([1] * 6, [1] * 6, [1] * 6)
+    assert mu(5, six) == 650
+    with pytest.raises(CoeffError, match=r"^coefficient index 6 beyond valid_to=5$"):
+        mu(6, six)
+
+
 def test_symbolic_mu_specializes(rng):
     cs = random_system(rng)
     for n in range(7):
@@ -587,16 +599,15 @@ def test_d_poly(rng):
     assert d_poly(2, cs) == Poly.linear(cs.a(1), cs.lam(1)) * Poly.linear(cs.a(2), cs.lam(2))
 
 
-def test_d_poly_is_built_once_per_system(rng, monkeypatch):
+def test_d_poly_is_the_product_of_the_linear_factors(rng):
     cs = random_system(rng)
-    d6 = d_poly(6, cs)
     want = Poly.const(1)
-    for i in range(1, 7):
-        want = want * Poly.linear(cs.a(i), cs.lam(i))
-    assert d6 == want and len(cs._d_cache) == 7
-    assert d_poly(4, cs) is cs._d_cache[4] and d_poly(6, cs) is d6
-    assert d_poly(-1, cs) == Poly.const(1)
-    monkeypatch.setenv("R1_MEMO_LIMIT", "9")
-    with pytest.raises(MemoLimitError, match=r"^d cache: 10 entries > R1_MEMO_LIMIT=9 "
-                                             r"\(building d_9 for m=12\)$"):
-        d_poly(12, cs)
+    for m in range(7):
+        if m:
+            want = want * Poly.linear(cs.a(m), cs.lam(m))
+        assert d_poly(m, cs) == want and d_poly(m, cs).degree == m
+    assert d_poly(-1, cs) == d_poly(-5, cs) == Poly.const(1)
+    short = CoeffSystem.from_lists([1, 2, 3, 4], [0, 2, 3, 5], [0, 1, 1, 2])
+    assert d_poly(3, short) == Poly.linear(2, 1) * Poly.linear(3, 1) * Poly.linear(5, 2)
+    with pytest.raises(CoeffError, match=r"^coefficient index 4 beyond valid_to=3$"):
+        d_poly(4, short)

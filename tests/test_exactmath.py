@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from r1poly.exactmath import (
+    MAX_DEGREE,
     SYM_KINDS,
     Poly,
     Series,
+    SymDegreeError,
     SymPoly,
     format_scalar,
     parse_scalar,
@@ -18,7 +20,6 @@ from r1poly.exactmath import (
     stirling1,
     stirling2,
 )
-from r1poly.exactmath import _sym_key
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_polys = st.lists(fractions, max_size=8).map(Poly)
@@ -210,7 +211,7 @@ def _assert_canonical(p):
         return (sym[1], SYM_KINDS.index(sym[0]))
 
     for mono, c in p.terms.items():
-        assert mono == tuple(sorted(mono, key=_sym_key)) == tuple(sorted(mono, key=plain_key))
+        assert mono == tuple(sorted(mono, key=plain_key))
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
         assert c != 0
 
@@ -244,3 +245,141 @@ def test_sympoly_fast_paths_match_reference(x, y, values):
             want += prod
         got = p.evaluate(assign)
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SymPoly.b(-1),
+    lambda: SymPoly.symbol("a", 1.5),
+    lambda: SymPoly.lam("2"),
+    lambda: SymPoly.a(True),
+    lambda: SymPoly({(("b", 0), ("lam", -3)): 1}),
+])
+def test_sympoly_rejects_indices_that_cannot_be_packed(make):
+    with pytest.raises(ValueError, match=r"^symbol index must be an int >= 0, got "):
+        make()
+
+
+def _fraction_value(p, assign):
+    """p at a point, summed term by term over Fractions."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        prod = Fraction(c)
+        for kind, i in mono:
+            prod *= Fraction(assign(kind, i))
+        total += prod
+    return total
+
+
+def _power(kind, index, e):
+    return ((kind, index),) * e
+
+
+def test_sympoly_degree_at_the_field_limit():
+    # 255 is the largest exponent one 8-bit field holds; b0^255 fills field 0.
+    assert MAX_DEGREE == 255
+    x = SymPoly({_power("b", 0, 128): 1, _power("a", 1, 128): 2})
+    y = SymPoly({_power("b", 0, 127): 1, _power("a", 1, 127): Fraction(-1, 3)})
+    top = x * y
+    assert top == _ref_product(x, y)
+    assert top.terms == {
+        _power("b", 0, 255): 1,
+        _power("b", 0, 128) + _power("a", 1, 127): Fraction(-1, 3),
+        _power("b", 0, 127) + _power("a", 1, 128): 2,
+        _power("a", 1, 255): Fraction(-2, 3),
+    }
+    assert str(top) == "b0^255 - 1/3*b0^128*a1^127 + 2*b0^127*a1^128 - 2/3*a1^255"
+    point = {("b", 0): Fraction(-3, 2), ("a", 1): Fraction(5, 7)}
+    assign = lambda kind, i: point[(kind, i)]  # noqa: E731
+    assert top.evaluate(assign) == _fraction_value(top, assign)
+    assert top.evaluate(assign) == x.evaluate(assign) * y.evaluate(assign)
+    assert (3 * SymPoly({_power("lam", 12, 255): 1})).terms == {_power("lam", 12, 255): 3}
+
+
+@pytest.mark.parametrize("make", [
+    lambda b0_255: b0_255 * SymPoly.b(0),  # field 0 would carry into a0
+    lambda b0_255: SymPoly.a(1) * b0_255,
+    lambda b0_255: b0_255 * (SymPoly.b(0) + SymPoly.a(3)),
+    lambda b0_255: SymPoly({_power("b", 0, 128): 1}) * SymPoly({_power("a", 2, 128): 1}),
+    lambda b0_255: SymPoly({_power("b", 0, 256): 1}),
+])
+def test_sympoly_one_degree_past_the_limit_raises(make):
+    b0_255 = SymPoly({_power("b", 0, 255): 1})
+    with pytest.raises(SymDegreeError, match=r"^SymPoly total degree 256 exceeds MAX_DEGREE=255$"):
+        make(b0_255)
+    assert b0_255.terms == {_power("b", 0, 255): 1}
+
+
+def _ref_str(p):
+    """The display of p from its tuple terms: by degree, then by the sorted
+    (index, kind rank) keys, each run of one symbol as a power."""
+    def order(mono):
+        return len(mono), tuple((i, SYM_KINDS.index(kind)) for kind, i in mono)
+
+    parts = []
+    for mono in sorted(p.terms, key=order):
+        runs = []
+        for sym in mono:
+            if runs and runs[-1][0] == sym:
+                runs[-1][1] += 1
+            else:
+                runs.append([sym, 1])
+        text = "*".join(f"{k}{i}" + (f"^{e}" if e > 1 else "") for (k, i), e in runs)
+        c = p.terms[mono]
+        if not text:
+            parts.append(str(c))
+        else:
+            parts.append(text if c == 1 else "-" + text if c == -1 else f"{c}*{text}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+# Monomials with several powers per symbol: up to four symbols with indices
+# to 12, each to an exponent up to 7.
+powered_monos = st.dictionaries(raw_symbols, st.integers(1, 7), max_size=4).map(
+    lambda exps: tuple(sym for sym, e in exps.items() for _ in range(e)))
+powered_polys = st.dictionaries(powered_monos, coeffs, max_size=5).map(SymPoly)
+
+
+@given(powered_polys, powered_polys, powered_polys, st.dictionaries(raw_symbols, coeffs))
+@settings(max_examples=100)
+def test_sympoly_powers_match_reference(x, y, z, values):
+    def assign(kind, i):
+        return values.get((kind, i), Fraction(i - 4, 3))
+
+    cases = [(x * y, _ref_product(x, y)), (x * y * z, _ref_product(_ref_product(x, y), z)),
+             (x + y - z, _ref_sum(x.terms, y.terms, (-z).terms))]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got == want and str(got) == str(want) == _ref_str(want)
+        assert got.evaluate(assign) == _fraction_value(want, assign)
+
+
+def test_sympoly_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(2024)
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            mono = tuple((rng.choice(SYM_KINDS), rng.randint(0, 12))
+                         for _ in range(rng.randint(0, 6)))
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return SymPoly(terms)
+
+    def to_sympy(p):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(sympy.Symbol(f"{k}{i}") for k, i in mono))
+                           for mono, c in p.terms.items()))
+
+    for _ in range(40):
+        x, y = random_poly(), random_poly()
+        got = x * y
+        want = sympy.expand(to_sympy(x) * to_sympy(y))
+        gens = sorted(want.free_symbols | to_sympy(got).free_symbols, key=str)
+        if not gens:
+            assert to_sympy(got) == want
+            continue
+        ours = sympy.Poly(to_sympy(got), *gens).as_dict()
+        theirs = sympy.Poly(want, *gens).as_dict()
+        assert ours == theirs and len(ours) == len(got.terms)
