@@ -774,16 +774,14 @@ class VElem:
     __rmul__ = __mul__
 
 
-def L_eval(v: VElem, cs: CoeffSystem | None = None) -> Scalar:
+def L_eval(v: VElem) -> Scalar:
     """Evaluate the unique functional L on an element of V.
 
     L(p / d_m) = sum_k p_k nu_{k,m}, a dot product with column m of the
-    system's nu table.  Every a_i, i <= m, is checked first; the top term
-    is read first, so one fill makes the column prefix the others read."""
-    cs = cs or v.owner
-    if cs is not v.owner:
-        raise ValueError("VElem belongs to a different coefficient system")
-    m = v.denom_index
+    nu table of the system that owns v.  Every a_i, i <= m, is checked
+    first; the top term is read first, so one fill makes the column prefix
+    the others read."""
+    cs, m = v.owner, v.denom_index
     for i in range(1, m + 1):
         cs.a_nonzero(i)
     nu_t = cs.nu_table()
@@ -905,12 +903,9 @@ def L_laurent(p: Poly, neg_power: int, cs: CoeffSystem) -> Scalar:
     return L_eval(laurent_velem(p, neg_power, cs))
 
 
-def F_eval(v: VElem, cs: CoeffSystem | None = None) -> Scalar:
+def F_eval(v: VElem) -> Scalar:
     """The second Laurent functional F(f) = b_0 * L(x^{-1} f)."""
-    cs = cs or v.owner
-    if cs is not v.owner:
-        raise ValueError("VElem belongs to a different coefficient system")
-    m = v.denom_index
+    cs, m = v.owner, v.denom_index
     _require_laurent(cs, m + 1)
     # 1/x = a_{m+1} d_m / d_{m+1} when lam = 0.
     inner = VElem(v.numerator * cs.a_nonzero(m + 1), m + 1, cs)

@@ -1,57 +1,49 @@
 """Exact determinant evaluation of the moment grids and their factorizations.
 
-The nu-grid nu_{i,j} = L(x^i/d_j) admits three bordered-determinant
-reconstructions of P_n/Q_n (one per basis of V: x^j/d_n, x^j/d_j, 1/d_j),
-and their system determinants factor into products over the recurrence
-data:
+V over d_n has three bases e_0..e_n, kept once in ``BASES``: x^j/d_n
+(prime), x^j/d_j (dprime) and 1/d_j (tprime).  Each gives one moment matrix
+L(x^i e_j)_{i,j=0..n}: nu_{i+j,n}, nu_{i+j,j} and nu_{i,j}, where
+nu_{i,j} = L(x^i/d_j).  Everything here reads that one table:
 
-    D'_n   = det(nu_{i+j,n})   = prod_k 1/((-a_k)^k P_k(-lam_k/a_k))
-    D''_n  = det(nu_{i+j,j})   = prod_k lam_k^k/((-a_k)^k P_k(-lam_k/a_k))
-    D'''_n = det(nu_{i,j})     = prod_k 1/P_k(-lam_k/a_k)
-
-Shifted variants (first row/column dropped) have closed forms too; the
-one for the x^j/d_j basis circulates with the lambda-exponents off by one
-(already false at n=1, where the determinant is the single entry nu_{1,1});
-the checker uses the corrected product prod_k lam_k^{k-1} and, being a
-conjecture-level identity, still reports any counterexample verbatim
-instead of asserting.
+* its determinant D_n, checked against a product over the recurrence data:
+      D'_n   = prod_k 1/((-a_k)^k P_k(-lam_k/a_k))
+      D''_n  = prod_k lam_k^k/((-a_k)^k P_k(-lam_k/a_k))
+      D'''_n = prod_k 1/P_k(-lam_k/a_k)
+* its shifted form D_{n-1,1}: the first n rows without column 0.  That block
+  is the column-0 cofactor of the bordered matrix, so D_{n-1,1} =
+  (-1)^n c_0 D_n with c_0 the e_0 coefficient of Q_n.  Its closed products
+  are conjectures; a counterexample is reported, not asserted.  The one for
+  x^j/d_j circulates with the lambda-exponents off by one (false at n=1,
+  where the determinant is nu_{1,1}); the check uses prod_k lam_k^{k-1}.
+* its bordered determinant, the last row replaced by e_0..e_n, which is
+  Q_n D_n: ``Q_via_det`` variants 1, 2, 3 in the order above, and
+  ``P_via_det`` is the numerator of variant 1.
 
 Every checker validates its theorem's hypotheses first and reports a
 hypothesis violation distinctly from an identity failure.
 
-The Hankel-shaped determinants (``hankel``, D'_n, the shifted D'_{n-1,1},
-the Cramer monicity check and the denominator of ``P_via_det``) are leading
-minors of one sequence, and the `hankel` rows 1..N of ``dets`` come from one
-pass over mu_0..mu_2N.  ``hankel_minors`` takes them all from the modified
-Chebyshev algorithm in O(n^2) field operations, H_k = prod_{j<=k} sigma_{j,j}
-(Flajolet 1980; Gautschi 2004, section 2.1), and works from the sequence
-values alone, never from the recurrence data whose product it is checked
-against.  A vanishing sigma_{k,k} with k < n stops the recurrence, and every
-larger minor then comes from ``det_exact``.
-
-``det_exact`` is plain exact-field Gaussian elimination with first-nonzero
-pivoting.  It serves every other determinant and is the test oracle for
-``hankel_minors``.  The entries are already rationals, and a fraction-free
-Bareiss elimination over a common denominator measured slower: 3.5 s against
-0.6 s for ``det_exact`` at n = 40.
+The Hankel-shaped determinants (``hankel``, the prime D_n and D_{n-1,1},
+the Cramer monicity check) are leading minors of one sequence, and the
+`hankel` rows 1..N of ``dets`` come from one pass over mu_0..mu_2N.
+``hankel_minors`` takes them all from the modified Chebyshev algorithm in
+O(n^2) field operations, H_k = prod_{j<=k} sigma_{j,j} (Flajolet 1980;
+Gautschi 2004, section 2.1), from the sequence values alone, never from the
+recurrence data whose product it is checked against.  A vanishing
+sigma_{k,k} with k < n stops the recurrence, and every larger minor then
+comes from ``det_exact``: exact-field Gaussian elimination with
+first-nonzero pivoting, which serves every other determinant.  A
+fraction-free Bareiss elimination measured slower: 3.5 s against 0.6 s for
+``det_exact`` at n = 40.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import (
-    CoeffSystem,
-    P,
-    VElem,
-    cf_series,
-    mu,
-    moment_series,
-    nu,
-)
+from .core import CoeffSystem, P, VElem, cf_series, moment_series, mu, nu
 from .exactmath import Poly, Scalar
 
 
@@ -152,13 +144,33 @@ def _binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _p_at_root(k: int, cs: CoeffSystem) -> Scalar:
-    return cs.nu_table().p_at_root(k)
+# Each basis of V over d_n as (power, index) = basis(j, n), for its element
+# e_j = x^power / d_index.  ``Q_via_det`` variant v is the v-th basis.
+BASES = {
+    "prime": lambda j, n: (j, n),   # x^j / d_n
+    "dprime": lambda j, n: (j, j),  # x^j / d_j
+    "tprime": lambda j, n: (0, j),  # 1 / d_j
+}
 
 
-def _nu_sequence(n: int, cs: CoeffSystem) -> list[Scalar]:
-    """nu_{k,n} for k = 0..2n, read in increasing k as the row-major matrix read them."""
-    return [nu(k, n, cs) for k in range(2 * n + 1)]
+def _entry(kind: str, i: int, j: int, n: int, cs: CoeffSystem) -> Scalar:
+    """L(x^i e_j) = nu_{i+power, index} in the basis ``kind`` over d_n."""
+    power, index = BASES[kind](j, n)
+    return nu(i + power, index, cs)
+
+
+def _moment_det(kind: str, n: int, cs: CoeffSystem, shifted: bool = False) -> Scalar:
+    """D_n of the basis ``kind``; with ``shifted``, D_{n-1,1} from rows 0..n-1
+    and columns 1..n.  The prime matrix is Hankel: ``hankel_minors`` takes
+    its sequence L(x^k e_first).  The others go row by row to ``det_exact``."""
+    first = int(shifted)
+    size = n + 1 - first
+    if kind == "prime":
+        seq = [_entry(kind, k, first, n, cs) for k in range(2 * size - 1)]
+        return hankel_minors(seq, size - 1, size - 1)[0]
+    return det_exact(
+        [[_entry(kind, i, j, n, cs) for j in range(first, n + 1)] for i in range(size)]
+    )
 
 
 def hankel(n: int, cs: CoeffSystem) -> Scalar:
@@ -166,44 +178,59 @@ def hankel(n: int, cs: CoeffSystem) -> Scalar:
     return hankel_minors([mu(k, cs) for k in range(2 * n + 1)], n, n)[0]
 
 
-def hankel_constant(n: int, A: Scalar, B: Scalar, C: Scalar,
-                    cs: CoeffSystem | None = None) -> DetReport:
-    """Constant-coefficient Hankel factorization (A^2+AB+C)^{n(n+1)/2}.
+def _constant_hankel(n: int, A: Scalar, B: Scalar, C: Scalar) -> Scalar:
+    """The constant family's Hankel prediction (A^2+AB+C)^{n(n+1)/2}."""
+    return (A * A + A * B + C) ** _binom2(n + 1)
 
-    The moments are read from ``cs``, a system with b_k = B, a_k = A and
-    lam_k = C, whose grid then serves every n; a fresh one when not given."""
-    if cs is None:
-        cs = CoeffSystem(lambda k: B, lambda k: A, lambda k: C, name="constant")
-    predicted = (A * A + A * B + C) ** _binom2(n + 1)
-    return DetReport(n, "hankel", hankel(n, cs), predicted)
+
+def hankel_constant(n: int, A: Scalar, B: Scalar, C: Scalar) -> DetReport:
+    """Constant-coefficient Hankel factorization (A^2+AB+C)^{n(n+1)/2}, on a
+    fresh system with b_k = B, a_k = A and lam_k = C."""
+    cs = CoeffSystem(lambda k: B, lambda k: A, lambda k: C, name="constant")
+    return DetReport(n, "hankel", hankel(n, cs), _constant_hankel(n, A, B, C))
+
+
+def _signed_p0(n: int, cs: CoeffSystem) -> Scalar:
+    return (-1) ** _binom2(n) * P(n, cs)(0)
+
+
+# The closed product each report is checked against: a prefactor in n times
+# the factor at each k = 1..n of (a_k, lam_k, p_k = P_k(-lam_k/a_k)).
+_PRODUCTS = {
+    "prime": (lambda n, cs: 1, lambda k, a, lam, p: 1 / ((-a) ** k * p)),
+    "dprime": (lambda n, cs: 1, lambda k, a, lam, p: lam ** k / ((-a) ** k * p)),
+    "tprime": (lambda n, cs: 1, lambda k, a, lam, p: 1 / p),
+    "shifted-prime": (_signed_p0, lambda k, a, lam, p: 1 / (a ** k * p)),
+    "shifted-dprime": (_signed_p0, lambda k, a, lam, p: lam ** (k - 1) / (a ** k * p)),
+    "shifted-tprime": (lambda n, cs: (-1) ** n, lambda k, a, lam, p: 1 / (a * p)),
+}
+
+
+def _report(kind: str, n: int, cs: CoeffSystem) -> DetReport:
+    """The determinant of a `dets` kind against its closed product."""
+    basis = kind.removeprefix("shifted-")
+    computed = _moment_det(basis, n, cs, shifted=basis != kind)
+    prefactor, factor = _PRODUCTS[kind]
+    predicted = Fraction(prefactor(n, cs))
+    roots = cs.nu_table()
+    for k in range(1, n + 1):
+        predicted *= factor(k, cs.a_nonzero(k), cs.lam(k), roots.p_at_root(k))
+    return DetReport(n, kind, computed, predicted)
 
 
 def delta_prime(n: int, cs: CoeffSystem) -> DetReport:
     """D'_n = det(nu_{i+j,n}) vs prod_k 1/((-a_k)^k P_k(-lam_k/a_k))."""
-    computed = hankel_minors(_nu_sequence(n, cs), n, n)[0]
-    predicted = Fraction(1)
-    for k in range(1, n + 1):
-        predicted /= (-cs.a_nonzero(k)) ** k * _p_at_root(k, cs)
-    return DetReport(n, "prime", computed, predicted)
+    return _report("prime", n, cs)
 
 
 def delta_dprime(n: int, cs: CoeffSystem) -> DetReport:
     """D''_n = det(nu_{i+j,j}) vs prod_k lam_k^k/((-a_k)^k P_k(-lam_k/a_k))."""
-    computed = det_exact([[nu(i + j, j, cs) for j in range(n + 1)] for i in range(n + 1)])
-    predicted = Fraction(1)
-    for k in range(1, n + 1):
-        predicted *= cs.lam(k) ** k
-        predicted /= (-cs.a_nonzero(k)) ** k * _p_at_root(k, cs)
-    return DetReport(n, "dprime", computed, predicted)
+    return _report("dprime", n, cs)
 
 
 def delta_tprime(n: int, cs: CoeffSystem) -> DetReport:
     """D'''_n = det(nu_{i,j}) vs prod_k 1/P_k(-lam_k/a_k)."""
-    computed = det_exact([[nu(i, j, cs) for j in range(n + 1)] for i in range(n + 1)])
-    predicted = Fraction(1)
-    for k in range(1, n + 1):
-        predicted /= _p_at_root(k, cs)
-    return DetReport(n, "tprime", computed, predicted)
+    return _report("tprime", n, cs)
 
 
 def delta_shifted(kind: str, n: int, s: int, cs: CoeffSystem) -> DetReport:
@@ -212,35 +239,13 @@ def delta_shifted(kind: str, n: int, s: int, cs: CoeffSystem) -> DetReport:
     Closed predictions exist for s = 1 at order n-1 (and are checked as
     conjectures); any other (n, s) raises, since no formula is available.
     """
-    if kind not in ("prime", "dprime", "tprime"):
+    if kind not in BASES:
         raise ValueError(f"unknown shifted determinant kind {kind!r}")
     if s != 1:
         raise HypothesisViolation("closed forms are only available for shift s = 1")
-    size = n  # matrix of the (n-1, 1)-variant is n x n
-    if size < 1:
+    if n < 1:
         raise ValueError("need n >= 1")
-    if kind == "prime":
-        seq = [nu(1 + k, n, cs) for k in range(2 * size - 1)]
-        computed = hankel_minors(seq, size - 1, size - 1)[0]
-        predicted = Fraction((-1) ** _binom2(n)) * P(n, cs)(0)
-        for k in range(1, n + 1):
-            predicted /= cs.a_nonzero(k) ** k * _p_at_root(k, cs)
-    elif kind == "dprime":
-        computed = det_exact(
-            [[nu(1 + i + j, 1 + j, cs) for j in range(size)] for i in range(size)]
-        )
-        predicted = Fraction((-1) ** _binom2(n)) * P(n, cs)(0)
-        for k in range(1, n + 1):
-            predicted *= cs.lam(k) ** (k - 1)
-            predicted /= cs.a_nonzero(k) ** k * _p_at_root(k, cs)
-    else:
-        computed = det_exact(
-            [[nu(i, 1 + j, cs) for j in range(size)] for i in range(size)]
-        )
-        predicted = Fraction((-1) ** n)
-        for k in range(1, n + 1):
-            predicted /= cs.a_nonzero(k) * _p_at_root(k, cs)
-    return DetReport(n, f"shifted-{kind}", computed, predicted)
+    return _report(f"shifted-{kind}", n, cs)
 
 
 def _hankel_rows(N: int, cs: CoeffSystem) -> list[Callable[[], DetReport | Scalar]]:
@@ -267,8 +272,8 @@ def _hankel_rows(N: int, cs: CoeffSystem) -> list[Callable[[], DetReport | Scala
             raise failure
         if cs.name != "constant":
             return minors[n - 1]
-        A, B, C = cs.a(1), cs.b(0), cs.lam(1)
-        return DetReport(n, "hankel", minors[n - 1], (A * A + A * B + C) ** _binom2(n + 1))
+        predicted = _constant_hankel(n, cs.a(1), cs.b(0), cs.lam(1))
+        return DetReport(n, "hankel", minors[n - 1], predicted)
 
     return [functools.partial(row, n) for n in range(1, N + 1)]
 
@@ -297,7 +302,8 @@ def cramer_monicity_check(n: int, cs: CoeffSystem) -> bool:
     """det(nu_{i+j,n})_{0..n} = det(nu_{i+j,n})_{0..n-1} (monic Cramer solution)."""
     if n == 0:
         return nu(0, 0, cs) == 1
-    small, big = hankel_minors(_nu_sequence(n, cs), n, n - 1)
+    seq = [_entry("prime", k, 0, n, cs) for k in range(2 * n + 1)]
+    small, big = hankel_minors(seq, n, n - 1)
     return big == small
 
 
@@ -321,59 +327,47 @@ def _bordered_coeffs(rows: list[list[Scalar]]) -> list[Scalar]:
 
 
 def P_via_det(n: int, cs: CoeffSystem) -> Poly:
-    """Reconstruct P_n from the bordered nu-determinant (x^j/d_n basis)."""
-    if n == 0:
-        return Poly.const(1)
-    seq = _nu_sequence(n, cs)
-    denom = hankel_minors(seq, n, n)[0]
-    if denom == 0:
-        raise PQUniqueError(f"D'_{n} = 0: P_{n} is not determined")
-    rows = [seq[i : i + n + 1] for i in range(n)]
-    return Poly([c / denom for c in _bordered_coeffs(rows)])
+    """Reconstruct P_n from the bordered nu-determinant: the numerator of
+    ``Q_via_det`` variant 1 (x^j/d_n basis)."""
+    return Q_via_det(n, cs, 1).numerator
 
 
 def Q_via_det(n: int, cs: CoeffSystem, variant: int) -> VElem:
-    """Reconstruct Q_n from a bordered determinant over one of three bases.
+    """Reconstruct Q_n = sum_j c_j e_j, c_j the cofactor of e_j over D_n.
 
     variant 1: basis x^j/d_n; variant 2: basis x^j/d_j (needs lam_k != 0);
-    variant 3: basis 1/d_j.  The result is returned over the common
-    denominator d_n.
+    variant 3: basis 1/d_j.  The result is over the common denominator d_n.
     """
     if variant not in (1, 2, 3):
         raise ValueError("variant must be 1, 2 or 3")
     if n == 0:
         return VElem(Poly.const(1), 0, cs)
-    if variant == 1:
-        return VElem(P_via_det(n, cs), n, cs)
-    if variant == 2:
+    kind = tuple(BASES)[variant - 1]
+    if kind == "dprime":
         for k in range(1, n + 1):
             if cs.lam(k) == 0:
                 raise HypothesisViolation(f"lam_{k} = 0: x^j/d_j basis degenerates")
-        matrix = [[nu(i + j, j, cs) for j in range(n + 1)] for i in range(n + 1)]
-        basis = [Poly.x(j) for j in range(n + 1)]
-    else:
-        matrix = [[nu(i, j, cs) for j in range(n + 1)] for i in range(n + 1)]
-        basis = [Poly.const(1)] * (n + 1)
-    denom = det_exact(matrix)
+    denom = _moment_det(kind, n, cs)
     if denom == 0:
-        primes = "'" * variant  # D''_n for variant 2, D'''_n for variant 3
-        raise PQUniqueError(f"D{primes}_{n} = 0: Q_{n} is not determined")
+        primes, name = "'" * variant, "P" if variant == 1 else "Q"  # variant 1 is P_via_det
+        raise PQUniqueError(f"D{primes}_{n} = 0: {name}_{n} is not determined")
     # the cofactors of the last row are minors of the first n rows
-    coeffs = _bordered_coeffs(matrix[:n])
+    coeffs = _bordered_coeffs(
+        [[_entry(kind, i, j, n, cs) for j in range(n + 1)] for i in range(n)]
+    )
     numerator = Poly()
-    scale = Poly.const(1)  # d_n / d_j
-    for j in range(n, -1, -1):
-        numerator = numerator + basis[j] * scale * (coeffs[j] / denom)
-        if j:
-            scale = scale * Poly.linear(cs.a(j), cs.lam(j))
+    for j, c in enumerate(coeffs):  # c_j e_j d_n = c_j x^power d_n/d_index
+        power, index = BASES[kind](j, n)
+        term = Poly.x(power) * (c / denom)
+        for k in range(index + 1, n + 1):
+            term = term * Poly.linear(cs.a(k), cs.lam(k))
+        numerator = numerator + term
     return VElem(numerator, n, cs)
 
 
 def lemma_xin_check(t: Scalar, n: int) -> DetReport:
-    """Hankel factorization (1+t)^{n(n+1)/2} for a_k = 1, b_k = t, lam_k = 0."""
-    cs = CoeffSystem(lambda k: t, lambda k: Fraction(1), lambda k: Fraction(0), name="xin")
-    predicted = (1 + t) ** _binom2(n + 1)
-    return DetReport(n, "xin", hankel(n, cs), predicted)
+    """(1+t)^{n(n+1)/2} for a_k = 1, b_k = t, lam_k = 0: the constant case A=1, B=t, C=0."""
+    return replace(hankel_constant(n, Fraction(1), t, Fraction(0)), kind="xin")
 
 
 def classical_equiv_check(A: Scalar, B: Scalar, C: Scalar, order: int) -> bool:

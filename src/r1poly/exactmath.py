@@ -396,17 +396,9 @@ class Series:
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has no inverse: constant term is 0")
-        c0 = self.coeffs[0]
-        out = [Fraction(1) / c0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out.append(-acc / c0)
-        return Series(out, self.order)
+        """Multiplicative inverse: the expansion of 1/(this series as a
+        polynomial).  A zero constant term raises ZeroDivisionError."""
+        return series_from_rational(Poly.const(1), Poly(self.coeffs), self.order)
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r}, order={self.order})"

@@ -141,25 +141,63 @@ _DET_FALLBACK_TABLE = {
 }
 
 
-@pytest.mark.parametrize("argv, digest", [
-    ("dets --coeffs table.json --kinds hankel,prime,dprime,tprime,shifted-prime,"
-     "shifted-dprime,shifted-tprime --n 5 --format json",
+# A table with P_3(-lam_3/a_3) = 0: every kind whose matrix reads column 3
+# of the nu grid names that degeneracy in its rows.
+_DET_ROOT_TABLE = {
+    "kind": "table",
+    "b": ["-1", "2", "1/2", "1/2", "0", "1/2", "0", "0", "1/2"],
+    "a": ["0", "2", "-1", "-1", "2", "-1", "1", "1/2", "-1"],
+    "lambda": ["0", "-1", "1/2", "0", "2", "2", "2", "0", "-1"],
+}
+
+# Cut to valid_to = 4, the same table also rejects mu_5.  Each row names the
+# error its entries meet first, so this pins the order the matrices are read:
+# row by row, the n = 5 rows of dprime and tprime meet P_3 before mu_5.
+_DET_SHORT_ROOT_TABLE = {key: value[:5] if isinstance(value, list) else value
+                         for key, value in _DET_ROOT_TABLE.items()}
+
+_DET_TABLES = {"table.json": _DET_TABLE, "fallback.json": _DET_FALLBACK_TABLE,
+               "root.json": _DET_ROOT_TABLE, "short_root.json": _DET_SHORT_ROOT_TABLE}
+_ALL_KINDS = "hankel,prime,dprime,tprime,shifted-prime,shifted-dprime,shifted-tprime"
+
+
+# The exit-2 rows were recorded before the three bases were read from one
+# table: they pin where each error row falls and what it says.
+_DET_PINS = [  # (argv, exit code, SHA-256 of stdout)
+    (f"dets --coeffs table.json --kinds {_ALL_KINDS} --n 5 --format json", 0,
      "045f61c580b5fc8d96092913edc305cae8d59e7dee3f4a4e6b76a72cd296f9fd"),
-    ("dets --kinds hankel --family constant --param A=2/3 B=-1/2 C=3/4 --n 6",
+    (f"dets --coeffs table.json --kinds {_ALL_KINDS} --n 8 --format json", 2,
+     "ec9c161982ac214fc2fa379c59604c0fbcf49f69a5562ac4623e5d4b16e1b90a"),
+    (f"dets --coeffs root.json --kinds {_ALL_KINDS} --n 5", 2,
+     "961cc03fe085355b2c4328b5ecee858b964aefd969099739aad3f0905e778519"),
+    (f"dets --coeffs short_root.json --kinds {_ALL_KINDS} --n 5", 2,
+     "5c77c72ae99bbde49eab5ae09e89d8e22140e99e78b5c5bdf8ab39d2581a26b8"),
+    ("dets --kinds hankel --family constant --param A=2/3 B=-1/2 C=3/4 --n 6", 0,
      "79329c4422246468d0334cbfe4ccdd2b8098ce9468cab4ea4b9a984f209a7233"),
     ("dets --family jacobi01 --param a=6/5 b=7/5 --kinds hankel,prime,shifted-prime --n 14 "
-     "--format json",
+     "--format json", 0,
      "e3f451e91c720275aad438bd32e500a8bd2bb70fe73a81491681fe98dc1a73c8"),
-    ("dets --coeffs fallback.json --kinds hankel,prime,shifted-prime --n 7 --format json",
+    ("dets --coeffs fallback.json --kinds hankel,prime,shifted-prime --n 7 --format json", 0,
      "1ed43fbcc4f16c25fd9906e95ce3f08ff7637c806542249577a60d8033963c5e"),
-])
-def test_dets_output_is_pinned(capsys, tmp_path, argv, digest):
-    for name, spec in (("table.json", _DET_TABLE), ("fallback.json", _DET_FALLBACK_TABLE)):
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", _DET_PINS,
+                         ids=[f"{argv}-{digest}" for argv, _, digest in _DET_PINS])
+def test_dets_output_is_pinned(capsys, tmp_path, argv, exit_code, digest):
+    for name, spec in _DET_TABLES.items():
         (tmp_path / name).write_text(json.dumps(spec))
-        argv = argv.replace(name, str(tmp_path / name))
-    code, out, _ = run(capsys, *argv.split())
-    assert code == 0
+    code, out, _ = run(capsys, *(str(tmp_path / a) if a in _DET_TABLES else a
+                                 for a in argv.split()))
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_poly_det_names_the_vanishing_root_value(capsys, tmp_path):
+    (tmp_path / "root.json").write_text(json.dumps(_DET_ROOT_TABLE))
+    code, out, err = run(capsys, "poly", "--coeffs", str(tmp_path / "root.json"),
+                         "--method", "det", "--n", "3")
+    assert (code, out, err) == (2, "", "error: degenerate system: P_3(-lam_3/a_3) = 0\n")
 
 
 def test_dets_reports_the_first_failing_entry_past_the_fallback(capsys, tmp_path):
@@ -192,6 +230,32 @@ def test_dets_checks_every_kind_before_computing(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("error: unknown determinant kind 'bogus'; known: hankel,prime,dprime,tprime,"
                    "shifted-prime,shifted-dprime,shifted-tprime\n")
+
+
+@pytest.mark.parametrize("kind, name, args", [
+    ("prime", "delta_prime", ()),
+    ("dprime", "delta_dprime", ()),
+    ("tprime", "delta_tprime", ()),
+    ("shifted-prime", "delta_shifted", ("prime",)),
+    ("shifted-dprime", "delta_shifted", ("dprime",)),
+    ("shifted-tprime", "delta_shifted", ("tprime",)),
+])
+def test_dets_kind_runs_its_module_report(capsys, monkeypatch, kind, name, args):
+    from r1poly import determinants
+
+    calls = []
+
+    def patched(*call):
+        calls.append(call)
+        return determinants.DetReport(len(calls), "patched", 1, 1)
+
+    monkeypatch.setattr(determinants, name, patched)
+    code, out, _ = run(capsys, "dets", "--family", "jacobi01", "--param", "a=6/5", "b=7/5",
+                       "--kinds", kind, "--n", "3")
+    assert code == 0
+    assert [json.loads(line)["kind"] for line in out.splitlines()] == ["patched"] * 3
+    shift = (1,) if name == "delta_shifted" else ()
+    assert [call[:-1] for call in calls] == [(*args, n, *shift) for n in (1, 2, 3)]
 
 
 def test_dets_constant_hankel_is_the_same_from_a_family_spec(capsys, tmp_path):

@@ -179,10 +179,82 @@ def test_shifted_factorizations(random_systems):
                 assert rep.matched, (kind, n, rep)
 
 
+def test_shifted_minor_is_the_column_zero_cofactor(random_systems):
+    # The shifted matrix is the bordered matrix's first n rows without
+    # column 0, so D_{n-1,1} = (-1)^n c_0 D_n with c_0 the e_0 coefficient
+    # of Q_n = P_n/d_n in the basis: P_n(0) for x^j/d_n, P_n(0)/prod lam_k
+    # for x^j/d_j (read off at x = 0) and 1/prod a_k for 1/d_j (read off
+    # the x^n coefficient).  No closed product enters.
+    reports = {"prime": delta_prime, "dprime": delta_dprime, "tprime": delta_tprime}
+    checked = 0
+    for cs in random_systems:
+        for n in range(1, 7):
+            a_prod = lam_prod = Fraction(1)
+            for k in range(1, n + 1):
+                a_prod *= cs.a(k)
+                lam_prod *= cs.lam(k)
+            p0 = P(n, cs)(0)
+            c0 = {"prime": p0, "dprime": p0 / lam_prod if lam_prod else None,
+                  "tprime": 1 / a_prod}
+            for kind, report in reports.items():
+                if c0[kind] is None:
+                    continue
+                shifted = delta_shifted(kind, n, 1, cs).computed
+                assert shifted == (-1) ** n * c0[kind] * report(n, cs).computed, (kind, n)
+                checked += 1
+    assert checked > 2 * len(random_systems) * 6
+
+
 def test_shifted_needs_shift_one(rng):
     cs = random_system(rng)
     with pytest.raises(HypothesisViolation):
         delta_shifted("prime", 3, 2, cs)
+
+
+def test_det_exact_calls_per_report_are_pinned(random_systems, monkeypatch):
+    # Recorded before the bases were read from one table.  The Hankel-shaped
+    # minors take det_exact only past a vanishing pivot, which the nu_{k,5}
+    # sequence of system 0 reaches once; every other determinant and every
+    # cofactor of a bordered matrix is one det_exact call.
+    runs = {
+        "prime": lambda n, cs: delta_prime(n, cs),
+        "dprime": lambda n, cs: delta_dprime(n, cs),
+        "tprime": lambda n, cs: delta_tprime(n, cs),
+        "shifted-prime": lambda n, cs: delta_shifted("prime", n, 1, cs),
+        "shifted-dprime": lambda n, cs: delta_shifted("dprime", n, 1, cs),
+        "shifted-tprime": lambda n, cs: delta_shifted("tprime", n, 1, cs),
+        "P": lambda n, cs: P_via_det(n, cs),
+        "Q1": lambda n, cs: Q_via_det(n, cs, 1),
+        "Q2": lambda n, cs: Q_via_det(n, cs, 2),
+        "Q3": lambda n, cs: Q_via_det(n, cs, 3),
+    }
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return det_exact(matrix)
+
+    def count(run, n, cs):
+        calls.clear()
+        try:
+            run(n, cs)
+        except HypothesisViolation:
+            return None
+        return len(calls)
+
+    monkeypatch.setattr(determinants, "det_exact", counting)
+    per_n = {"prime": 0, "dprime": 1, "tprime": 1, "shifted-prime": 0, "shifted-dprime": 1,
+             "shifted-tprime": 1}
+    for index, cs in enumerate(random_systems):
+        for n in range(1, 6):
+            fallback = int((index, n) == (0, 5))
+            want = dict(per_n, P=n + 1, Q1=n + 1, Q2=n + 2, Q3=n + 2)
+            for name in ("prime", "P", "Q1"):
+                want[name] += fallback
+            if index == 0 and n >= 2:
+                want["Q2"] = None  # lam_2 = 0: the x^j/d_j basis is refused first
+            got = {name: count(run, n, cs) for name, run in runs.items()}
+            assert got == want, (index, n)
 
 
 def test_hankel_constant_ones():
