@@ -10,10 +10,11 @@ never as decimals; --format json emits the documented schemas.
 
 Exit codes: 0 success, 1 identity failure, 2 degeneracy or hypothesis
 violation, 3 usage error or a tripped limit (a memo table over
-R1_MEMO_LIMIT, a path enumeration over its cap).  A verb returns the code
-of what it reports and raises on anything else; ``main`` alone turns an
-exception into an exit code and one ``error:`` line, from ``_DEGENERATE``
-(exit 2) and ``_BAD_INPUT`` (exit 3).  The verify suites live in
+R1_MEMO_LIMIT, a path enumeration over its cap, a symbolic `moments --n`
+or `paths sum` x-span plus start height over ``core.SYMBOLIC_CAP`` = 12,
+checked before any work starts).  A verb returns the code of what it reports and raises on
+anything else; ``main`` alone turns an exception into an exit code and one
+``error:`` line, from ``_DEGENERATE`` (exit 2) and ``_BAD_INPUT`` (exit 3).  The verify suites live in
 r1poly.checks; they derive everything from --seed and print the seed in the
 report, so runs are byte-identical.
 """
@@ -84,6 +85,8 @@ def cmd_moments(args) -> int:
     if args.n < 0:
         raise ValueError("moments need --n >= 0")
     if args.symbolic:
+        if args.n > core.SYMBOLIC_CAP:
+            raise ValueError(f"symbolic moments need --n <= {core.SYMBOLIC_CAP}")
         values = [str(mu_symbolic(n)) for n in range(args.n + 1)]
         _emit(args, values, {"symbolic": True, "moments": values})
         return EXIT_OK
@@ -181,6 +184,9 @@ def cmd_paths(args) -> int:
         return EXIT_OK
     if args.action == "sum":
         if args.symbolic:
+            if end[0] - start[0] + start[1] > core.SYMBOLIC_CAP:
+                raise ValueError("symbolic path sums need x-span + start height"
+                                 f" <= {core.SYMBOLIC_CAP}")
             ws = paths.symbolic_weights()
         else:
             ws = paths.WeightSystem(_load_system(args))

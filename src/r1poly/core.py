@@ -16,18 +16,21 @@ building a fresh system.
 
 The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
 program, ``PathColumns``, which makes each column of path sums from the one
-before by ``column_step``.  ``P`` runs the three-term recurrence on the last
-two rows of coefficients, ``_PolyRows``.  A rational system runs both over
-integers scaled by powers of the lcm D of the denominators read so far
+before.  ``P`` runs the three-term recurrence on the last two rows of
+coefficients, ``_PolyRows``.  A rational system runs both over integers
+scaled by powers of the lcm D of the denominators read so far
 (``_ScaledWeights``: weights D*b, D*a, D^2*lam), and divides only what it
 hands out.  Once D has more than ``SCALED_MAX_BITS`` bits, as for the Jacobi
 and q-families within their first rows, the path walk keeps each column as
 integers over one common denominator, the lcm of the column's reduced
-denominators, and ``P`` keeps Fraction rows.
+denominators, and steps them on plain ints with each coefficient split once
+into (numerator, denominator) (``gated_column_step``), while ``P`` keeps
+Fraction rows.  The scaled and the symbolic walks step by ``column_step``.
 
 ``cf_series`` expands the branched continued fraction from its convergent
 P*^(1)_N / P*_{N+1}, the reversed recurrence polynomials of the shifted and
-of the given system, with one series division.
+of the given system, with one series division; the shifted system is
+``CoeffSystem.shifted``, kept on the system with its tables.
 
 The functional L lives on the space V of rational functions p(x)/d_m(x)
 with d_m(x) = prod_{i=1..m} (a_i x + lam_i); ``VElem`` is that
@@ -103,8 +106,9 @@ class CoeffSystem:
     means every index).  A system with its tables is a single-writer session
     object; share only the immutable values it returns.  ``zero``, ``one``
     and ``total`` (the sum of a list) are those of the coefficient ring.
-    The tables it owns reach it through a weak proxy, so a dropped system
-    and its grids are freed at once, without waiting for the cyclic GC.
+    The tables it owns, and the shifted systems of ``shifted``, reach it
+    through a weak proxy, so a dropped system and its grids are freed at
+    once, without waiting for the cyclic GC.
     """
 
     zero = Fraction(0)
@@ -129,6 +133,7 @@ class CoeffSystem:
         self._poly_rows = _PolyRows(weakref.proxy(self))
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
+        self._shifts: dict[int, CoeffSystem] = {}
 
     @staticmethod
     def from_lists(
@@ -184,6 +189,16 @@ class CoeffSystem:
             self._nu = NuTable(weakref.proxy(self))
         return self._nu
 
+    def shifted(self, s: int) -> "CoeffSystem":
+        """``shift(self, s)``, built once and kept with its tables.  It reads
+        this system through a weak proxy, so it is usable only while this
+        system is alive; hand out ``shift`` instead."""
+        if s == 0:
+            return self
+        if s not in self._shifts:
+            self._shifts[s] = shift(weakref.proxy(self), s)
+        return self._shifts[s]
+
     def __repr__(self):
         return f"CoeffSystem({self.name or 'anonymous'})"
 
@@ -214,7 +229,9 @@ def Pstar(n: int, cs: CoeffSystem) -> Poly:
 def shift(cs: CoeffSystem, s: int) -> CoeffSystem:
     """Reindex all three streams by s (the delta operator applied s times).
 
-    The shifted system reads through cs, so it shares cs's memo and checks."""
+    The shifted system reads through cs, so it shares cs's memo and checks,
+    and keeps cs alive.  Each call builds a fresh system with empty tables;
+    ``cs.shifted(s)`` is the memoized one."""
     if s < 0:
         raise ValueError("shift distance must be >= 0")
     if s == 0:
@@ -320,10 +337,10 @@ def P_via_tilings(n: int, cs: CoeffSystem) -> Poly:
 # A rational path walk or P recurrence leaves the scaled integers once the
 # lcm D of the denominators it has read has more bits than this, and does
 # not come back: the walk then keeps each column over its own common
-# denominator, P keeps Fraction rows.  A D that stops growing is cheap at any
-# size, but one that grows with the index (the Jacobi and q-families, which
-# cross the gate within their first rows) pads every entry by D^e far past
-# its reduced Fraction.
+# denominator and steps it by ``gated_column_step``, P keeps Fraction rows.
+# A D that stops growing is cheap at any size, but one that grows with the
+# index (the Jacobi and q-families, which cross the gate within their first
+# rows) pads every entry by D^e far past its reduced Fraction.
 SCALED_MAX_BITS = 64
 
 
@@ -336,6 +353,10 @@ def column_step(col: list, top: int, b: Sequence, a: Sequence, lam: Sequence,
     D (lam[y+1]) from col[y+1], then V (a[y+1]) from entry y + 1 of column
     x, so the column fills top down.  ``top`` is len(col), or len(col) - 1
     under a height cap.  ``total`` adds a list of ring elements at once.
+
+    This is the step of the scaled-integer walk (int weights) and of the
+    symbolic walk (``SymPoly`` weights); a gated walk steps by
+    ``gated_column_step``.
     """
     last = len(col) - 1
     nxt = [None] * (top + 1)
@@ -361,6 +382,51 @@ def column_step(col: list, top: int, b: Sequence, a: Sequence, lam: Sequence,
     return nxt
 
 
+def gated_column_step(col: list[int], top: int, b: Sequence, a: Sequence,
+                      lam: Sequence) -> list[tuple[int, int]]:
+    """``column_step`` on integers, with each weight a pair (numerator,
+    denominator): the step of a walk past the gate.
+
+    Entry y of the result is the reduced pair (n, d), d > 0, of
+    E_y = col[y-1] + b_y col[y] + lam_{y+1} col[y+1] + a_{y+1} E_{y+1}.  Its
+    terms are summed over the lcm of their small denominators, and one gcd
+    against that reduces the entry; no term builds a Fraction.
+    """
+    gcd, lcm = math.gcd, math.lcm
+    last = len(col) - 1
+    nxt = [None] * (top + 1)
+    en, ed = 0, 1  # E_{y+1}; nothing above top
+    for y in range(top, -1, -1):
+        n, d = (col[y - 1] if y else 0), 1
+        if y <= last:
+            wn, wd = b[y]
+            if wn:
+                n, d = n * wd + wn * col[y], wd
+        if y < last:
+            wn, wd = lam[y + 1]
+            if wn:
+                if wd == d:
+                    n += wn * col[y + 1]
+                else:
+                    m = lcm(d, wd)
+                    n, d = n * (m // d) + wn * (m // wd) * col[y + 1], m
+        if en:
+            wn, wd = a[y + 1]
+            wd *= ed
+            if wd == d:
+                n += wn * en
+            else:
+                m = lcm(d, wd)
+                n, d = n * (m // d) + wn * (m // wd) * en, m
+        if d > 1:
+            g = gcd(n, d)
+            if g > 1:
+                n //= g
+                d //= g
+        nxt[y] = en, ed = n, d
+    return nxt
+
+
 def _nth_power(powers: list[int], base: int, e: int) -> int:
     """base^e, where ``powers`` caches [1, base, base^2, ...] and grows to e."""
     while len(powers) <= e:
@@ -377,9 +443,10 @@ class _ScaledWeights:
     exponent e is stored as D^e times its value, and the weights are D*b,
     D*a and D^2*lam.  A new denominator rescales the stored entries by
     (D'/D)^e.  Once D has more than ``SCALED_MAX_BITS`` bits the entries
-    turn into Fractions and the weights are the coefficients again, for
-    good; ``PathColumns`` then puts each column over one denominator.  A
-    subclass keeps the entries.
+    turn into Fractions and each weight is the pair (numerator, denominator)
+    of its coefficient, split once where it is read, for good;
+    ``PathColumns`` then puts each column over one denominator.  A subclass
+    keeps the entries.
     """
 
     def __init__(self, cs: CoeffSystem):
@@ -408,16 +475,19 @@ class _ScaledWeights:
         fresh = sorted((s, i, streams[s](i)) for s, i in order)
         for s, _, v in fresh:
             self._coeffs[s].append(v)
-        if self.scale is None:
+        if self._weights is self._coeffs:  # symbolic: the coefficients are the weights
             return
-        scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
-        if scale != self.scale:
-            self._rescale(scale)
-        else:
-            for s, _, v in fresh:
-                self._weights[s].append(self._weight(s, v))
+        if self.scale is not None:
+            scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
+            if scale != self.scale:
+                self._rescale(scale)
+                return
+        for s, _, v in fresh:
+            self._weights[s].append(self._weight(s, v))
 
-    def _weight(self, s: int, v: Fraction) -> int:
+    def _weight(self, s: int, v: Fraction) -> int | tuple[int, int]:
+        if self.scale is None:
+            return v.numerator, v.denominator
         w = v.numerator * (self.scale // v.denominator)
         return w * self.scale if s == 2 else w
 
@@ -425,11 +495,11 @@ class _ScaledWeights:
         """Store every entry against the new lcm, or as a Fraction past the gate."""
         if scale.bit_length() > SCALED_MAX_BITS:
             self._map(lambda v, e: Fraction(v, self._power(e)))
-            self.scale, self._weights = None, self._coeffs
-            return
-        ratio, powers = scale // self.scale, [1]
-        self._map(lambda v, e: v * _nth_power(powers, ratio, e))
-        self.scale, self._powers = scale, [1]
+            self.scale = None
+        else:
+            ratio, powers = scale // self.scale, [1]
+            self._map(lambda v, e: v * _nth_power(powers, ratio, e))
+            self.scale, self._powers = scale, [1]
         self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
                               for s, vs in enumerate(self._coeffs))
 
@@ -440,17 +510,19 @@ class PathColumns(_ScaledWeights):
     The walk stands in column x (``x0`` at first) and ``col[y]`` holds the
     sum of the weights of the paths from (x0, y0) to (x, y) that stay at or
     below ``max_height`` (None: no cap).  Column x0 is the start and the V
-    runs below it; ``advance`` makes each next column by ``column_step``.
-    ``memo``, when given, keeps every column under its (x, y) keys.
+    runs below it; ``advance`` makes each next column.  ``memo``, when
+    given, keeps every column under its (x, y) keys.
 
-    A rational walk stores entry (x, y) scaled as ``_ScaledWeights`` says,
-    with exponent e = (x - x0) - (y - y0) = h + v + 2d for every path
-    there; U still weighs 1.  Past the gate it stores column x as integers
-    N_y over one denominator Q_x = ``dens[x - x0]``, the lcm of the reduced
-    denominators of the column.  The step is linear, so ``column_step`` on
-    the N_y, with the coefficients as weights, gives Q_x times the next
-    column in Fractions whose denominators are small (those of the
-    coefficients); with R their lcm the next column is stored over Q_x*R,
+    A symbolic walk steps in its ring and a rational one over scaled
+    integers, both by ``column_step``.  The scaled walk stores entry (x, y)
+    as ``_ScaledWeights`` says, with exponent e = (x - x0) - (y - y0) =
+    h + v + 2d for every path there; U still weighs 1.  Past the gate the
+    walk stores column x as integers N_y over one denominator
+    Q_x = ``dens[x - x0]``, the lcm of the reduced denominators of the
+    column.  The step is linear, so ``gated_column_step`` on the N_y, with
+    the (numerator, denominator) weights, gives Q_x times the next column
+    as reduced pairs whose denominators are small (products of coefficient
+    denominators); with r their lcm the next column is stored over Q_x*r,
     both sides divided by their gcd.  Only ``read`` divides.
 
     Each coefficient is read from the system once, in the order in which
@@ -468,11 +540,12 @@ class PathColumns(_ScaledWeights):
         self.dens: list[int] | None = None  # Q_x past the gate; 1 for a column not kept
         y0 = self.y0
         self._fetch([(1, y) for y in range(y0, 0, -1)])
-        a = self._weights[1]
+        gated = self.dens is not None  # crossed while reading the a_y above
+        a = self._coeffs[1] if gated else self._weights[1]
         col = [None] * y0 + [1 if self.scale else cs.one]
         for y in range(y0 - 1, -1, -1):
             col[y] = a[y + 1] * col[y + 1]
-        self._keep(col)
+        self._keep([(v.numerator, v.denominator) for v in col] if gated else col)
 
     def advance(self) -> None:
         """Step to column x + 1."""
@@ -489,7 +562,10 @@ class PathColumns(_ScaledWeights):
                 order.append((1, y + 1))
         self._fetch(order)
         self.x += 1
-        self._keep(column_step(self.col, top, *self._weights, self.cs.total))
+        if self.dens is None:
+            self._keep(column_step(self.col, top, *self._weights, self.cs.total))
+        else:
+            self._keep(gated_column_step(self.col, top, *self._weights))
 
     def value(self, y: int) -> Scalar:
         """The path sum to (x, y) in the current column."""
@@ -504,9 +580,9 @@ class PathColumns(_ScaledWeights):
         return stored
 
     def _keep(self, col: list) -> None:
-        if self.dens is not None:  # col is Q_{x-1} times column x (Q = 1 at the start)
-            r = math.lcm(*(v.denominator for v in col))
-            col = [v.numerator * (r // v.denominator) for v in col]
+        if self.dens is not None:  # pairs (n, d) of Q_{x-1} times column x; Q = 1 at the start
+            r = math.lcm(*(d for _, d in col))
+            col = [n * (r // d) for n, d in col]
             den = (self.dens[-1] if self.dens else 1) * r
             g = math.gcd(den, *col)  # skips the rest once the gcd is 1
             if g > 1:
@@ -568,7 +644,8 @@ class _PolyRows(_ScaledWeights):
         j = self.j
         # b_j, then a_j and lam_j, as the plain Fraction recurrence reads them
         self._fetch([(0, j), (1, j), (2, j)] if j else [(0, 0)])
-        b, a, lam = (w[j] for w in self._weights)  # a_0, lam_0: None, and unused
+        # a_0, lam_0: None, and unused; past the gate the Fraction coefficients
+        b, a, lam = (w[j] for w in (self._weights if self.scale else self._coeffs))
         prev2, prev = self.rows
         row = [-b * c for c in prev] + [0]
         for k, c in enumerate(prev):
@@ -643,6 +720,16 @@ _SYMBOLIC = _SymbolicSystem(SymPoly.b, SymPoly.a, SymPoly.lam, name="symbolic")
 # per call, because bench/tracing.py reads the entries of every table that
 # an op reaches through mu_table() as rationals.
 _SYMBOLIC_MU = _SYMBOLIC.mu_table()
+
+
+# The largest n of the CLI's symbolic moments, and the largest x-span plus
+# start height of its symbolic path sums: a walk from (0, y) to column s is
+# part of the walk from the origin to column s + y, since every path from
+# (0, y) follows y U steps from (-y, 0).  The terms of mu_n, and the memory,
+# about triple with each n: mu_symbolic(12) has 400,850 terms and a run to it
+# peaks at 532 MiB, so n = 13 would need about 1.6 GB.  mu_symbolic itself
+# takes any n.
+SYMBOLIC_CAP = 12
 
 
 def mu_symbolic(n: int, m: int = 0) -> SymPoly:
@@ -828,14 +915,14 @@ def cf_series(cs: CoeffSystem, order: int) -> Series:
     truncated at depth N = order (deeper levels cannot reach order <= N).
 
     The depth-N fraction is its convergent P*^(1)_N / P*_{N+1}: the
-    reversed P_{N+1} of cs over the reversed P_N of ``shift(cs, 1)``
+    reversed P_{N+1} of cs over the reversed P_N of ``cs.shifted(1)``
     (Euler-Wallis), expanded by one series division.  P_{N+1} is read
     first, so the coefficients b_0..b_N, a_1..a_N, lam_1..lam_N are read in
     ascending order."""
     if order < 0:
         raise ValueError("series order must be >= 0")
     den = Pstar(order + 1, cs)
-    return series_from_rational(Pstar(order, shift(cs, 1)), den, order)
+    return series_from_rational(Pstar(order, cs.shifted(1)), den, order)
 
 
 def Vm_series(m: int, cs: CoeffSystem, order: int) -> Series:

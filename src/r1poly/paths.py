@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _SYMBOLIC, CoeffSystem, PathColumns, Pstar, shift
+from .core import _SYMBOLIC, CoeffSystem, PathColumns, Pstar
 from .exactmath import Poly
 
 STEP_KINDS = "UHVD"
@@ -237,10 +237,10 @@ def bounded_gf(r: int, s: int, k: int, cs: CoeffSystem) -> tuple[Poly, Poly, Pol
     den = Pstar(k + 1, cs)
     assert den[0] == 1, "P*_{k+1}(0) must be 1 by construction"
     if r <= s:
-        num = Pstar(r, cs) * Pstar(k - s, shift(cs, s + 1))
+        num = Pstar(r, cs) * Pstar(k - s, cs.shifted(s + 1))
         prefactor = Poly.x(s - r) if s > r else Poly.const(1)
     else:
-        num = Pstar(s, cs) * Pstar(k - r, shift(cs, r + 1))
+        num = Pstar(s, cs) * Pstar(k - r, cs.shifted(r + 1))
         prefactor = Poly.const(1)
         for i in range(s + 1, r + 1):
             prefactor = prefactor * Poly.linear(cs.lam(i), cs.a(i))

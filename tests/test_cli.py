@@ -510,6 +510,9 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "paths enumerate --from 0,0 --to 2,-3"),
     ({}, "paths sum --symbolic --from 0,-1 --to 2,0"),
     ({}, "moments --symbolic --n -2"),
+    ({}, "moments --symbolic --n 13"),
+    ({}, "paths sum --symbolic --from 0,0 --to 13,0"),
+    ({}, "paths sum --symbolic --from 0,6 --to 12,0"),
     ({}, "moments --family laguerre --param a=1 --n -2"),
     ({}, "family laguerre --param a=1 --emit moments --n -1"),
     ({}, "paths count --from 0,0 --to 2,0 --max-height -1"),
@@ -545,6 +548,22 @@ def test_bad_input_is_one_line_usage_error(extra_env, argv, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_symbolic_verbs_are_capped_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("symbolic work started")
+
+    monkeypatch.setattr(cli, "mu_symbolic", no_work)
+    monkeypatch.setattr(cli.paths, "symbolic_weights", no_work)
+    assert r1poly.core.SYMBOLIC_CAP == 12
+    assert run(capsys, "moments", "--symbolic", "--n", "13") == (
+        3, "", "error: symbolic moments need --n <= 12\n")
+    assert run(capsys, "paths", "sum", "--symbolic", "--from", "2,3", "--to", "12,0") == (
+        3, "", "error: symbolic path sums need x-span + start height <= 12\n")
+    for argv in ("moments --symbolic --n 12", "paths sum --symbolic --from 2,3 --to 11,0"):
+        with pytest.raises(AssertionError, match="symbolic work started"):
+            main(argv.split())
 
 
 def test_coefficient_past_a_table_exits_two_whichever_factor_reads_it(capsys, tmp_path):

@@ -6,6 +6,7 @@ import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ import r1poly
 from r1poly import checks, families
 from r1poly.checks import random_fraction, random_system
 from r1poly.core import (
+    _PolyRows,
     CoeffError,
     CoeffSystem,
     DegeneracyError,
@@ -43,7 +45,7 @@ from r1poly.core import (
     table_spec,
 )
 from r1poly.exactmath import Poly, Series, SymPoly, poly_divrem
-from r1poly.paths import WeightSystem, rho_sum, weight_sum
+from r1poly.paths import WeightSystem, bounded_gf, rho_sum, weight_sum
 
 
 def test_P_base_cases(ones):
@@ -118,7 +120,32 @@ def test_shift_reindexes(rng):
     cs = random_system(rng)
     assert P(1, shift(cs, 2)) == Poly([-cs.b(2), 1])
     assert shift(cs, 3).a(1) == cs.a(4)
-    assert shift(cs, 0) is cs
+    assert shift(cs, 0) is cs is cs.shifted(0)
+    assert cs.shifted(2) is cs.shifted(2) is not shift(cs, 2)
+    assert P(3, cs.shifted(2)) == P(3, shift(cs, 2))
+
+
+def test_shift_keeps_its_parent_alive(rng):
+    cs = random_system(rng)
+    b3, shifted = cs.b(3), shift(cs, 2)
+    del cs
+    assert shifted.b(1) == b3
+
+
+def test_a_second_cf_series_steps_no_shifted_recurrence():
+    cs = r1poly.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    first = cf_series(cs, 30)
+    rows = cs.shifted(1)._poly_rows
+    with mock.patch.object(_PolyRows, "advance", autospec=True,
+                           side_effect=_PolyRows.advance) as step:
+        assert cf_series(cs, 30) == first
+        assert step.call_count == 0
+        deeper = cf_series(cs, 32)  # P_31 and P_32 of cs.shifted(1), P_32 and P_33 of cs
+    assert [call.args[0] for call in step.call_args_list].count(rows) == 2
+    assert step.call_count == 4
+    fresh = r1poly.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    assert deeper == cf_series(fresh, 32)
+    assert cf_series(cs, 20) == cf_series(fresh, 20)
 
 
 def test_orthogonality(random_systems):
@@ -337,6 +364,19 @@ def test_a_dropped_system_is_freed_without_the_cyclic_gc(rng):
     try:
         del cs, systems
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_system_and_its_shifted_systems_are_freed_without_the_cyclic_gc():
+    cs = r1poly.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    cf_series(cs, 12)
+    bounded_gf(1, 3, 5, cs)
+    refs = [weakref.ref(system) for system in (cs, cs.shifted(1), cs.shifted(4))]
+    gc.disable()
+    try:
+        del cs
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 

@@ -5,7 +5,8 @@ Rational systems walk over integers scaled by a power of the lcm D of the
 denominators read until D passes ``core.SCALED_MAX_BITS`` bits.  Past that
 gate the path walk stores each column as integers over one common
 denominator, which must be the lcm of the column's reduced denominators,
-and P keeps Fraction rows.  The references below are the recurrences
+and steps it on integers with (numerator, denominator) weights; P keeps
+Fraction rows.  The references below are the recurrences
 written out over Fraction, reading the coefficients lazily in the order of
 a plain Fraction fill, so the values, the reads and the errors can all be
 compared.
@@ -16,12 +17,13 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from r1poly import families
+from r1poly import core, families
 from r1poly.core import (CoeffError, CoeffSystem, MemoLimitError, P, PathColumns, cf_series, mu,
                          mu_nm)
 from r1poly.exactmath import Poly, Series, series_from_rational
@@ -255,6 +257,26 @@ def lcm_of_denominators(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+def gated_by_its_reads(walk: PathColumns) -> bool:
+    """With the gate at 0 bits: the walk is gated exactly when it has read a
+    coefficient that is not whole."""
+    whole = all(v.denominator == 1 for vs in walk._coeffs for v in vs if v is not None)
+    return (walk.dens is None) == whole
+
+
+def check_gated_walk(walk: PathColumns, want_columns):
+    """Every column of ``walk`` against the reference columns, and once the
+    walk is gated, int entries over the lcm of the column's reduced
+    denominators."""
+    for x, want in enumerate(want_columns, walk.x0):
+        if x > walk.x0:
+            walk.advance()
+        assert [walk.value(y) for y in range(len(want))] == [want[y] for y in range(len(want))]
+        if walk.dens is not None:
+            assert all(type(v) is int for v in walk.col)
+            assert walk.dens[-1] == lcm_of_denominators(want.values())
+
+
 @pytest.mark.parametrize("name", GATED)
 def test_gated_rows_are_kept_over_the_lcm_of_their_denominators(name):
     spec, n, _, _ = RING_CASES[name]
@@ -279,16 +301,45 @@ def test_gated_walks_from_off_the_origin(name, start, cap):
     spec = RING_CASES[name][0]
     walk = PathColumns(spec.build(), start, cap)
     assert (walk.dens is not None) == (start[1] == 19)
-    reference = reference_columns(spec.build(), start, cap)
-    for x in range(start[0], start[0] + 30):
-        if x > start[0]:
-            walk.advance()
-        want = next(reference)
-        assert [walk.value(y) for y in range(len(want))] == [want[y] for y in range(len(want))]
-        if walk.dens is not None:
-            assert walk.dens[-1] == lcm_of_denominators(want.values())
+    want = list(itertools.islice(reference_columns(spec.build(), start, cap), 30))
+    check_gated_walk(walk, want)
     assert walk.dens is not None
-    assert weight_sum(start, (start[0] + 29, 1), WeightSystem(spec.build()), cap) == want[1]
+    assert weight_sum(start, (start[0] + 29, 1), WeightSystem(spec.build()), cap) == want[-1][1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), tables(n + 2))))
+def test_gated_grid_on_random_tables(case):
+    """With the gate at 0 bits the walk leaves the scaled integers at its
+    first fractional coefficient and steps through zero, negative and whole
+    weights on (numerator, denominator) ints."""
+    n, lists = case
+    rows = reference_mu_rows(CoeffSystem.from_lists(*lists), n)
+    with mock.patch.object(core, "SCALED_MAX_BITS", 0):
+        cs = CoeffSystem.from_lists(*lists)
+        for k, row in enumerate(rows):
+            assert [mu_nm(k, m, cs) for m in range(k + 1)] == row
+    table = cs.mu_table()
+    assert gated_by_its_reads(table._walk)
+    assert all(type(v) is int for v in table.memo.values())
+    if table._walk.dens is not None:
+        assert table._walk.dens == [lcm_of_denominators(row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(17), st.integers(0, 6), st.integers(0, 8), st.integers(0, 8),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_gated_walks_on_random_tables(lists, x0, y0, dx, cap):
+    if cap is not None and y0 > cap:
+        return
+    reference = reference_columns(CoeffSystem.from_lists(*lists), (x0, y0), cap)
+    want = list(itertools.islice(reference, dx + 1))
+    with mock.patch.object(core, "SCALED_MAX_BITS", 0):
+        walk = PathColumns(CoeffSystem.from_lists(*lists), (x0, y0), cap)
+        check_gated_walk(walk, want)
+        got = weight_sum((x0, y0), (x0 + dx, 1), WeightSystem(CoeffSystem.from_lists(*lists)), cap)
+    assert gated_by_its_reads(walk)
+    assert type(got) is Fraction and got == want[-1].get(1, 0)
 
 
 def test_memo_limit_on_a_gated_table(monkeypatch):
