@@ -10,22 +10,22 @@ read.  Everything else in the package is parameterized by one of these
 systems.  A system reads each b_n, a_n and lam_n from its stream once, on
 first use, checks the index there and memoizes the value; a stream that
 cannot produce a coefficient fails at that read, whatever the index.  Each
-system also carries its own memo tables (the polynomials P_n and d_m, the mu
-and nu moment grids), which grow monotonically and are dropped only by
-building a fresh system.
+system also carries its own memo tables (the polynomials P_n, the mu and nu
+moment grids), which grow monotonically and are dropped only by building a
+fresh system.
 
 The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
 program, ``PathColumns``, which makes each column of path sums from the one
-before.  ``P`` runs the three-term recurrence on the last two rows of
-coefficients, ``_PolyRows``.  A rational system runs both over integers
-scaled by powers of the lcm D of the denominators read so far
-(``_ScaledWeights``: weights D*b, D*a, D^2*lam), and divides only what it
-hands out.  Once D has more than ``SCALED_MAX_BITS`` bits, as for the Jacobi
-and q-families within their first rows, the path walk keeps each column as
+before.  A rational walk runs over integers scaled by powers of the lcm D of
+the denominators read so far (weights D*b, D*a, D^2*lam), and divides only
+what it hands out.  Once D has more than ``SCALED_MAX_BITS`` bits, as for the
+Jacobi and q-families within their first rows, the walk keeps each column as
 integers over one common denominator, the lcm of the column's reduced
 denominators, and steps them on plain ints with each coefficient split once
-into (numerator, denominator) (``gated_column_step``), while ``P`` keeps
-Fraction rows.  The scaled and the symbolic walks step by ``column_step``.
+into (numerator, denominator) (``gated_column_step``).  The scaled and the
+symbolic walks step by ``column_step``.  ``P`` runs the three-term
+recurrence on rows of integers over one denominator per row, ``_PolyRows``,
+and builds the Poly of a row only when it is asked for.
 
 ``cf_series`` expands the branched continued fraction from its convergent
 P*^(1)_N / P*_{N+1}, the reversed recurrence polynomials of the shifted and
@@ -89,8 +89,16 @@ class MemoLimitError(RuntimeError):
 def _check_memo(table: str, size: int, request: str):
     """Raise ``MemoLimitError`` once a table holds more than R1_MEMO_LIMIT entries."""
     raw = os.environ.get("R1_MEMO_LIMIT")
-    if raw and size > int(raw):
-        raise MemoLimitError(f"{table}: {size} entries > R1_MEMO_LIMIT={int(raw)} ({request})")
+    if not raw:
+        return
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"R1_MEMO_LIMIT must be an integer >= 0, got {raw!r}")
+    if size > limit:
+        raise MemoLimitError(f"{table}: {size} entries > R1_MEMO_LIMIT={limit} ({request})")
 
 
 def _add_all(terms: Sequence[Scalar]) -> Scalar:
@@ -129,7 +137,6 @@ class CoeffSystem:
         self._lams: dict[int, Scalar] = {}
         self.valid_to = valid_to
         self.name = name
-        self._poly_cache: list[Poly] = [Poly.const(1)]
         self._poly_rows = _PolyRows(weakref.proxy(self))
         self._mu: MuTable | None = None
         self._nu: NuTable | None = None
@@ -207,16 +214,12 @@ def P(n: int, cs: CoeffSystem) -> Poly:
     """The monic degree-n recurrence polynomial; P_0 = 1, P_{-1} = 0.
 
     The system's ``_PolyRows`` steps P_{k+1} = (x - b_k) P_k -
-    (a_k x + lam_k) P_{k-1} over integers, coefficient i of P_k scaled by
-    D^(k-i), while the lcm D of the denominators stays under the gate, and
-    over Fraction past it.  Each P_k is kept in the poly cache as a Poly."""
+    (a_k x + lam_k) P_{k-1} on integer rows, each over the lcm of its
+    reduced denominators, and keeps every row; the Poly of P_n is built on
+    the first request for it and kept.  Rational systems only."""
     if n < 0:
         return Poly()
-    cache = cs._poly_cache
-    while len(cache) <= n:
-        cache.append(Poly(cs._poly_rows.advance()))
-        _check_memo("poly cache", len(cache), f"building P_{len(cache) - 1} for n={n}")
-    return cache[n]
+    return cs._poly_rows.poly(n)
 
 
 def Pstar(n: int, cs: CoeffSystem) -> Poly:
@@ -334,13 +337,13 @@ def P_via_tilings(n: int, cs: CoeffSystem) -> Poly:
 
 # -- the path-column kernel ---------------------------------------------
 
-# A rational path walk or P recurrence leaves the scaled integers once the
-# lcm D of the denominators it has read has more bits than this, and does
-# not come back: the walk then keeps each column over its own common
-# denominator and steps it by ``gated_column_step``, P keeps Fraction rows.
-# A D that stops growing is cheap at any size, but one that grows with the
-# index (the Jacobi and q-families, which cross the gate within their first
-# rows) pads every entry by D^e far past its reduced Fraction.
+# A rational path walk leaves the scaled integers once the lcm D of the
+# denominators it has read has more bits than this, and does not come back:
+# it then keeps each column over its own common denominator and steps it by
+# ``gated_column_step``.  A D that stops growing is cheap at any size, but
+# one that grows with the index (the Jacobi and q-families, which cross the
+# gate within their first rows) pads every entry by D^e far past its
+# reduced Fraction.
 SCALED_MAX_BITS = 64
 
 
@@ -434,77 +437,7 @@ def _nth_power(powers: list[int], base: int, e: int) -> int:
     return powers[e]
 
 
-class _ScaledWeights:
-    """The coefficients a recurrence has read, and its step weights.
-
-    A symbolic system steps in its own ring, with the coefficients as the
-    weights.  A rational system steps over scaled integers: with D the lcm
-    of the denominators of the coefficients read so far, an entry of
-    exponent e is stored as D^e times its value, and the weights are D*b,
-    D*a and D^2*lam.  A new denominator rescales the stored entries by
-    (D'/D)^e.  Once D has more than ``SCALED_MAX_BITS`` bits the entries
-    turn into Fractions and each weight is the pair (numerator, denominator)
-    of its coefficient, split once where it is read, for good;
-    ``PathColumns`` then puts each column over one denominator.  A subclass
-    keeps the entries.
-    """
-
-    def __init__(self, cs: CoeffSystem):
-        self.cs = cs
-        self.scale = 1 if isinstance(cs.one, Fraction) else None
-        # the coefficients b, a, lam read so far by index (a and lam from 1),
-        # and the step weights made from them
-        self._coeffs: tuple[list, list, list] = ([], [None], [None])
-        self._weights = ([], [None], [None]) if self.scale else self._coeffs
-        self._powers = [1]
-
-    def _map(self, f: Callable[[object, int], object]) -> None:
-        """Replace each stored entry v of exponent e by f(v, e)."""
-        raise NotImplementedError
-
-    def _power(self, e: int) -> int:
-        """D^e."""
-        return _nth_power(self._powers, self.scale, e)
-
-    def _fetch(self, order: list[tuple[int, int]]) -> None:
-        """Read the coefficients (stream, index) in this order; each stream's
-        new indices continue its list."""
-        if not order:
-            return
-        streams = (self.cs.b, self.cs.a, self.cs.lam)
-        fresh = sorted((s, i, streams[s](i)) for s, i in order)
-        for s, _, v in fresh:
-            self._coeffs[s].append(v)
-        if self._weights is self._coeffs:  # symbolic: the coefficients are the weights
-            return
-        if self.scale is not None:
-            scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
-            if scale != self.scale:
-                self._rescale(scale)
-                return
-        for s, _, v in fresh:
-            self._weights[s].append(self._weight(s, v))
-
-    def _weight(self, s: int, v: Fraction) -> int | tuple[int, int]:
-        if self.scale is None:
-            return v.numerator, v.denominator
-        w = v.numerator * (self.scale // v.denominator)
-        return w * self.scale if s == 2 else w
-
-    def _rescale(self, scale: int) -> None:
-        """Store every entry against the new lcm, or as a Fraction past the gate."""
-        if scale.bit_length() > SCALED_MAX_BITS:
-            self._map(lambda v, e: Fraction(v, self._power(e)))
-            self.scale = None
-        else:
-            ratio, powers = scale // self.scale, [1]
-            self._map(lambda v, e: v * _nth_power(powers, ratio, e))
-            self.scale, self._powers = scale, [1]
-        self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
-                              for s, vs in enumerate(self._coeffs))
-
-
-class PathColumns(_ScaledWeights):
+class PathColumns:
     """Weighted path sums from one start point, one column at a time.
 
     The walk stands in column x (``x0`` at first) and ``col[y]`` holds the
@@ -513,15 +446,21 @@ class PathColumns(_ScaledWeights):
     runs below it; ``advance`` makes each next column.  ``memo``, when
     given, keeps every column under its (x, y) keys.
 
-    A symbolic walk steps in its ring and a rational one over scaled
-    integers, both by ``column_step``.  The scaled walk stores entry (x, y)
-    as ``_ScaledWeights`` says, with exponent e = (x - x0) - (y - y0) =
-    h + v + 2d for every path there; U still weighs 1.  Past the gate the
-    walk stores column x as integers N_y over one denominator
-    Q_x = ``dens[x - x0]``, the lcm of the reduced denominators of the
-    column.  The step is linear, so ``gated_column_step`` on the N_y, with
-    the (numerator, denominator) weights, gives Q_x times the next column
-    as reduced pairs whose denominators are small (products of coefficient
+    A symbolic walk steps in its ring, with the coefficients as the weights.
+    A rational walk steps over scaled integers: with D = ``scale`` the lcm
+    of the denominators of the coefficients read so far, entry (x, y) is
+    stored as D^e times its value, with exponent e = (x - x0) - (y - y0) =
+    h + v + 2d for every path there, and the weights are D*b, D*a and
+    D^2*lam; U still weighs 1.  A new denominator rescales the stored
+    entries by (D'/D)^e.  Both walks step by ``column_step``.
+
+    Once D has more than ``SCALED_MAX_BITS`` bits the walk is gated for
+    good: each weight is the pair (numerator, denominator) of its
+    coefficient, split once where it is read, and column x is stored as
+    integers N_y over one denominator Q_x = ``dens[x - x0]``, the lcm of the
+    reduced denominators of the column.  The step is linear, so
+    ``gated_column_step`` on the N_y gives Q_x times the next column as
+    reduced pairs whose denominators are small (products of coefficient
     denominators); with r their lcm the next column is stored over Q_x*r,
     both sides divided by their gcd.  Only ``read`` divides.
 
@@ -532,7 +471,13 @@ class PathColumns(_ScaledWeights):
 
     def __init__(self, cs: CoeffSystem, start: tuple[int, int],
                  max_height: int | None = None, memo: dict | None = None):
-        super().__init__(cs)
+        self.cs = cs
+        self.scale = 1 if isinstance(cs.one, Fraction) else None
+        # the coefficients b, a, lam read so far by index (a and lam from 1),
+        # and the step weights made from them
+        self._coeffs: tuple[list, list, list] = ([], [None], [None])
+        self._weights = ([], [None], [None]) if self.scale else self._coeffs
+        self._powers = [1]
         self.max_height, self.memo = max_height, memo
         self.x0, self.y0 = start
         self.x = self.x0
@@ -595,73 +540,115 @@ class PathColumns(_ScaledWeights):
             for y, v in enumerate(col):
                 self.memo[(x, y)] = v
 
-    def _map(self, f) -> None:
-        x0, y0 = self.x0, self.y0
-        x = self.x
-        self.col = [f(v, x - x0 - y + y0) for y, v in enumerate(self.col)]
-        if self.memo is not None:
-            for (xk, y), v in self.memo.items():
-                self.memo[(xk, y)] = f(v, xk - x0 - y + y0)
+    def _power(self, e: int) -> int:
+        """D^e."""
+        return _nth_power(self._powers, self.scale, e)
+
+    def _fetch(self, order: list[tuple[int, int]]) -> None:
+        """Read the coefficients (stream, index) in this order; each stream's
+        new indices continue its list."""
+        if not order:
+            return
+        streams = (self.cs.b, self.cs.a, self.cs.lam)
+        fresh = sorted((s, i, streams[s](i)) for s, i in order)
+        for s, _, v in fresh:
+            self._coeffs[s].append(v)
+        if self._weights is self._coeffs:  # symbolic: the coefficients are the weights
+            return
+        if self.scale is not None:
+            scale = math.lcm(self.scale, *(v.denominator for _, _, v in fresh))
+            if scale != self.scale:
+                self._rescale(scale)
+                return
+        for s, _, v in fresh:
+            self._weights[s].append(self._weight(s, v))
+
+    def _weight(self, s: int, v: Fraction) -> int | tuple[int, int]:
+        if self.scale is None:
+            return v.numerator, v.denominator
+        w = v.numerator * (self.scale // v.denominator)
+        return w * self.scale if s == 2 else w
 
     def _rescale(self, scale: int) -> None:
-        super()._rescale(scale)
-        if self.scale is not None:
-            return
-        # Past the gate now: each kept column over the lcm of its reduced
-        # denominators.  A memo holds the current column too; a walk that
-        # crosses while reading its start's a_y has kept nothing yet.
-        x0, memo = self.x0, self.memo or {}
-        dens = self.dens = [1] * (self.x - x0 + 1) if self.col else []
-        for (x, _), v in memo.items():
-            dens[x - x0] = math.lcm(dens[x - x0], v.denominator)
-        if self.col:
-            dens[-1] = math.lcm(*(v.denominator for v in self.col))
-        for key, v in memo.items():
-            memo[key] = v.numerator * (dens[key[0] - x0] // v.denominator)
-        self.col = [v.numerator * (dens[-1] // v.denominator) for v in self.col]
+        """Store every entry against the new lcm D, or past the gate each kept
+        column over the lcm of its reduced denominators, and remake the
+        weights.  A memo holds the current column too; a walk that crosses
+        while reading its start's a_y has kept nothing yet."""
+        x0, y0, memo = self.x0, self.y0, self.memo or {}
+        gated = scale.bit_length() > SCALED_MAX_BITS
+        if gated:
+            f = lambda v, e: Fraction(v, self._power(e))
+        else:
+            ratio, powers = scale // self.scale, [1]
+            f = lambda v, e: v * _nth_power(powers, ratio, e)
+        self.col = [f(v, self.x - x0 - y + y0) for y, v in enumerate(self.col)]
+        for (x, y), v in memo.items():
+            memo[(x, y)] = f(v, x - x0 - y + y0)
+        if gated:
+            dens = self.dens = [1] * (self.x - x0 + 1) if self.col else []
+            for (x, _), v in memo.items():
+                dens[x - x0] = math.lcm(dens[x - x0], v.denominator)
+            if self.col:
+                dens[-1] = math.lcm(*(v.denominator for v in self.col))
+            for key, v in memo.items():
+                memo[key] = v.numerator * (dens[key[0] - x0] // v.denominator)
+            self.col = [v.numerator * (dens[-1] // v.denominator) for v in self.col]
+            self.scale = None
+        else:
+            self.scale, self._powers = scale, [1]
+        self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
+                              for s, vs in enumerate(self._coeffs))
 
 
-class _PolyRows(_ScaledWeights):
-    """The coefficient lists of P_{j-1} and P_j, the two rows the recurrence needs.
+class _PolyRows:
+    """The recurrence polynomials P_0..P_j of a rational system as integer rows.
 
-    ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1}.  A
-    rational system stores coefficient c_{j,k} of x^k in P_j as
-    S_{j,k} = D^(j-k) c_{j,k}, of exponent j - k, so that
-
-        D^(j+1-k) c_{j+1,k} = S_{j,k-1} - (D b_j) S_{j,k}
-                              - (D a_j) S_{j-1,k-1} - (D^2 lam_j) S_{j-1,k}
-
-    over integers; only the row handed out is divided.
+    Row k is (c, den) with P_k = sum_i (c[i] / den) x^i, den > 0 and
+    gcd(den, *c) = 1, so den is the lcm of the reduced denominators of P_k.
+    ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1} over
+    the lcm r of the denominators of its four terms, and one gcd reduces it;
+    ``poly`` builds the Poly of a row once, on its first request.
     """
 
     def __init__(self, cs: CoeffSystem):
-        super().__init__(cs)
-        self.j = 0
-        self.rows: tuple[list, list] = ([], [1 if self.scale else cs.one])
+        self.cs = cs
+        self.rows: list[tuple[list[int], int]] = [([1], 1)]
+        self._polys: dict[int, Poly] = {}
 
-    def advance(self) -> list[Scalar]:
-        """Step to P_{j+1} and return its coefficients, lowest power first."""
-        j = self.j
-        # b_j, then a_j and lam_j, as the plain Fraction recurrence reads them
-        self._fetch([(0, j), (1, j), (2, j)] if j else [(0, 0)])
-        # a_0, lam_0: None, and unused; past the gate the Fraction coefficients
-        b, a, lam = (w[j] for w in (self._weights if self.scale else self._coeffs))
-        prev2, prev = self.rows
-        row = [-b * c for c in prev] + [0]
-        for k, c in enumerate(prev):
-            row[k + 1] += c
-        for k, c in enumerate(prev2):
-            row[k] -= lam * c
-            row[k + 1] -= a * c
-        self.j, self.rows = j + 1, (prev, row)
-        if self.scale is None:
-            return row
-        return [Fraction(v, self._power(j + 1 - k)) for k, v in enumerate(row)]
+    def advance(self) -> None:
+        """Step to P_{j+1}, reading b_j, then a_j and lam_j."""
+        cs, j = self.cs, len(self.rows) - 1
+        b = cs.b(j)
+        if j:
+            a, lam = cs.a(j), cs.lam(j)
+            prev2, d2 = self.rows[j - 1]
+        else:  # P_{-1} = 0; a_0 and lam_0 are never read
+            a = lam = Fraction(0)
+            prev2, d2 = [], 1
+        prev, d = self.rows[j]
+        # lcm(d b.den, d2 a.den, d2 lam.den)
+        r = math.lcm(d * b.denominator, d2 * math.lcm(a.denominator, lam.denominator))
+        mx, q2 = r // d, r // d2
+        mb = b.numerator * (mx // b.denominator)
+        ma, ml = a.numerator * (q2 // a.denominator), lam.numerator * (q2 // lam.denominator)
+        row = [mx * u - mb * v - ma * w - ml * z for u, v, w, z in
+               zip([0, *prev], [*prev, 0], [0, *prev2, 0], [*prev2, 0, 0])]
+        g = math.gcd(r, *row)  # skips the rest once the gcd is 1
+        if g > 1:
+            r //= g
+            row = [v // g for v in row]
+        self.rows.append((row, r))
 
-    def _map(self, f) -> None:
-        j = self.j
-        self.rows = tuple([f(v, i - k) for k, v in enumerate(row)]
-                          for i, row in zip((j - 1, j), self.rows))
+    def poly(self, n: int) -> Poly:
+        """P_n as a Poly, stepping the rows up to n first."""
+        rows = self.rows
+        while len(rows) <= n:
+            self.advance()
+            _check_memo("poly cache", len(rows), f"building P_{len(rows) - 1} for n={n}")
+        if n not in self._polys:
+            row, den = rows[n]
+            self._polys[n] = Poly([Fraction(c, den) for c in row])
+        return self._polys[n]
 
 
 class MuTable:
@@ -852,9 +839,7 @@ class VElem:
         raise TypeError("VElem is unhashable: equality is up to denominator scaling")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return VElem(self.numerator * other, self.denom_index, self.owner)
-        if isinstance(other, Poly):
+        if isinstance(other, (int, Fraction, Poly)):
             return VElem(self.numerator * other, self.denom_index, self.owner)
         return NotImplemented
 

@@ -94,6 +94,13 @@ def test_rational_output_is_pinned(capsys, argv, digest):
      "e8674fff3e93e0d672e7614dce4d76996d5642ceaa6571d9ad3384526ded0c7f"),
     ("poly --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 --n 60",
      "97713877f1ccaed303b039256fb09c6de24b197aa859ce16dd612424cbb7a03e"),
+    # recorded while P kept Fraction rows past the gate and scaled rows below it
+    ("poly --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 --n 100",
+     "5fd2c1e923cc6a0299b94006e89e14ee00be0e67f1ed0ade1abf6b4b89084484"),
+    ("poly --family askey_wilson --param a=1/3 b=1/5 c=1/7 d=1/11 q=1/2 --n 40",
+     "6d38577f20452eef71e3d086814fa4d6a67eb277fbb8c0e31833bb63efccb58c"),
+    ("poly --family constant --param A=8/7 B=9/7 C=10/7 --n 200",
+     "2836d637e4c4abf14dfb7eb4104db091cb7345940c179b02a4ae989867175547"),
 ])
 def test_recurrence_polynomials_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
@@ -527,6 +534,8 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({"R1_MEMO_LIMIT": "5"}, "moments --family laguerre --param a=1 --n 8"),
     ({"R1_MEMO_LIMIT": "20"}, "moments --symbolic --n 8"),
     ({"R1_MEMO_LIMIT": "3"}, "poly --family laguerre --param a=1 --n 6"),
+    ({"R1_MEMO_LIMIT": "abc"}, "moments --family laguerre --param a=1 --n 5"),
+    ({"R1_MEMO_LIMIT": "-1"}, "moments --family laguerre --param a=1 --n 5"),
     ({}, "moments --coeffs b_not_a_number.json --n 3"),
     ({}, "moments --coeffs b_zero_denominator.json --n 3"),
     ({}, "moments --coeffs no_lambda.json --n 3"),

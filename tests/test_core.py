@@ -456,6 +456,13 @@ def test_poly_cache_limit_names_table_and_request(monkeypatch, ones):
         P(6, ones)
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_a_bad_memo_limit_is_named(monkeypatch, ones, raw):
+    monkeypatch.setenv("R1_MEMO_LIMIT", raw)
+    with pytest.raises(ValueError, match=rf"^R1_MEMO_LIMIT must be an integer >= 0, got '{raw}'$"):
+        mu(3, ones)
+
+
 def test_each_coefficient_is_read_once(rng):
     base = random_system(rng)
     reads = Counter()

@@ -5,8 +5,10 @@ Rational systems walk over integers scaled by a power of the lcm D of the
 denominators read until D passes ``core.SCALED_MAX_BITS`` bits.  Past that
 gate the path walk stores each column as integers over one common
 denominator, which must be the lcm of the column's reduced denominators,
-and steps it on integers with (numerator, denominator) weights; P keeps
-Fraction rows.  The references below are the recurrences
+and steps it on integers with (numerator, denominator) weights.  P keeps
+every row as integers over one denominator, the lcm of the row's reduced
+denominators, and builds a Poly only for a row asked for.  The references
+below are the recurrences
 written out over Fraction, reading the coefficients lazily in the order of
 a plain Fraction fill, so the values, the reads and the errors can all be
 compared.
@@ -157,7 +159,7 @@ def _sparse_gated() -> FamilySpec:
                       lambda n: Fraction(n % 4 + 1, den(n)))
 
 
-# system, mu rows filled and P_n built, the ring after row 2 and P_2, the ring at the end
+# system, mu rows filled and P_n built, the ring of the mu walk after row 2 and at the end
 RING_CASES = {
     "laguerre": (families.laguerre(Fraction(8, 7)), 60, "scaled", "scaled"),
     "meixner": (families.meixner(Fraction(6, 5), Fraction(4, 7)), 60, "scaled", "scaled"),
@@ -374,9 +376,15 @@ def reference_P(cs: CoeffSystem, upto: int, polys: list | None = None) -> list:
     return polys
 
 
-def poly_ring(cs: CoeffSystem) -> str:
-    """Which ring the system's P recurrence is on now."""
-    return "fraction" if cs._poly_rows.scale is None else "scaled"
+def check_P_rows(cs: CoeffSystem, want: list):
+    """Every row P keeps is ints over one denominator den > 0 with
+    gcd(den, *row) = 1, and holds the coefficients of the reference."""
+    rows = cs._poly_rows.rows
+    assert len(rows) <= len(want)
+    for (row, den), p in zip(rows, want):
+        assert type(den) is int and den > 0 and all(type(c) is int for c in row)
+        assert math.gcd(den, *row) == 1
+        assert [Fraction(c, den) for c in row] == list(p.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,33 +402,42 @@ def test_P_matches_the_fraction_recurrence(case):
 
 @pytest.mark.parametrize("name", RING_CASES)
 def test_each_P_ring_matches_the_reference(name):
-    spec, n, early, late = RING_CASES[name]
+    spec, n, _, _ = RING_CASES[name]
     want = reference_P(spec.build(), n)
     by_row, at_once = spec.build(), spec.build()
     P(2, by_row)
-    assert poly_ring(by_row) == early
+    check_P_rows(by_row, want)
     for k in range(3, n + 1):
         assert P(k, by_row) == want[k]
     assert P(n, at_once) == want[n]
-    assert poly_ring(by_row) == poly_ring(at_once) == late
+    check_P_rows(by_row, want)
+    check_P_rows(at_once, want)
     assert [P(k, at_once) for k in range(n + 1)] == want
 
 
-def test_jacobi11_P_leaves_the_scaled_ring_at_index_17():
-    cs = families.jacobi11(Fraction(6, 5), Fraction(7, 5)).build()
-    P(17, cs)
-    assert poly_ring(cs) == "scaled"
-    P(18, cs)  # reads b_17, a_17, lam_17
-    assert poly_ring(cs) == "fraction"
+@pytest.mark.parametrize("name", RING_CASES)
+def test_P_builds_a_poly_only_for_the_row_asked_for(name):
+    spec, n, _, _ = RING_CASES[name]
+    want = reference_P(spec.build(), n)
+    cs = spec.build()
+    first = P(n, cs)
+    assert list(cs._poly_rows._polys) == [n] and len(cs._poly_rows.rows) == n + 1
+    assert P(n, cs) is first and first == want[n]
+    assert [P(k, cs) for k in range(n)] == want[:n]
 
 
 def test_growing_denominators_rescale_the_P_rows():
+    """The row denominators stay 1 while the coefficients are whole, and
+    take up the sevenths and elevenths once they are read."""
+    want = reference_P(_growing_denominators().build(), 45)
     cs = _growing_denominators().build()
     P(20, cs)  # reads up to index 19
-    assert cs._poly_rows.scale == 1
+    assert [den for _, den in cs._poly_rows.rows] == [1] * 21
     P(31, cs)
-    assert cs._poly_rows.scale == 77
-    assert P(45, cs) == reference_P(_growing_denominators().build(), 45)[45]
+    dens = [den for _, den in cs._poly_rows.rows]
+    assert dens[21] % 7 == 0 and dens[31] % 11 == 0
+    assert P(45, cs) == want[45]
+    check_P_rows(cs, want)
 
 
 @pytest.mark.parametrize("name", RING_CASES)
@@ -433,16 +450,17 @@ def test_P_reads_as_the_fraction_recurrence_reads(name):
     assert max(Counter(built).values()) == 1
 
 
-@pytest.mark.parametrize("spec, ring", [
-    (_failing_at(12, lambda n: 1), "scaled"),
-    (_failing_at(60, lambda n: n + 1), "fraction"),
-    (FamilySpec("table", {}, Fraction, Fraction, Fraction, valid_to=9), "scaled"),
+@pytest.mark.parametrize("spec", [
+    _failing_at(12, lambda n: 1),
+    _failing_at(60, lambda n: n + 1),
+    FamilySpec("table", {}, Fraction, Fraction, Fraction, valid_to=9),
 ])
-def test_P_errors_arrive_at_the_same_call(spec, ring):
+def test_P_errors_arrive_at_the_same_call(spec):
     cs, ref_cs, polys = spec.build(), spec.build(), [Poly.const(1)]
     failure = _first_failure(lambda n: P(n, cs), 70)
     assert failure == _first_failure(lambda n: reference_P(ref_cs, n, polys), 70)
-    assert failure is not None and poly_ring(cs) == ring
+    assert failure is not None
+    check_P_rows(cs, polys)
     with pytest.raises(failure[1], match="^" + re.escape(failure[2]) + "$"):
         P(failure[0], cs)
     assert P(failure[0] - 1, cs) == polys[failure[0] - 1]
