@@ -23,7 +23,9 @@ Jacobi and q-families within their first rows, the walk keeps each column as
 integers over one common denominator, the lcm of the column's reduced
 denominators, and steps them on plain ints with each coefficient split once
 into (numerator, denominator) (``gated_column_step``).  The scaled and the
-symbolic walks step by ``column_step``.  ``P`` runs the three-term
+symbolic walks step by ``column_step``.  A kept column stays in the form it
+was made in: a new D, or the crossing, converts only the current column,
+the one the next step reads.  ``P`` runs the three-term
 recurrence on rows of integers over one denominator per row, ``_PolyRows``,
 and builds the Poly of a row only when it is asked for.
 
@@ -267,10 +269,6 @@ class FavardTiling:
 
     tiles: tuple[Tile, ...]
 
-    @property
-    def size(self) -> int:
-        return sum(t[0] for t in self.tiles)
-
     def counts(self) -> tuple[int, int, int, int]:
         """(black monominos, black dominos, red monominos, red dominos)."""
         bm = bd = rm = rd = 0
@@ -430,13 +428,6 @@ def gated_column_step(col: list[int], top: int, b: Sequence, a: Sequence,
     return nxt
 
 
-def _nth_power(powers: list[int], base: int, e: int) -> int:
-    """base^e, where ``powers`` caches [1, base, base^2, ...] and grows to e."""
-    while len(powers) <= e:
-        powers.append(powers[-1] * base)
-    return powers[e]
-
-
 class PathColumns:
     """Weighted path sums from one start point, one column at a time.
 
@@ -444,25 +435,30 @@ class PathColumns:
     sum of the weights of the paths from (x0, y0) to (x, y) that stay at or
     below ``max_height`` (None: no cap).  Column x0 is the start and the V
     runs below it; ``advance`` makes each next column.  ``memo``, when
-    given, keeps every column under its (x, y) keys.
+    given, keeps every column under its (x, y) keys, in the form in which
+    it was made.
 
     A symbolic walk steps in its ring, with the coefficients as the weights.
     A rational walk steps over scaled integers: with D = ``scale`` the lcm
     of the denominators of the coefficients read so far, entry (x, y) is
-    stored as D^e times its value, with exponent e = (x - x0) - (y - y0) =
+    made as D^e times its value, with exponent e = (x - x0) - (y - y0) =
     h + v + 2d for every path there, and the weights are D*b, D*a and
-    D^2*lam; U still weighs 1.  A new denominator rescales the stored
-    entries by (D'/D)^e.  Both walks step by ``column_step``.
+    D^2*lam; U still weighs 1.  Both walks step by ``column_step``.  A new
+    denominator multiplies only the current column by (D'/D)^e, since the
+    next step reads nothing else; ``dens[x - x0]`` is the D that column x
+    was kept with.
 
     Once D has more than ``SCALED_MAX_BITS`` bits the walk is gated for
-    good: each weight is the pair (numerator, denominator) of its
-    coefficient, split once where it is read, and column x is stored as
-    integers N_y over one denominator Q_x = ``dens[x - x0]``, the lcm of the
-    reduced denominators of the column.  The step is linear, so
-    ``gated_column_step`` on the N_y gives Q_x times the next column as
-    reduced pairs whose denominators are small (products of coefficient
-    denominators); with r their lcm the next column is stored over Q_x*r,
-    both sides divided by their gcd.  Only ``read`` divides.
+    good, from column ``gated_from`` (its index x - x0) on: each weight is
+    the pair (numerator, denominator) of its coefficient, split once where
+    it is read, and column x is kept as integers N_y over one denominator
+    Q_x = ``dens[x - x0]``, the lcm of the reduced denominators of the
+    column.  The crossing puts the current column over its Q_x and keeps it
+    again.  The step is linear, so ``gated_column_step`` on the N_y gives
+    Q_x times the next column as reduced pairs whose denominators are small
+    (products of coefficient denominators); with r their lcm the next column
+    is kept over Q_x*r, both sides divided by their gcd.  Only ``read``
+    divides.
 
     Each coefficient is read from the system once, in the order in which
     the columns first use it, so a stream fails where a plain Fraction walk
@@ -477,20 +473,23 @@ class PathColumns:
         # and the step weights made from them
         self._coeffs: tuple[list, list, list] = ([], [None], [None])
         self._weights = ([], [None], [None]) if self.scale else self._coeffs
-        self._powers = [1]
         self.max_height, self.memo = max_height, memo
         self.x0, self.y0 = start
         self.x = self.x0
         self.col: list = []
-        self.dens: list[int] | None = None  # Q_x past the gate; 1 for a column not kept
+        self.dens: list[int] | None = [] if self.scale else None  # D or Q_x per kept column
+        self.gated_from: int | None = None
         y0 = self.y0
         self._fetch([(1, y) for y in range(y0, 0, -1)])
-        gated = self.dens is not None  # crossed while reading the a_y above
+        gated = self.gated_from is not None  # crossed while reading the a_y above
         a = self._coeffs[1] if gated else self._weights[1]
         col = [None] * y0 + [1 if self.scale else cs.one]
         for y in range(y0 - 1, -1, -1):
             col[y] = a[y + 1] * col[y + 1]
-        self._keep([(v.numerator, v.denominator) for v in col] if gated else col)
+        if gated:
+            self._keep([(v.numerator, v.denominator) for v in col], 1)
+        else:
+            self._keep(col)
 
     def advance(self) -> None:
         """Step to column x + 1."""
@@ -507,42 +506,43 @@ class PathColumns:
                 order.append((1, y + 1))
         self._fetch(order)
         self.x += 1
-        if self.dens is None:
+        if self.gated_from is None:
             self._keep(column_step(self.col, top, *self._weights, self.cs.total))
         else:
-            self._keep(gated_column_step(self.col, top, *self._weights))
+            self._keep(gated_column_step(self.col, top, *self._weights), self.dens[-1])
 
     def value(self, y: int) -> Scalar:
         """The path sum to (x, y) in the current column."""
         return self.read(self.x, y, self.col[y]) if y < len(self.col) else self.cs.zero
 
     def read(self, x: int, y: int, stored) -> Scalar:
-        """The value of an entry stored for (x, y)."""
-        if self.scale is not None:
-            return Fraction(stored, self._power(x - self.x0 - y + self.y0))
-        if self.dens is not None:
-            return Fraction(stored, self.dens[x - self.x0])
-        return stored
+        """The value of an entry kept for (x, y)."""
+        if self.dens is None:
+            return stored
+        k = x - self.x0
+        if self.gated_from is not None and k >= self.gated_from:
+            return Fraction(stored, self.dens[k])
+        return Fraction(stored, self.dens[k] ** (k - y + self.y0))
 
-    def _keep(self, col: list) -> None:
-        if self.dens is not None:  # pairs (n, d) of Q_{x-1} times column x; Q = 1 at the start
+    def _keep(self, col: list, prev: int | None = None) -> None:
+        """Keep column x: ring elements, or with ``prev`` the pairs (n, d) of
+        prev times the column, put over the lcm of its reduced denominators."""
+        den = self.scale
+        if prev is not None:
             r = math.lcm(*(d for _, d in col))
             col = [n * (r // d) for n, d in col]
-            den = (self.dens[-1] if self.dens else 1) * r
+            den = prev * r
             g = math.gcd(den, *col)  # skips the rest once the gcd is 1
             if g > 1:
                 den //= g
                 col = [v // g for v in col]
+        if self.dens is not None:
             self.dens.append(den)
         self.col = col
         if self.memo is not None:
             x = self.x
             for y, v in enumerate(col):
                 self.memo[(x, y)] = v
-
-    def _power(self, e: int) -> int:
-        """D^e."""
-        return _nth_power(self._powers, self.scale, e)
 
     def _fetch(self, order: list[tuple[int, int]]) -> None:
         """Read the coefficients (stream, index) in this order; each stream's
@@ -570,32 +570,22 @@ class PathColumns:
         return w * self.scale if s == 2 else w
 
     def _rescale(self, scale: int) -> None:
-        """Store every entry against the new lcm D, or past the gate each kept
-        column over the lcm of its reduced denominators, and remake the
-        weights.  A memo holds the current column too; a walk that crosses
-        while reading its start's a_y has kept nothing yet."""
-        x0, y0, memo = self.x0, self.y0, self.memo or {}
-        gated = scale.bit_length() > SCALED_MAX_BITS
-        if gated:
-            f = lambda v, e: Fraction(v, self._power(e))
-        else:
-            ratio, powers = scale // self.scale, [1]
-            f = lambda v, e: v * _nth_power(powers, ratio, e)
-        self.col = [f(v, self.x - x0 - y + y0) for y, v in enumerate(self.col)]
-        for (x, y), v in memo.items():
-            memo[(x, y)] = f(v, x - x0 - y + y0)
-        if gated:
-            dens = self.dens = [1] * (self.x - x0 + 1) if self.col else []
-            for (x, _), v in memo.items():
-                dens[x - x0] = math.lcm(dens[x - x0], v.denominator)
-            if self.col:
-                dens[-1] = math.lcm(*(v.denominator for v in self.col))
-            for key, v in memo.items():
-                memo[key] = v.numerator * (dens[key[0] - x0] // v.denominator)
-            self.col = [v.numerator * (dens[-1] // v.denominator) for v in self.col]
+        """Step on with the new lcm D' and remake the weights.  The next step
+        reads only the current column: it is multiplied by (D'/D)^e, or once
+        D' passes the gate put over the lcm of its reduced denominators and
+        kept again.  A walk that crosses while reading its start's a_y has
+        kept nothing yet."""
+        k, y0, col = self.x - self.x0, self.y0, self.col
+        if scale.bit_length() > SCALED_MAX_BITS:
+            self.gated_from = k
+            if col:
+                self.dens.pop()
+                self._keep([(v, self.scale ** (k - y + y0)) for y, v in enumerate(col)], 1)
             self.scale = None
         else:
-            self.scale, self._powers = scale, [1]
+            ratio = scale // self.scale
+            self.col = [v * ratio ** (k - y + y0) for y, v in enumerate(col)]
+            self.scale = scale
         self._weights = tuple([None if v is None else self._weight(s, v) for v in vs]
                               for s, vs in enumerate(self._coeffs))
 
@@ -663,10 +653,10 @@ class MuTable:
                    + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1}.
 
     Only + and * are used, so the entries lie in the ring of the system's
-    coefficients.  For a rational system ``memo`` holds the walk's scaled
-    integers D^(n-m) mu_{n,m} until D passes the gate, and after it the
-    integers Q_n mu_{n,m} over the common denominator Q_n of row n;
-    ``value`` returns the Fraction.
+    coefficients.  For a rational system ``memo`` holds each row n as the
+    walk kept it: the scaled integers D^(n-m) mu_{n,m}, D the lcm the row
+    was made with, or past the gate the integers Q_n mu_{n,m} over the
+    common denominator Q_n of the row; ``value`` returns the Fraction.
     """
 
     def __init__(self, cs: CoeffSystem):

@@ -66,6 +66,25 @@ def _walk(steps: str) -> Iterator[tuple[int, str, int]]:
         raise ValueError(f"history does not end at ({n},0)")
 
 
+def _label_options(steps: str, kind: str) -> list[tuple]:
+    """The labels each step of a history shape may carry: a V at height h
+    takes 1..h.  A Laguerre history labels its V steps only; a Meixner one
+    labels every step, where a U takes none, an H before a V none or 0, and
+    any other H none or 1..h.  ValueError where ``_walk`` rejects the shape."""
+    options = []
+    for idx, s, h in _walk(steps):
+        if s == "V":
+            options.append(tuple(range(1, h + 1)))
+        elif kind == "meixner":
+            if s == "U":
+                options.append((None,))
+            elif steps[idx + 1:idx + 2] == "V":
+                options.append((None, 0))
+            else:
+                options.append((None, *range(1, h + 1)))
+    return options
+
+
 def _trusted(cls, steps: str, labels: tuple):
     """A history the enumerator built valid, made without ``__post_init__``."""
     history = object.__new__(cls)
@@ -156,14 +175,11 @@ class LaguerreHistory:
     labels: tuple[int, ...]  # one label per V step, in step order
 
     def __post_init__(self):
-        labels = iter(self.labels)
         if self.steps.count("V") != len(self.labels):
             raise ValueError("label count does not match V-step count")
-        for _, s, h in _walk(self.steps):
-            if s == "V":
-                lab = next(labels)
-                if not 1 <= lab <= h:
-                    raise ValueError(f"V label {lab} outside 1..{h}")
+        for lab, allowed in zip(self.labels, _label_options(self.steps, "laguerre")):
+            if lab not in allowed:
+                raise ValueError(f"V label {lab} outside 1..{len(allowed)}")
 
     def horizontal_count(self) -> int:
         return self.steps.count("H")
@@ -178,8 +194,7 @@ def _iter_LH(n: int) -> Iterator[LaguerreHistory]:
     if n > CAPS["laguerre"]:
         raise ValueError(f"Laguerre history enumeration is capped at n = {CAPS['laguerre']}")
     for shape in _peak_free_shapes(n):
-        ranges = [range(1, h + 1) for _, s, h in _walk(shape) if s == "V"]
-        for labels in itertools.product(*ranges):
+        for labels in itertools.product(*_label_options(shape, "laguerre")):
             yield _trusted(LaguerreHistory, shape, labels)
 
 
@@ -326,19 +341,14 @@ class MeixnerHistory:
         steps, labels = self.steps, self.labels
         if len(labels) != len(steps):
             raise ValueError("labels must align with steps")
-        for idx, s, h in _walk(steps):
-            lab = labels[idx]
+        for s, lab, allowed in zip(steps, labels, _label_options(steps, "meixner")):
+            if lab in allowed:
+                continue
             if s == "U":
-                if lab is not None:
-                    raise ValueError("U steps are never labeled")
-            elif s == "V":
-                if lab is None or not 1 <= lab <= h:
-                    raise ValueError(f"V label {lab} outside 1..{h}")
-            elif idx + 1 < len(steps) and steps[idx + 1] == "V":
-                if lab not in (None, 0):
-                    raise ValueError("an H before a V is labeled 0 or not at all")
-            elif lab is not None and not 1 <= lab <= h:
-                raise ValueError(f"H label {lab} outside 1..{h}")
+                raise ValueError("U steps are never labeled")
+            if allowed == (None, 0):
+                raise ValueError("an H before a V is labeled 0 or not at all")
+            raise ValueError(f"{s} label {lab} outside 1..{allowed[-1] or 0}")
 
     def exponents(self) -> tuple[int, int]:
         """(i, j) with weight b^i d^j: U: 1, V: d, unlabeled H: b*d,
@@ -363,19 +373,7 @@ def _iter_MH(n: int) -> Iterator[MeixnerHistory]:
     if n > CAPS["meixner"]:
         raise ValueError(f"Meixner history enumeration is capped at n = {CAPS['meixner']}")
     for shape in _peak_free_shapes(n):
-        options: list[list[int | None]] = []
-        for idx, s, h in _walk(shape):
-            if s == "U":
-                options.append([None])
-            elif s == "V":
-                options.append(list(range(1, h + 1)))
-            else:
-                followed = idx + 1 < len(shape) and shape[idx + 1] == "V"
-                if followed:
-                    options.append([None, 0])
-                else:
-                    options.append([None] + list(range(1, h + 1)))
-        for labels in itertools.product(*options):
+        for labels in itertools.product(*_label_options(shape, "meixner")):
             yield _trusted(MeixnerHistory, shape, labels)
 
 
@@ -398,9 +396,6 @@ class PartitionCycles:
     """
 
     cycles: tuple[Cycle, ...]
-
-    def blocks(self) -> list[Block]:
-        return [blk for cyc in self.cycles for blk in cyc]
 
     def exponents(self) -> tuple[int, int]:
         """(#cycles, #blocks): the weight is b^#cycles d^#blocks."""

@@ -20,7 +20,8 @@ coefficient system behind a ``WeightSystem``: rationals, or the indexed
 symbols themselves for ``symbolic_weights()``.  A rational walk runs over
 integers scaled by D^((x - x0) - (y - y0)), D the lcm of the denominators
 read, until D passes ``core.SCALED_MAX_BITS`` bits, and over integers with
-one common denominator per column after that (``core.PathColumns``).
+one common denominator per column after that (``core.PathColumns``); a new
+D, or that crossing, converts only the column the walk stands in.
 """
 
 from __future__ import annotations

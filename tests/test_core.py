@@ -392,6 +392,17 @@ def test_velem_equality_up_to_denominator(rng):
         _ = VElem(p, 1, cs) == VElem(p, 1, other)
 
 
+def test_velem_times_a_scalar_or_poly_keeps_its_denominator(rng):
+    cs = random_system(rng)
+    p = Poly([1, 2])
+    for c in (3, Fraction(-2, 5), Poly([Fraction(1, 3), 0, -1])):
+        for v in (VElem(p, 2, cs) * c, c * VElem(p, 2, cs)):
+            assert type(v) is VElem and v.owner is cs
+            assert v.denom_index == 2 and v.numerator == p * c
+    with pytest.raises(TypeError):
+        _ = VElem(p, 2, cs) * "x"
+
+
 def test_expand_in_P_roundtrip(rng):
     cs = random_system(rng)
     p = Poly([random_fraction(rng) for _ in range(7)])

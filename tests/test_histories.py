@@ -338,6 +338,7 @@ def test_private_inverses_answer_only_canonical_images():
         tuple(c[1:] + c[:1] for c in pc),  # first block without the maximum
         pc[:-1] + ((pc[-1][0], (2, 15)),),  # 15 above its cycle's maximum 14
         pc[:-1] + ((pc[-1][0], (2, 3)),),  # 3 twice
+        (((2,), (1, 3)), ((4,),)),  # 3 above its closed block's cycle maximum 2
     ):
         assert histories_module._psi_inv(bad) is None
     with pytest.raises(ValueError):

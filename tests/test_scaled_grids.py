@@ -5,7 +5,10 @@ Rational systems walk over integers scaled by a power of the lcm D of the
 denominators read until D passes ``core.SCALED_MAX_BITS`` bits.  Past that
 gate the path walk stores each column as integers over one common
 denominator, which must be the lcm of the column's reduced denominators,
-and steps it on integers with (numerator, denominator) weights.  P keeps
+and steps it on integers with (numerator, denominator) weights.  Each
+column stays in the form it was kept in: a scaled column k holds
+D_k^e times its values, D_k = ``dens[k]``, and only the column the walk
+stands in is converted by a new D or by the crossing.  P keeps
 every row as integers over one denominator, the lcm of the row's reduced
 denominators, and builds a Poly only for a row asked for.  The references
 below are the recurrences
@@ -192,12 +195,15 @@ def test_each_ring_matches_the_reference(name):
     assert walk == reference_weight_sum(spec.build(), (3, 2), (n, 1), 6)
 
 
-def test_growing_denominators_rescale_the_stored_rows():
+def test_growing_denominators_keep_each_row_under_its_own_lcm():
+    """A new denominator rescales the current row only; each kept row stays
+    over the D it was made with."""
     cs = _growing_denominators().build()
     mu(19, cs)
     assert cs.mu_table()._walk.scale == 1
     mu(45, cs)
     assert cs.mu_table()._walk.scale == 77
+    assert cs.mu_table()._walk.dens == [1] * 20 + [7] * 10 + [77] * 16
 
 
 @pytest.mark.parametrize("name", RING_CASES)
@@ -259,24 +265,36 @@ def lcm_of_denominators(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+def check_kept_column(walk: PathColumns, x: int, kept: list, want):
+    """Column x as kept, against the reference values ``want[y]``: ints, and
+    a scaled column holds D^e times each value with D = ``dens[x - x0]`` and
+    e = (x - x0) - (y - y0), a gated one the values over the lcm of their
+    reduced denominators."""
+    k, den = x - walk.x0, walk.dens[x - walk.x0]
+    values = [want[y] for y in range(len(kept))]
+    assert all(type(v) is int for v in kept)
+    if walk.gated_from is not None and k >= walk.gated_from:
+        assert den == lcm_of_denominators(values)
+        assert [Fraction(v, den) for v in kept] == values
+    else:
+        assert kept == [den ** (k - y + walk.y0) * v for y, v in enumerate(values)]
+
+
 def gated_by_its_reads(walk: PathColumns) -> bool:
     """With the gate at 0 bits: the walk is gated exactly when it has read a
     coefficient that is not whole."""
     whole = all(v.denominator == 1 for vs in walk._coeffs for v in vs if v is not None)
-    return (walk.dens is None) == whole
+    return (walk.gated_from is None) == whole
 
 
 def check_gated_walk(walk: PathColumns, want_columns):
-    """Every column of ``walk`` against the reference columns, and once the
-    walk is gated, int entries over the lcm of the column's reduced
-    denominators."""
+    """Every column of ``walk`` against the reference columns, and each
+    column as kept, scaled or gated."""
     for x, want in enumerate(want_columns, walk.x0):
         if x > walk.x0:
             walk.advance()
         assert [walk.value(y) for y in range(len(want))] == [want[y] for y in range(len(want))]
-        if walk.dens is not None:
-            assert all(type(v) is int for v in walk.col)
-            assert walk.dens[-1] == lcm_of_denominators(want.values())
+        check_kept_column(walk, x, walk.col, want)
 
 
 @pytest.mark.parametrize("name", GATED)
@@ -286,11 +304,10 @@ def test_gated_rows_are_kept_over_the_lcm_of_their_denominators(name):
     cs = spec.build()
     mu(n, cs)
     table = cs.mu_table()
-    dens = table._walk.dens
-    assert len(dens) == n + 1
-    for k, row in enumerate(rows):  # rows kept before the gate are put over it too
-        assert dens[k] == lcm_of_denominators(row)
-        assert all(type(table.memo[(k, m)]) is int for m in range(k + 1))
+    walk = table._walk
+    assert len(walk.dens) == n + 1 and walk.gated_from is not None
+    for k, row in enumerate(rows):  # rows kept before the gate stay scaled
+        check_kept_column(walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
     if name.startswith("sparse"):  # whole zero entries sit among the gated rows
         assert any(row[m] == 0 for row in rows[11:] for m in range(len(row)))
 
@@ -302,11 +319,46 @@ def test_gated_walks_from_off_the_origin(name, start, cap):
     at height 19 crosses it while reading its own a_y."""
     spec = RING_CASES[name][0]
     walk = PathColumns(spec.build(), start, cap)
-    assert (walk.dens is not None) == (start[1] == 19)
+    assert (walk.gated_from == 0) == (start[1] == 19)
     want = list(itertools.islice(reference_columns(spec.build(), start, cap), 30))
     check_gated_walk(walk, want)
-    assert walk.dens is not None
+    assert walk.gated_from is not None
     assert weight_sum(start, (start[0] + 29, 1), WeightSystem(spec.build()), cap) == want[-1][1]
+
+
+class CountingMemo(dict):
+    """A memo that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("spec, start, columns", [
+    (_growing_denominators(), (0, 0), 46),
+    (_sparse_gated(), (0, 0), 36),
+    (RING_CASES["little_q_jacobi"][0], (0, 0), 26),
+    (RING_CASES["little_q_jacobi"][0], (1, 19), 20),
+], ids=["growing", "sparse", "little_q_jacobi", "start at height 19"])
+def test_kept_columns_are_written_once(spec, start, columns):
+    """A new denominator and the gate convert the current column only: each
+    key is written once, and the column the walk crosses in twice."""
+    memo = CountingMemo()
+    walk = PathColumns(spec.build(), start, memo=memo)
+    crossed_at_start = walk.gated_from is not None
+    want = list(itertools.islice(reference_columns(spec.build(), start), columns))
+    check_gated_walk(walk, want)
+    twice = None if crossed_at_start else walk.gated_from
+    assert memo.writes == {(x, y): 2 if x - walk.x0 == twice else 1
+                           for x, col in enumerate(want, walk.x0) for y in col}
+    for x, col in enumerate(want, walk.x0):
+        check_kept_column(walk, x, [memo[(x, y)] for y in range(len(col))], col)
+    assert (walk.gated_from is None) == (spec.name == "growing")
+    assert crossed_at_start == (start[1] == 19)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,9 +375,8 @@ def test_gated_grid_on_random_tables(case):
             assert [mu_nm(k, m, cs) for m in range(k + 1)] == row
     table = cs.mu_table()
     assert gated_by_its_reads(table._walk)
-    assert all(type(v) is int for v in table.memo.values())
-    if table._walk.dens is not None:
-        assert table._walk.dens == [lcm_of_denominators(row) for row in rows]
+    for k, row in enumerate(rows):
+        check_kept_column(table._walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,7 +408,9 @@ def test_memo_limit_on_a_gated_table(monkeypatch):
     monkeypatch.delenv("R1_MEMO_LIMIT")
     rows = reference_mu_rows(spec.build(), 15)
     assert [mu(k, cs) for k in range(16)] == [row[0] for row in rows]
-    assert cs.mu_table()._walk.dens == [lcm_of_denominators(row) for row in rows]
+    table = cs.mu_table()
+    for k, row in enumerate(rows):
+        check_kept_column(table._walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
 
 
 # -- P_n ------------------------------------------------------------------
