@@ -191,7 +191,8 @@ def cmd_paths(args) -> int:
         else:
             ws = paths.WeightSystem(_load_system(args))
         total = paths.weight_sum(start, end, ws, max_height=args.max_height)
-        _emit(args, [str(total)], {"sum": str(total)})
+        text = str(total) if args.symbolic else format_scalar(total)
+        _emit(args, [text], {"sum": text})
         return EXIT_OK
     ws = None
     if args.coeffs or args.family:
@@ -227,7 +228,7 @@ def cmd_dets(args) -> int:
                 worst = max(worst, EXIT_DEGENERACY)
                 continue
             if not isinstance(report, determinants.DetReport):
-                rows.append({"n": n, "kind": kind, "computed": str(report),
+                rows.append({"n": n, "kind": kind, "computed": format_scalar(report),
                              "predicted": None, "matched": None})
                 continue
             rows.append(report.as_dict())

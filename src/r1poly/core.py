@@ -66,7 +66,6 @@ from .exactmath import (
     SymPoly,
     as_scalar,
     format_scalar,
-    poly_divrem,
     read_scalar,
     series_from_rational,
 )
@@ -88,18 +87,24 @@ class MemoLimitError(RuntimeError):
     """Memo table exceeded the R1_MEMO_LIMIT cap."""
 
 
-def _check_memo(table: str, size: int, request: str):
-    """Raise ``MemoLimitError`` once a table holds more than R1_MEMO_LIMIT entries."""
+def _memo_limit() -> int | None:
+    """R1_MEMO_LIMIT as an int, None when unset.  Each public call that fills
+    a table reads it once and hands it to every ``_check_memo`` of that fill."""
     raw = os.environ.get("R1_MEMO_LIMIT")
     if not raw:
-        return
+        return None
     try:
         limit = int(raw)
     except ValueError:
         limit = -1
     if limit < 0:
         raise ValueError(f"R1_MEMO_LIMIT must be an integer >= 0, got {raw!r}")
-    if size > limit:
+    return limit
+
+
+def _check_memo(table: str, size: int, request: str, limit: int | None):
+    """Raise ``MemoLimitError`` once a table holds more than ``limit`` entries."""
+    if limit is not None and size > limit:
         raise MemoLimitError(f"{table}: {size} entries > R1_MEMO_LIMIT={limit} ({request})")
 
 
@@ -189,11 +194,16 @@ class CoeffSystem:
         return v
 
     def mu_table(self) -> "MuTable":
+        """The system's mu grid, built on first use.  It reaches the system
+        through a weak proxy, so the caller must keep the system alive: a table
+        whose system was dropped raises ``ReferenceError`` once it reads it."""
         if self._mu is None:
             self._mu = MuTable(weakref.proxy(self))
         return self._mu
 
     def nu_table(self) -> "NuTable":
+        """The system's nu grid, built on first use; like ``mu_table``, usable
+        only while the caller keeps the system alive (else ``ReferenceError``)."""
         if self._nu is None:
             self._nu = NuTable(weakref.proxy(self))
         return self._nu
@@ -597,7 +607,8 @@ class _PolyRows:
     gcd(den, *c) = 1, so den is the lcm of the reduced denominators of P_k.
     ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1} over
     the lcm r of the denominators of its four terms, and one gcd reduces it;
-    ``poly`` builds the Poly of a row once, on its first request.
+    ``poly`` builds the Poly of a row once, on its first request.  The nu
+    table reads the rows themselves.
     """
 
     def __init__(self, cs: CoeffSystem):
@@ -629,14 +640,19 @@ class _PolyRows:
             row = [v // g for v in row]
         self.rows.append((row, r))
 
-    def poly(self, n: int) -> Poly:
-        """P_n as a Poly, stepping the rows up to n first."""
+    def extend(self, n: int, limit: int | None) -> None:
+        """Step the rows up to P_n, under the memo limit ``limit``."""
         rows = self.rows
         while len(rows) <= n:
             self.advance()
-            _check_memo("poly cache", len(rows), f"building P_{len(rows) - 1} for n={n}")
+            _check_memo("poly cache", len(rows), f"building P_{len(rows) - 1} for n={n}", limit)
+
+    def poly(self, n: int) -> Poly:
+        """P_n as a Poly, stepping the rows up to n first."""
+        if len(self.rows) <= n:
+            self.extend(n, _memo_limit())
         if n not in self._polys:
-            row, den = rows[n]
+            row, den = self.rows[n]
             self._polys[n] = Poly([Fraction(c, den) for c in row])
         return self._polys[n]
 
@@ -671,14 +687,14 @@ class MuTable:
         if n < m:
             return self.cs.zero
         if n > self._filled_to:
-            self._fill(n)
+            self._fill(n, _memo_limit())
         return self._walk.read(n, m, self.memo[(n, m)])
 
-    def _fill(self, upto: int):
+    def _fill(self, upto: int, limit: int | None):
         for n in range(self._filled_to + 1, upto + 1):
             self._walk.advance()
             self._filled_to = n
-            _check_memo("mu table", len(self.memo), f"filling row {n} for n={upto}")
+            _check_memo("mu table", len(self.memo), f"filling row {n} for n={upto}", limit)
 
 
 class _SymbolicSystem(CoeffSystem):
@@ -721,9 +737,11 @@ class NuTable:
     nu_{0,m} = -(1/P_m(-lam_m/a_m)) * sum_i f_{m,i} nu_{i,m-1}, where the
     f_{m,i} are the coefficients of the quotient U_m of P_m by the linear
     factor (a_m x + lam_m);
-    nu_{n,m} = (1/a_m) nu_{n-1,m-1} - (lam_m/a_m) nu_{n-1,m},
+    nu_{n,m} = (1/a_m) nu_{n-1,m-1} - (lam_m/a_m) nu_{n-1,m}.
 
-    filled iteratively with m ascending and n ascending.
+    Column j >= 1 holds a prefix of rows.  A request fills only the columns
+    that lack rows it needs, with m ascending and n ascending.  U_m and
+    P_m(-lam_m/a_m) come from the integer row of P_m by synthetic division.
     """
 
     def __init__(self, cs: CoeffSystem):
@@ -736,52 +754,75 @@ class NuTable:
     def u_row(self, m: int) -> Poly:
         """U_m, the quotient of P_m by (a_m x + lam_m); degree m-1."""
         if m not in self._u_rows:
-            quot, rem = poly_divrem(
-                P(m, self.cs), Poly.linear(self.cs.a_nonzero(m), self.cs.lam(m))
-            )
-            self._u_rows[m] = quot
-            self._p_at_root[m] = rem[0]
+            self._divide(m, _memo_limit())
         return self._u_rows[m]
 
     def p_at_root(self, m: int) -> Scalar:
         """P_m(-lam_m/a_m); zero raises the named degeneracy error."""
-        self.u_row(m)
+        if m not in self._u_rows:
+            self._divide(m, _memo_limit())
         val = self._p_at_root[m]
         if val == 0:
             raise DegeneracyError(m)
         return val
 
+    def _divide(self, m: int, limit: int | None) -> None:
+        """U_m and P_m(rho), rho = -lam_m/a_m = r/s, by Horner on the integer
+        row c/den of P_m: T_{m-1} = c_m, T_{k-1} = c_k s^(m-k) + r T_k, so
+        U_m's coefficient k is T_k / (a_m den s^(m-1-k)) and P_m(rho) is
+        T_{-1} / (den s^m).  No Poly of P_m is built."""
+        rows = self.cs._poly_rows
+        rows.extend(m, limit)
+        row, den = rows.rows[m]
+        a = self.cs.a_nonzero(m)
+        rho = -self.cs.lam(m) / a
+        r, s = rho.numerator, rho.denominator
+        t, power, quot = row[m], 1, []
+        for k in range(m - 1, -1, -1):
+            quot.append(Fraction(t * a.denominator, a.numerator * den * power))
+            power *= s
+            t = row[k] * power + r * t
+        self._u_rows[m] = Poly(quot[::-1])
+        self._p_at_root[m] = Fraction(t, den * power)
+
     def value(self, n: int, m: int) -> Scalar:
         if n < 0 or m < 0:
             raise ValueError("nu indices must be >= 0")
         if (n, m) not in self.memo:
-            self._fill(n, m)
+            self._fill(n, m, _memo_limit())
         return self.memo[(n, m)]
 
-    def _fill(self, n: int, m: int):
+    def _fill(self, n: int, m: int, limit: int | None):
         """Add nu_{n,m} and every entry it needs.  Column 0 is mu, and only
-        row n of it is added when m = 0.  Column j >= 1 holds a prefix of
-        rows: up to n in column m, up to max(top_j - 1, j - 1) in column j-1."""
+        row n of it is added when m = 0.  Column j >= 1 needs rows up to n in
+        column m and up to max(top_j - 1, j - 1) in column j-1; the walk down
+        from column m stops at the first column that has them, since each
+        column below it has what it needs."""
         cs, memo, heights = self.cs, self.memo, self._heights
         mu_t = cs.mu_table()
-        tops = [n] * (m + 1)
-        for j in range(m, 0, -1):
-            tops[j - 1] = max(tops[j] - 1, j - 1)
-        for j, top in enumerate(tops):
-            if j == len(heights):
-                heights.append(0)
+        tops = []  # (column, top row) from m down, for the columns that lack rows
+        j, top = m, n
+        while j >= 0 and (j >= len(heights) or heights[j] <= top):
+            tops.append((j, top))
+            j, top = j - 1, max(top - 1, j - 1)
+        heights.extend([0] * (m + 1 - len(heights)))
+        for j, top in reversed(tops):
             for i in range(heights[j], top + 1) if m else (n,):
                 if j == 0:
+                    if i > mu_t._filled_to:
+                        mu_t._fill(i, limit)
                     val = mu_t.value(i, 0)
                 elif i == 0:
-                    u = self.u_row(j)
+                    if j not in self._u_rows:
+                        self._divide(j, limit)
+                    u = self._u_rows[j]
                     val = -sum(u[k] * memo[(k, j - 1)] for k in range(j)) / self.p_at_root(j)
                 else:
                     val = (memo[(i - 1, j - 1)] - cs.lam(j) * memo[(i - 1, j)]) / cs.a_nonzero(j)
                 memo[(i, j)] = val
             if m:
-                heights[j] = max(heights[j], top + 1)
-            _check_memo("nu table", len(memo), f"filling column {j} for nu({n}, {m})")
+                heights[j] = top + 1
+            _check_memo("nu table", len(memo), f"filling column {j} for nu({n}, {m})", limit)
 
 
 def mu(n: int, cs: CoeffSystem) -> Scalar:

@@ -30,54 +30,91 @@ O(n^2) field operations, H_k = prod_{j<=k} sigma_{j,j} (Flajolet 1980;
 Gautschi 2004, section 2.1), from the sequence values alone, never from the
 recurrence data whose product it is checked against.  A vanishing
 sigma_{k,k} with k < n stops the recurrence, and every larger minor then
-comes from ``det_exact``: exact-field Gaussian elimination with
-first-nonzero pivoting, which serves every other determinant.  A
-fraction-free Bareiss elimination measured slower: 3.5 s against 0.6 s for
-``det_exact`` at n = 40.
+comes from ``det_exact``: exact Gaussian elimination with first-nonzero
+pivoting, which serves every other determinant.
+
+Both kernels keep each row as integers over its own denominator, the lcm of
+the reduced denominators of its entries, and reduce a new row by one gcd of
+its integers with that denominator; no entry is a Fraction.  On the 25 x 25
+nu matrices of a random small-height table this is 3-4 times faster than
+Fraction rows: D'_24 went from about 0.035 to 0.008 s and D'''_24 from
+0.05 to 0.011 s (2-core x86-64, Python 3.11.7).  Two other integer forms
+lost, because each carries one denominator shared by the whole matrix or
+sequence, far past any row's own: a fraction-free Bareiss elimination
+(3.5 s against 0.6 s for Fraction rows at n = 40), and the Chebyshev
+recurrence over one common denominator.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import CoeffSystem, P, VElem, cf_series, moment_series, mu, nu
-from .exactmath import Poly, Scalar
+from .exactmath import Poly, Scalar, format_scalar
 
 
 class HypothesisViolation(ValueError):
     """The theorem under check does not apply to this system."""
 
 
-def det_exact(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Exact determinant by fraction Gaussian elimination.
+def _int_row(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Rationals as (ints, den): den the lcm of their reduced denominators,
+    so gcd(den, *ints) = 1."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Pivot is the first nonzero entry in the column; a singular matrix
-    returns 0.
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """(row, den) divided by gcd(den, *row); den stays > 0."""
+    g = math.gcd(den, *row)  # skips the rest once the gcd is 1
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
+def det_exact(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Exact determinant by Gaussian elimination on integer rows.
+
+    Each row is kept as integers over its own denominator, the lcm of the
+    reduced denominators of its entries.  The pivot is the first nonzero
+    entry in the column; a singular matrix returns 0.  With pivot entry pc
+    and row entry rc (numerators), g = gcd(pc, rc), row r becomes
+    row*(pc/g) - (rc/g)*pivot_row over den*(pc/g), reduced by one gcd of the
+    row with its denominator.  The determinant is the product of the pivots
+    pc/den, made into one Fraction at the end.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    m = [[Fraction(v) for v in row] for row in matrix]
-    sign = 1
-    out = Fraction(1)
+    rows = [_int_row(row) for row in matrix]  # row r holds columns c..n-1
+    num = den = 1
     for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        pivot = next((r for r in range(c, n) if rows[r][0][0]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        out *= m[c][c]
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            num = -num
+        prow, pden = rows[c]
+        pc = prow[0]
+        num *= pc
+        den *= pden
         for r in range(c + 1, n):
-            if m[r][c] == 0:
+            row, rden = rows[r]
+            rc = row[0]
+            if not rc:
+                rows[r] = row[1:], rden
                 continue
-            factor = m[r][c] / m[c][c]
-            for k in range(c, n):
-                m[r][k] -= factor * m[c][k]
-    return out * sign
+            g = math.gcd(pc, rc)
+            mp, mr = pc // g, rc // g
+            if mp < 0:
+                mp, mr = -mp, -mr
+            rows[r] = _reduced([v * mp - mr * w for v, w in zip(row[1:], prow[1:])], rden * mp)
+    return Fraction(num, den)
 
 
 def hankel_minors(seq: Sequence[Scalar], n: int, start: int = 0) -> list[Scalar]:
@@ -87,31 +124,40 @@ def hankel_minors(seq: Sequence[Scalar], n: int, start: int = 0) -> list[Scalar]
     sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l}
     with alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
     and beta_k = sigma_{k,k}/sigma_{k-1,k-1} gives H_k = H_{k-1} sigma_{k,k}.
-    If sigma_{k,k} = 0 for some k < n, each larger minor from H_start on
-    comes from ``det_exact``, which pivots.
+    Each sigma row is kept as integers over its own denominator, the lcm of
+    its reduced denominators: the step sums its three terms over the lcm of
+    their denominators and one gcd reduces the new row.  h, the ratios,
+    alpha and beta stay Fractions.  If sigma_{k,k} = 0 for some k < n, each
+    larger minor from H_start on comes from ``det_exact``, which pivots.
     """
     c = [Fraction(v) for v in seq[: 2 * n + 1]]
     if len(c) < 2 * n + 1:
         raise ValueError(f"H_{n} needs {2 * n + 1} sequence terms, got {len(c)}")
     minors = []
     minor = Fraction(1)
-    row, below = c, [0] * len(c)  # sigma_{k,.} and sigma_{k-1,.}; sigma_{-1,.} = 0
+    # sigma_{k,.} and sigma_{k-1,.} as (ints, den), indexed by l; sigma_{-1,.} = 0
+    (row, den), (below, bden) = _int_row(c), ([0] * len(c), 1)
     h_below, ratio_below = Fraction(1), Fraction(0)
     for k in range(n + 1):
-        h = row[k]
+        h = Fraction(row[k], den)
         minor *= h
         if k >= start:
             minors.append(minor)
         if k == n:
             return minors
-        if h == 0:
+        if not row[k]:
             break
-        ratio = row[k + 1] / h
+        ratio = Fraction(row[k + 1], row[k])
         alpha = ratio - ratio_below
         beta = h / h_below
-        row, below = [0] * (k + 1) + [
-            row[l + 1] - alpha * row[l] - beta * below[l] for l in range(k + 1, 2 * n - k)
-        ], row
+        # sigma_{k+1,l} over lcm(den * alpha.den, bden * beta.den)
+        lcm = math.lcm(den * alpha.denominator, bden * beta.denominator)
+        m1 = lcm // den
+        ma = alpha.numerator * (m1 // alpha.denominator)
+        mb = beta.numerator * (lcm // (bden * beta.denominator))
+        nxt, nden = _reduced([row[l + 1] * m1 - ma * row[l] - mb * below[l]
+                              for l in range(k + 1, 2 * n - k)], lcm)
+        (row, den), (below, bden) = ([0] * (k + 1) + nxt, nden), (row, den)
         h_below, ratio_below = h, ratio
     return minors + [
         det_exact([c[i : i + m + 1] for i in range(m + 1)])
@@ -134,8 +180,8 @@ class DetReport:
         return {
             "n": self.n,
             "kind": self.kind,
-            "computed": str(self.computed),
-            "predicted": str(self.predicted),
+            "computed": format_scalar(self.computed),
+            "predicted": format_scalar(self.predicted),
             "matched": self.matched,
         }
 

@@ -3,7 +3,10 @@
 Every quantity in this package is an exact rational number; there is no
 floating point anywhere.  The scalar type is ``fractions.Fraction`` (aliased
 ``Scalar``), which is always stored normalized (gcd 1, positive denominator)
-and serializes as a decimal string ``"p/q"`` or ``"p"``.
+and serializes as a decimal string ``"p/q"`` or ``"p"``.  Python refuses
+int <-> str conversions past ``sys.get_int_max_str_digits()`` digits, so the
+two wire functions take longer numbers through ``decimal``, which has no
+such limit; below it they are plain ``str`` and ``Fraction``.
 
 Three container types are built on top of it:
 
@@ -35,9 +38,11 @@ Three container types are built on top of it:
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
+import re
 from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -56,9 +61,22 @@ def as_scalar(value: ScalarLike) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
+_WIRE_FORM = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse the wire form "p/q" or "p" (decimal integer strings)."""
-    return Fraction(text.strip())
+    """Parse the wire form "p/q" or "p" (decimal integer strings), of any length."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ValueError:  # past the int string limit, or not a scalar at all
+        wire = _WIRE_FORM.fullmatch(text)
+        if wire is None:
+            raise
+    num, den = (int(decimal.Decimal(part or "1")) for part in wire.group(1, 2))
+    if not den:  # Fraction's own message would print the long numerator
+        raise ZeroDivisionError("zero denominator")
+    return Fraction(num, den)
 
 
 def read_scalar(value, where: str) -> Scalar:
@@ -70,8 +88,12 @@ def read_scalar(value, where: str) -> Scalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Wire form: "p/q", or just "p" when the denominator is 1."""
-    return str(value)
+    """Wire form: "p/q", or just "p" when the denominator is 1, of any length."""
+    try:
+        return str(value)
+    except ValueError:  # past the int string limit
+        text = str(decimal.Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{decimal.Decimal(value.denominator)}"
 
 
 def pochhammer(a: ScalarLike, n: int) -> Scalar:

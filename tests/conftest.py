@@ -27,3 +27,101 @@ def ones():
     return CoeffSystem(
         lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1), name="ones"
     )
+
+
+# -- the plain Fraction references the integer-row fast paths are tested against
+
+
+def _reference_det(matrix):
+    """Fraction Gaussian elimination, first nonzero pivot; 0 when singular."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        out *= m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] == 0:
+                continue
+            factor = m[r][c] / m[c][c]
+            for k in range(c, n):
+                m[r][k] -= factor * m[c][k]
+    return out * sign
+
+
+def _reference_hankel_minors(seq, n, start=0):
+    """[H_start..H_n] by the modified Chebyshev algorithm on Fractions, with
+    each minor past a vanishing sigma_{k,k} from ``_reference_det``."""
+    c = [Fraction(v) for v in seq[: 2 * n + 1]]
+    minors = []
+    minor = Fraction(1)
+    row, below = c, [0] * len(c)
+    h_below, ratio_below = Fraction(1), Fraction(0)
+    for k in range(n + 1):
+        h = row[k]
+        minor *= h
+        if k >= start:
+            minors.append(minor)
+        if k == n:
+            return minors
+        if h == 0:
+            break
+        ratio = row[k + 1] / h
+        alpha = ratio - ratio_below
+        beta = h / h_below
+        row, below = [0] * (k + 1) + [
+            row[l + 1] - alpha * row[l] - beta * below[l] for l in range(k + 1, 2 * n - k)
+        ], row
+        h_below, ratio_below = h, ratio
+    return minors + [
+        _reference_det([c[i : i + m + 1] for i in range(m + 1)])
+        for m in range(max(k + 1, start), n + 1)
+    ]
+
+
+@pytest.fixture
+def reference_det():
+    return _reference_det
+
+
+@pytest.fixture
+def reference_hankel_minors():
+    return _reference_hankel_minors
+
+
+def _small_fraction(rng, nonzero=False):
+    while True:
+        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        if v or not nonzero:
+            return v
+
+
+@pytest.fixture(scope="session")
+def grid_lists():
+    """The (b, a, lam) lists of the benchmark's `grid` workload at seed 1: 302
+    small-height values each, re-drawn until P_k(-lam_k/a_k) != 0 for k <= 40."""
+    rng = random.Random("grid-1")
+    while True:
+        lists = (
+            [_small_fraction(rng) for _ in range(302)],
+            [_small_fraction(rng, nonzero=True) for _ in range(302)],
+            [_small_fraction(rng) for _ in range(302)],
+        )
+        b, a, lam = lists
+        if all(_p_at_root(b, a, lam, k) for k in range(1, 41)):
+            return lists
+
+
+def _p_at_root(b, a, lam, k):
+    """P_k(-lam_k/a_k) by the three-term recurrence at that point."""
+    x = -lam[k] / a[k]
+    prev, cur = Fraction(0), Fraction(1)
+    for j in range(k):
+        prev, cur = cur, (x - b[j]) * cur - ((a[j] * x + lam[j]) * prev if j else 0)
+    return cur

@@ -13,6 +13,7 @@ import pytest
 import r1poly
 from r1poly import cli
 from r1poly.cli import main
+from r1poly.exactmath import read_scalar
 from r1poly.paths import Path
 
 
@@ -705,3 +706,44 @@ def test_every_package_error_has_an_exit_code():
         c.__name__ for c in found}
     for cls in found:
         assert issubclass(cls, cli._DEGENERATE + cli._BAD_INPUT), cls
+
+
+# Python refuses int <-> str past sys.get_int_max_str_digits() (4300) digits;
+# the largest of these moments has about 20,000 bits, over 6,000 digits.
+_LONG_MOMENTS = "moments --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 --n 200"
+
+
+@pytest.fixture(scope="module")
+def long_moments():
+    cs = r1poly.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    return [r1poly.mu(k, cs) for k in range(201)]
+
+
+def test_moments_past_the_int_string_limit_reach_the_wire(capsys, long_moments):
+    code, out, err = run(capsys, *_LONG_MOMENTS.split())
+    assert (code, err) == (0, "")
+    words = out.split()
+    assert max(map(len, words)) > sys.get_int_max_str_digits()
+    assert [read_scalar(w, "stdout") for w in words] == long_moments
+
+
+def test_moments_past_the_int_string_limit_in_json(capsys, long_moments):
+    code, out, _ = run(capsys, *_LONG_MOMENTS.split(), "--format", "json")
+    assert code == 0
+    assert [read_scalar(w, "json") for w in json.loads(out)["moments"]] == long_moments
+
+
+def test_dets_past_the_int_string_limit_in_json(capsys):
+    code, out, _ = run(capsys, *"dets --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 "
+                               "--kinds prime --n 25 --format json".split())
+    assert code == 0
+    last = json.loads(out)["reports"][-1]
+    assert last["matched"] and last["computed"] == last["predicted"]
+    assert len(last["computed"]) > sys.get_int_max_str_digits()
+
+
+def test_path_sum_past_the_int_string_limit(capsys, long_moments):
+    # mu_170 of little q-Jacobi has about 4,400 digits over 4,400 digits
+    code, out, _ = run(capsys, *"paths sum --family little_q_jacobi --param a=4/7 b=5/7 "
+                               "q=1/2 --from 0,0 --to 170,0".split())
+    assert code == 0 and read_scalar(out.strip(), "stdout") == long_moments[170]

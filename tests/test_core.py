@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 
 import r1poly
-from r1poly import checks, families
+from r1poly import checks, core, families
 from r1poly.checks import random_fraction, random_system
 from r1poly.core import (
     _PolyRows,
@@ -669,3 +670,122 @@ def test_d_poly_is_the_product_of_the_linear_factors(rng):
     assert d_poly(3, short) == Poly.linear(2, 1) * Poly.linear(3, 1) * Poly.linear(5, 2)
     with pytest.raises(CoeffError, match=r"^coefficient index 4 beyond valid_to=3$"):
         d_poly(4, short)
+
+# -- the nu table against independent computations ------------------------
+
+
+def _nu_grid(cs, order):
+    for n, m in order:
+        nu(n, m, cs)
+    return cs.nu_table().memo
+
+
+def test_nu_grid_is_the_same_in_any_fill_order(grid_lists):
+    top = 40
+    n_outer = [(n, m) for n in range(top + 1) for m in range(top + 1)]
+    m_outer = [(n, m) for m in range(top + 1) for n in range(top + 1)]
+    shuffled = list(n_outer)
+    random.Random(5).shuffle(shuffled)
+    memos = [_nu_grid(CoeffSystem.from_lists(*grid_lists), order)
+             for order in (n_outer, m_outer, shuffled)]
+    assert memos[0] == memos[1] == memos[2]
+    cs = CoeffSystem.from_lists(*grid_lists)
+    reference = {(0, 0): Fraction(1)}
+    for n, m in n_outer:
+        _nu_by_recursion(cs, n, m, reference)
+    assert memos[0] == reference
+    spots = random.Random(1)
+    for n, m in [(spots.randint(0, 12), spots.randint(1, 12)) for _ in range(6)]:
+        assert memos[0][(n, m)] == reference_L_eval(VElem(Poly.x(n), m, cs))
+
+
+@pytest.mark.parametrize("table", ["grid", "little_q_jacobi", "laguerre"])
+def test_u_row_and_p_at_root_are_the_division_of_P(table, grid_lists):
+    build = {
+        "grid": lambda: CoeffSystem.from_lists(*grid_lists),
+        "little_q_jacobi": r1poly.little_q_jacobi(
+            Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build,
+        "laguerre": r1poly.laguerre(Fraction(9, 7)).build,
+    }[table]
+    cs, twin = build(), build()
+    roots = cs.nu_table()
+    for m in range(1, 41):
+        quot, rem = poly_divrem(P(m, twin), Poly.linear(twin.a(m), twin.lam(m)))
+        assert roots.u_row(m) == quot
+        assert roots.p_at_root(m) == rem[0]
+    assert not cs._poly_rows._polys  # no Poly of any P_m was built
+
+
+def _degenerate_at(k, rng):
+    """A random table with P_j(-lam_j/a_j) != 0 for j < k and = 0 at j = k:
+    lam_{k-1} puts a root r on P_k, and lam_k = -a_k r."""
+    while True:
+        b = [random_fraction(rng) for _ in range(k + 4)]
+        a = [random_fraction(rng) or Fraction(1) for _ in range(k + 4)]
+        lam = [random_fraction(rng) for _ in range(k + 4)]
+        r = random_fraction(rng)
+
+        def at_r(j):  # P_j(r) and P_{j-1}(r)
+            prev, cur = Fraction(0), Fraction(1)
+            for i in range(j):
+                prev, cur = cur, (r - b[i]) * cur - ((a[i] * r + lam[i]) * prev if i else 0)
+            return cur, prev
+
+        p1, p2 = at_r(k - 1)
+        if not p2:
+            continue
+        lam[k - 1] = (r - b[k - 1]) * p1 / p2 - a[k - 1] * r
+        lam[k] = -a[k] * r
+        cs = CoeffSystem.from_lists(b, a, lam)
+        if all(poly_divrem(P(j, cs), Poly.linear(a[j], lam[j]))[1][0] for j in range(1, k)):
+            return b, a, lam
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_a_vanishing_root_value_is_the_named_error_at_its_index(k, rng):
+    lists = _degenerate_at(k, rng)
+    cs = CoeffSystem.from_lists(*lists)
+    assert poly_divrem(P(k, cs), Poly.linear(cs.a(k), cs.lam(k)))[1][0] == 0
+    for request in (lambda cs: nu(0, k, cs), lambda cs: nu(3, k + 1, cs),
+                    lambda cs: L_eval(VElem(Poly.const(1), k, cs)),
+                    lambda cs: cs.nu_table().p_at_root(k)):
+        fresh = CoeffSystem.from_lists(*lists)
+        with pytest.raises(DegeneracyError) as err:
+            request(fresh)
+        assert err.value.k == k
+    fresh = CoeffSystem.from_lists(*lists)
+    assert nu(4, k - 1, fresh) == reference_L_eval(VElem(Poly.x(4), k - 1, fresh))
+    assert fresh.nu_table().u_row(k) == poly_divrem(P(k, cs), Poly.linear(cs.a(k), cs.lam(k)))[0]
+
+
+def test_each_call_that_fills_reads_the_memo_limit_once(monkeypatch, rng):
+    reads = []
+    read = core._memo_limit
+
+    def counting():
+        reads.append(1)
+        return read()
+
+    monkeypatch.setattr(core, "_memo_limit", counting)
+    monkeypatch.setenv("R1_MEMO_LIMIT", "100000")
+    cs = random_system(rng, depth=40, nondegenerate_to=12)
+    # nu fills mu rows and P rows on the way; the filled prefix and the rows and
+    # roots that random_system probed to 12 fill nothing
+    for call, want in [(lambda: nu(12, 6, cs), 1), (lambda: mu(30, cs), 1),
+                       (lambda: P(25, cs), 1), (lambda: nu(14, 9, cs), 1),
+                       (lambda: nu(3, 2, cs), 0), (lambda: mu(20, cs), 0),
+                       (lambda: P(7, cs), 0), (lambda: cs.nu_table().p_at_root(9), 0),
+                       (lambda: cs.nu_table().u_row(15), 1)]:
+        reads.clear()
+        call()
+        assert len(reads) == want
+
+
+def test_a_table_is_usable_only_while_its_system_is_alive():
+    # the tables reach their system through a weak proxy, so the caller keeps it
+    for table in ("mu_table", "nu_table"):
+        orphan = getattr(CoeffSystem.from_lists([1] * 8, [1] * 8, [1] * 8), table)()
+        with pytest.raises(ReferenceError):
+            orphan.value(4, 0)
+        cs = CoeffSystem.from_lists([1] * 8, [1] * 8, [1] * 8)
+        assert getattr(cs, table)().value(4, 0) == 133  # mu_4 of the all-ones system

@@ -400,3 +400,106 @@ def test_hankel_basis_change_invariance(rng):
             [[L_poly(ps[i] * qs[j]) for j in range(n + 1)] for i in range(n + 1)]
         )
         assert lhs == rhs
+
+
+# -- the integer-row kernels against the plain Fraction references -------
+
+
+def _small_matrix(rng, size, height=6):
+    return [[Fraction(rng.randint(-height, height), rng.randint(1, height))
+             for _ in range(size)] for _ in range(size)]
+
+
+def _hard_matrices(rng):
+    """Small-height matrices of sizes 1-12 that reach every branch: a zero
+    first pivot (a row swap), a zero pivot deeper down, dependent rows, an
+    all-zero column, int entries and negative entries only."""
+    out = []
+    for size in range(1, 13):
+        out.append(_small_matrix(rng, size))
+        m = _small_matrix(rng, size)
+        m[0][0] = Fraction(0)
+        out.append(m)
+        if size >= 3:
+            m = _small_matrix(rng, size)
+            m[1] = [2 * v for v in m[0]]  # the second pivot vanishes, later rows swap up
+            m[1][-1] += 1
+            out.append(m)
+            m = _small_matrix(rng, size)
+            m[-1] = [u - 3 * v for u, v in zip(m[0], m[1])]  # singular
+            out.append(m)
+        m = _small_matrix(rng, size)
+        k = rng.randrange(size)
+        for row in m:
+            row[k] = Fraction(0)  # an all-zero column
+        out.append(m)
+        out.append([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+        out.append([[-abs(v) - 1 for v in row] for row in _small_matrix(rng, size)])
+    return out
+
+
+def test_det_exact_matches_the_fraction_reference(rng, reference_det):
+    swaps = singular = 0
+    for m in _hard_matrices(rng):
+        want = reference_det(m)
+        assert det_exact(m) == want, m
+        assert det_exact(m) == det_exact([list(row) for row in m])  # the input is not changed
+        singular += want == 0
+        swaps += m[0][0] == 0
+    assert singular >= 20 and swaps >= 12
+
+
+def test_hankel_minors_match_the_fraction_reference(rng, random_systems,
+                                                     reference_hankel_minors):
+    cases = list(_DEGENERATE) + [([1, 1, 1, 0, 3, 7, -2], 3)]
+    cases += [([Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(2 * n + 1)], n)
+              for n in range(12)]
+    cases += [([rng.randint(-3, 3) for _ in range(2 * n + 1)], n) for n in range(12)]
+    for cs in random_systems[:3]:
+        cases += [(seq, 8) for seq in moment_sequences(cs, 8)]
+    fallbacks = 0
+    for seq, n in cases:
+        want = reference_hankel_minors(seq, n)
+        fallbacks += 0 in want[:-1]
+        for start in range(n + 1):
+            assert hankel_minors(seq, n, start) == want[start:], (seq, n, start)
+    assert fallbacks >= len(_DEGENERATE) + 1
+
+
+def test_a_vanishing_sigma_takes_the_det_exact_fallback(monkeypatch, reference_hankel_minors):
+    # sigma_{1,1} = mu_2 - mu_1^2/mu_0 = 0, so H_1 = 0 and H_2, H_3 come from det_exact
+    seq = [1, 1, 1, 0, 3, 7, -2]
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return det_exact(matrix)
+
+    monkeypatch.setattr(determinants, "det_exact", counting)
+    assert hankel_minors(seq, 3) == reference_hankel_minors(seq, 3)
+    assert calls == [3, 4]
+
+
+def test_grid_matrices_match_the_fraction_reference(grid_lists, reference_det,
+                                                    reference_hankel_minors):
+    # the 25 x 25 moment matrices of the benchmark's grid table at seed 1
+    cs = CoeffSystem.from_lists(*grid_lists, name="grid")
+    n = 24
+    for kind in ("prime", "dprime", "tprime"):
+        matrix = [[determinants._entry(kind, i, j, n, cs) for j in range(n + 1)]
+                  for i in range(n + 1)]
+        assert det_exact(matrix) == reference_det(matrix), kind
+    seq = [determinants._entry("prime", k, 0, n, cs) for k in range(2 * n + 1)]
+    assert hankel_minors(seq, n) == reference_hankel_minors(seq, n)
+    assert delta_prime(n, cs).matched and delta_tprime(n, cs).matched
+
+
+def test_det_exact_matches_sympy(rng, grid_lists):
+    sympy = pytest.importorskip("sympy")
+    cs = CoeffSystem.from_lists(*grid_lists, name="grid")
+    matrices = _hard_matrices(rng)[::9]
+    matrices.append([[nu(i, j, cs) for j in range(8)] for i in range(8)])
+    for m in matrices:
+        want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                             for row in m]).det()
+        assert det_exact(m) == Fraction(int(want.p), int(want.q))

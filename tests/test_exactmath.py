@@ -13,6 +13,7 @@ from r1poly.exactmath import (
     SymPoly,
     format_scalar,
     parse_scalar,
+    read_scalar,
     pochhammer,
     poly_divrem,
     qpochhammer,
@@ -43,6 +44,22 @@ def test_scalar_wire_format():
     # always normalized: gcd 1, positive denominator
     assert format_scalar(Fraction(2, 4)) == "1/2"
     assert format_scalar(Fraction(3, -6)) == "-1/2"
+
+
+def test_scalar_wire_format_past_the_int_string_limit():
+    # a 10^5-digit p over a 10^5-digit q, both far past sys.get_int_max_str_digits()
+    value = Fraction(-(7 ** 118_400 + 2), 10 ** 100_000 + 3)
+    text = format_scalar(value)
+    assert text.startswith("-") and text.endswith("/1" + "0" * 99_999 + "3")
+    assert len(text) > 200_000 and read_scalar(text, "wire") == value
+    for value in (Fraction(10 ** 5000 + 1, 3), Fraction(-(10 ** 5000))):
+        assert read_scalar(format_scalar(value), "wire") == value
+    assert format_scalar(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert parse_scalar(" +" + "9" * 5000 + " ") == 10 ** 5000 - 1
+    long = "1" * 5000
+    for bad in (long + "/0", long + ".5", long + "/", "-" + long + "/-3"):
+        with pytest.raises(ValueError, match=r"^bad scalar"):
+            read_scalar(bad, "wire")
 
 
 def test_divrem_spec_examples():
