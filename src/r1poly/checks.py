@@ -115,9 +115,7 @@ def _suite_orthogonality(rng: random.Random):
     yield "L(x^n P_m P_l) = restricted path sum, n,m,l <= 4", ok
     p = Poly([random_fraction(rng) for _ in range(7)])
     coeffs = expand_in_P(p, cs)
-    reassembled = Poly()
-    for m, c in enumerate(coeffs):
-        reassembled = reassembled + P(m, cs) * c
+    reassembled = sum((P(m, cs) * c for m, c in enumerate(coeffs)), Poly())
     yield "expand_in_P round-trip", reassembled == p
     # Laurent case: duality and the inverted-weight identity
     lcs = random_laurent_system(rng)
@@ -384,10 +382,9 @@ def _suite_histories(rng: random.Random):
     yield "worked example round-trip (psi)", histories.psi_inv(histories.psi(mh)) == mh
     yield "phi bijective with statistic transport, n<=7", all(
         histories.laguerre_bijection_check(n)[1] for n in range(8))
-    b, d = Fraction(2, 3), Fraction(1, 4)
+    (a,), (b, d) = histories.CHECK_POINTS["laguerre"], histories.CHECK_POINTS["meixner"]
     yield "psi weight-preserving bijection, n<=6", all(
         histories.meixner_bijection_check(n, b, d)[1] for n in range(7))
-    a = Fraction(3, 5)
     yield "Laguerre history sums, n<=8", all(histories.lh_moment_check(n, a) for n in range(9))
     yield "Meixner history chain, n<=7", all(
         histories.mh_moment_check(n, b, d) for n in range(8))

@@ -25,7 +25,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import checks, core, determinants, histories, paths
 from .core import CoeffError, CoeffSystem, DegeneracyError, L_eval, P, VElem, mu, mu_symbolic
@@ -202,7 +201,7 @@ def cmd_paths(args) -> int:
     for p in found:
         row = {"path": str(p)}
         if ws is not None:
-            row["weight"] = str(p.weight(ws))
+            row["weight"] = format_scalar(p.weight(ws))
         rows.append(row)
     _emit(args, [json.dumps(r) for r in rows], {"paths": rows})
     return EXIT_OK
@@ -271,13 +270,13 @@ def cmd_histories(args) -> int:
             for row in rows:
                 print(json.dumps(row))
         return EXIT_OK
+    point = histories.CHECK_POINTS[args.kind]
     if args.kind == "laguerre":
         count, ok = histories.laguerre_bijection_check(n)
-        ok = ok and histories.lh_moment_check(n, Fraction(3, 5))
+        ok = ok and histories.lh_moment_check(n, *point)
     else:
-        b, d = Fraction(2, 3), Fraction(1, 4)
-        count, ok = histories.meixner_bijection_check(n, b, d)
-        ok = ok and histories.mh_moment_check(n, b, d)
+        count, ok = histories.meixner_bijection_check(n, *point)
+        ok = ok and histories.mh_moment_check(n, *point)
     status = "ok" if ok else "FAIL"
     _emit(args, [f"{args.kind} histories n={n}: {status} ({count} histories)"],
           {"kind": args.kind, "n": n, "count": count, "ok": ok})

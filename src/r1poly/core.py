@@ -25,9 +25,9 @@ denominators, and steps them on plain ints with each coefficient split once
 into (numerator, denominator) (``gated_column_step``).  The scaled and the
 symbolic walks step by ``column_step``.  A kept column stays in the form it
 was made in: a new D, or the crossing, converts only the current column,
-the one the next step reads.  ``P`` runs the three-term
-recurrence on rows of integers over one denominator per row, ``_PolyRows``,
-and builds the Poly of a row only when it is asked for.
+the one the next step reads.  ``P`` runs the three-term recurrence on
+``Poly``s, each integers over one reduced denominator (``_PolyRows``), and
+hands out the row it keeps.
 
 ``cf_series`` expands the branched continued fraction from its convergent
 P*^(1)_N / P*_{N+1}, the reversed recurrence polynomials of the shifted and
@@ -67,6 +67,7 @@ from .exactmath import (
     as_scalar,
     format_scalar,
     read_scalar,
+    reduced,
     series_from_rational,
 )
 
@@ -226,9 +227,9 @@ def P(n: int, cs: CoeffSystem) -> Poly:
     """The monic degree-n recurrence polynomial; P_0 = 1, P_{-1} = 0.
 
     The system's ``_PolyRows`` steps P_{k+1} = (x - b_k) P_k -
-    (a_k x + lam_k) P_{k-1} on integer rows, each over the lcm of its
-    reduced denominators, and keeps every row; the Poly of P_n is built on
-    the first request for it and kept.  Rational systems only."""
+    (a_k x + lam_k) P_{k-1} on the integer rows of the Polys, each over the
+    lcm of its reduced denominators, keeps every one and hands out the one
+    it keeps.  Rational systems only."""
     if n < 0:
         return Poly()
     return cs._poly_rows.poly(n)
@@ -260,10 +261,8 @@ def shift(cs: CoeffSystem, s: int) -> CoeffSystem:
 
 def d_poly(m: int, cs: CoeffSystem) -> Poly:
     """Denominator product d_m(x) = prod_{i=1..m} (a_i x + lam_i); 1 for m <= 0."""
-    out = Poly.const(1)
-    for i in range(1, m + 1):
-        out = out * Poly.linear(cs.a(i), cs.lam(i))
-    return out
+    return math.prod((Poly.linear(cs.a(i), cs.lam(i)) for i in range(1, m + 1)),
+                     start=Poly.const(1))
 
 
 # -- Favard tilings -----------------------------------------------------
@@ -540,12 +539,7 @@ class PathColumns:
         den = self.scale
         if prev is not None:
             r = math.lcm(*(d for _, d in col))
-            col = [n * (r // d) for n, d in col]
-            den = prev * r
-            g = math.gcd(den, *col)  # skips the rest once the gcd is 1
-            if g > 1:
-                den //= g
-                col = [v // g for v in col]
+            col, den = reduced([n * (r // d) for n, d in col], prev * r)
         if self.dens is not None:
             self.dens.append(den)
         self.col = col
@@ -601,32 +595,28 @@ class PathColumns:
 
 
 class _PolyRows:
-    """The recurrence polynomials P_0..P_j of a rational system as integer rows.
+    """The recurrence polynomials P_0..P_j of a rational system, as Polys.
 
-    Row k is (c, den) with P_k = sum_i (c[i] / den) x^i, den > 0 and
+    Row k is the Poly of P_k: integers c over one denominator den, with
     gcd(den, *c) = 1, so den is the lcm of the reduced denominators of P_k.
-    ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1} over
-    the lcm r of the denominators of its four terms, and one gcd reduces it;
-    ``poly`` builds the Poly of a row once, on its first request.  The nu
-    table reads the rows themselves.
+    ``advance`` makes P_{j+1} = (x - b_j) P_j - (a_j x + lam_j) P_{j-1} on
+    those integers, over the lcm r of the denominators of its four terms,
+    and ``Poly.from_row`` reduces it by one gcd.  ``P`` hands out the rows
+    and the nu table reads their integers.
     """
 
     def __init__(self, cs: CoeffSystem):
         self.cs = cs
-        self.rows: list[tuple[list[int], int]] = [([1], 1)]
-        self._polys: dict[int, Poly] = {}
+        self.rows: list[Poly] = [Poly.const(1)]
 
     def advance(self) -> None:
         """Step to P_{j+1}, reading b_j, then a_j and lam_j."""
         cs, j = self.cs, len(self.rows) - 1
         b = cs.b(j)
-        if j:
-            a, lam = cs.a(j), cs.lam(j)
-            prev2, d2 = self.rows[j - 1]
-        else:  # P_{-1} = 0; a_0 and lam_0 are never read
-            a = lam = Fraction(0)
-            prev2, d2 = [], 1
-        prev, d = self.rows[j]
+        # P_{-1} = 0; a_0 and lam_0 are never read
+        a, lam, below = (cs.a(j), cs.lam(j), self.rows[j - 1]) if j else (0, 0, Poly())
+        prev, d = self.rows[j].numerators, self.rows[j].denominator
+        prev2, d2 = below.numerators, below.denominator
         # lcm(d b.den, d2 a.den, d2 lam.den)
         r = math.lcm(d * b.denominator, d2 * math.lcm(a.denominator, lam.denominator))
         mx, q2 = r // d, r // d2
@@ -634,11 +624,7 @@ class _PolyRows:
         ma, ml = a.numerator * (q2 // a.denominator), lam.numerator * (q2 // lam.denominator)
         row = [mx * u - mb * v - ma * w - ml * z for u, v, w, z in
                zip([0, *prev], [*prev, 0], [0, *prev2, 0], [*prev2, 0, 0])]
-        g = math.gcd(r, *row)  # skips the rest once the gcd is 1
-        if g > 1:
-            r //= g
-            row = [v // g for v in row]
-        self.rows.append((row, r))
+        self.rows.append(Poly.from_row(row, r))
 
     def extend(self, n: int, limit: int | None) -> None:
         """Step the rows up to P_n, under the memo limit ``limit``."""
@@ -648,13 +634,10 @@ class _PolyRows:
             _check_memo("poly cache", len(rows), f"building P_{len(rows) - 1} for n={n}", limit)
 
     def poly(self, n: int) -> Poly:
-        """P_n as a Poly, stepping the rows up to n first."""
+        """P_n, stepping the rows up to n first."""
         if len(self.rows) <= n:
             self.extend(n, _memo_limit())
-        if n not in self._polys:
-            row, den = self.rows[n]
-            self._polys[n] = Poly([Fraction(c, den) for c in row])
-        return self._polys[n]
+        return self.rows[n]
 
 
 class MuTable:
@@ -769,20 +752,20 @@ class NuTable:
     def _divide(self, m: int, limit: int | None) -> None:
         """U_m and P_m(rho), rho = -lam_m/a_m = r/s, by Horner on the integer
         row c/den of P_m: T_{m-1} = c_m, T_{k-1} = c_k s^(m-k) + r T_k, so
-        U_m's coefficient k is T_k / (a_m den s^(m-1-k)) and P_m(rho) is
-        T_{-1} / (den s^m).  No Poly of P_m is built."""
+        U_m's coefficient k is T_k s^k a.den / (a.num den s^(m-1)) and P_m(rho)
+        is T_{-1} / (den s^m)."""
         rows = self.cs._poly_rows
         rows.extend(m, limit)
-        row, den = rows.rows[m]
+        row, den = rows.rows[m].numerators, rows.rows[m].denominator
         a = self.cs.a_nonzero(m)
         rho = -self.cs.lam(m) / a
         r, s = rho.numerator, rho.denominator
-        t, power, quot = row[m], 1, []
+        t, power, top, quot = row[m], 1, s ** (m - 1), []
         for k in range(m - 1, -1, -1):
-            quot.append(Fraction(t * a.denominator, a.numerator * den * power))
+            quot.append(t * (top // power) * a.denominator)
             power *= s
             t = row[k] * power + r * t
-        self._u_rows[m] = Poly(quot[::-1])
+        self._u_rows[m] = Poly.from_row(quot[::-1], a.numerator * den * top)
         self._p_at_root[m] = Fraction(t, den * power)
 
     def value(self, n: int, m: int) -> Scalar:
@@ -816,7 +799,8 @@ class NuTable:
                     if j not in self._u_rows:
                         self._divide(j, limit)
                     u = self._u_rows[j]
-                    val = -sum(u[k] * memo[(k, j - 1)] for k in range(j)) / self.p_at_root(j)
+                    val = (-sum(c * memo[(k, j - 1)] for k, c in enumerate(u.numerators))
+                           / (u.denominator * self.p_at_root(j)))
                 else:
                     val = (memo[(i - 1, j - 1)] - cs.lam(j) * memo[(i - 1, j)]) / cs.a_nonzero(j)
                 memo[(i, j)] = val
@@ -881,19 +865,19 @@ def L_eval(v: VElem) -> Scalar:
     """Evaluate the unique functional L on an element of V.
 
     L(p / d_m) = sum_k p_k nu_{k,m}, a dot product with column m of the
-    nu table of the system that owns v.  Every a_i, i <= m, is checked
-    first; the top term is read first, so one fill makes the column prefix
-    the others read."""
+    nu table of the system that owns v, over p's numerators and divided by
+    its denominator once.  Every a_i, i <= m, is checked first; the top term
+    is read first, so one fill makes the column prefix the others read."""
     cs, m = v.owner, v.denom_index
     for i in range(1, m + 1):
         cs.a_nonzero(i)
     nu_t = cs.nu_table()
-    coeffs = v.numerator.coeffs
+    nums = v.numerator.numerators
     total = Fraction(0)
-    for k in range(len(coeffs) - 1, -1, -1):
-        if coeffs[k] != 0:
-            total += coeffs[k] * nu_t.value(k, m)
-    return total
+    for k in range(len(nums) - 1, -1, -1):
+        if nums[k]:
+            total += nums[k] * nu_t.value(k, m)
+    return total / v.numerator.denominator
 
 
 def mu_nml(n: int, m: int, ell: int, cs: CoeffSystem) -> Scalar:

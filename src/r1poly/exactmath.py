@@ -13,7 +13,9 @@ Three container types are built on top of it:
 ``Poly``
     Dense univariate polynomial, coefficients indexed by power of x,
     lowest power first.  Degrees stay small here, so dense is the right
-    shape.
+    shape.  It keeps integer ``numerators`` over one reduced ``denominator``
+    and computes on them; ``int_row`` and ``reduced`` are that row rule for
+    the other integer-row kernels.
 
 ``Series``
     Truncated power series with an explicit truncation order carried on
@@ -40,9 +42,11 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 import operator
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -84,7 +88,12 @@ def read_scalar(value, where: str) -> Scalar:
     try:
         return parse_scalar(value) if isinstance(value, str) else as_scalar(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"bad scalar {value!r} in {where}: {exc}") from None
+        shown, limit = repr(value), sys.get_int_max_str_digits()
+        if isinstance(value, str) and 0 < limit < len(value):  # its head, for one short line
+            shown = f"{value[:20]!r}… ({sum(map(str.isdigit, value))} digits)"
+            if not isinstance(exc, ZeroDivisionError):
+                exc = f"past {limit} digits only a plain p or p/q is read"
+        raise ValueError(f"bad scalar {shown} in {where}: {exc}") from None
 
 
 def format_scalar(value: Scalar) -> str:
@@ -152,23 +161,57 @@ def stirling1(n: int, k: int) -> int:
     return row[k]
 
 
+def int_row(values: Sequence[ScalarLike]) -> tuple[list[int], int]:
+    """Rationals as (ints, den): den the lcm of their reduced denominators,
+    so gcd(den, *ints) = 1."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """(row, den) divided by gcd(den, *row), with the sign that leaves den > 0."""
+    g = math.gcd(den, *row)  # skips the rest once the gcd is 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
 class Poly:
     """Dense univariate polynomial over Scalar, lowest power first.
 
-    Immutable; the stored coefficient list never has a trailing zero, so the
-    zero polynomial is the empty tuple and ``degree`` of zero is -1.
+    Immutable.  Coefficient k is numerators[k] / denominator, all ints, with
+    denominator > 0, gcd(denominator, *numerators) = 1 and no trailing zero,
+    so the zero polynomial is the empty tuple over 1 and its ``degree`` -1.
+    ``coeffs``, the reduced Fractions, is made on every read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(*int_row([as_scalar(c) for c in coeffs]))
+
+    def _set(self, row: list[int], den: int):
+        while row and not row[-1]:  # a zero entry changes neither den nor the gcd
+            row.pop()
+        object.__setattr__(self, "numerators", tuple(row))
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def from_row(cls, row: Iterable[int], den: int) -> "Poly":
+        """sum_k (row[k] / den) x^k for ints and a nonzero den, reduced by one gcd."""
+        out = object.__new__(cls)
+        out._set(*reduced(list(row), den))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients as reduced Fractions, made on every read."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @staticmethod
     def const(c: ScalarLike) -> "Poly":
@@ -185,90 +228,81 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __getitem__(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
     def leading(self) -> Scalar:
-        if not self.coeffs:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.denominator == other.denominator and self.numerators == other.numerators
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other) -> "Poly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other)
+        if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        den = math.lcm(self.denominator, other.denominator)
+        mp, mq = den // self.denominator, den // other.denominator
+        return Poly.from_row([a * mp + b * mq for a, b in itertools.zip_longest(
+            self.numerators, other.numerators, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly.from_row([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "Poly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, Poly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "Poly":
         return -(self - other)
 
     def __mul__(self, other) -> "Poly":
+        """By a scalar, or by a Poly as the int convolution over d1*d2."""
         if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            return Poly([c * a for a in self.coeffs])
+            return Poly.from_row([other.numerator * v for v in self.numerators],
+                                 other.denominator * self.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        p, q = self.numerators, other.numerators
+        out = [0] * max(len(p) + len(q) - 1, 0)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+        return Poly.from_row(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return math.prod([self] * n, start=Poly.const(1))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly.from_row((0,) * k + self.numerators, self.denominator)
 
     def reversed(self, n: int | None = None) -> "Poly":
         """Coefficient reversal x^n * p(1/x); n defaults to deg p."""
@@ -276,21 +310,22 @@ class Poly:
             n = max(self.degree, 0)
         if n < self.degree:
             raise ValueError("reversal length below degree")
-        padded = list(self.coeffs) + [Fraction(0)] * (n + 1 - len(self.coeffs))
-        return Poly(reversed(padded))
+        return Poly.from_row((0,) * (n - self.degree) + self.numerators[::-1], self.denominator)
 
     def __call__(self, x: ScalarLike) -> Scalar:
+        """The value at x = r/s: Horner on the integers scaled by s^(deg + 1)."""
         x = as_scalar(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        out, power = 0, 1
+        for c in reversed(self.numerators):
+            out = out * x.numerator + c * power
+            power *= x.denominator
+        return Fraction(out * x.denominator, self.denominator * power)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -309,19 +344,11 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _coerce_poly(value) -> "Poly":
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
-    return NotImplemented
-
-
 def poly_divrem(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: p = q*quot + rem with deg rem < deg q."""
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
+    rem, qc = list(p.coeffs), q.coeffs
     dq = q.degree
     lead = q.leading()
     if len(rem) <= dq:
@@ -333,7 +360,7 @@ def poly_divrem(p: Poly, q: Poly) -> tuple[Poly, Poly]:
             continue
         quot[k - dq] = c
         for j in range(dq + 1):
-            rem[k - dq + j] -= c * q.coeffs[j]
+            rem[k - dq + j] -= c * qc[j]
     return Poly(quot), Poly(rem[:dq])
 
 
@@ -430,11 +457,12 @@ def series_from_rational(num: Poly, den: Poly, order: int) -> Series:
     """Expand num/den as a power series through x^order; needs den(0) != 0."""
     if den.is_zero() or den[0] == 0:
         raise ZeroDivisionError("rational function has a pole at 0, cannot expand")
+    num, den = num.coeffs, den.coeffs
     d0 = den[0]
     out = []
     for k in range(order + 1):
-        acc = num[k]
-        for j in range(1, min(k, den.degree) + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
         out.append(acc / d0)
     return Series(out, order)
@@ -670,9 +698,9 @@ class SymPoly:
         terms = self._terms
         used = functools.reduce(operator.or_, terms, 0)
         values = {c: as_scalar(assign(*_symbol(c))) for c, _ in _fields(used)}
-        d = math.lcm(*(v.denominator for v in values.values()))
+        nums, d = int_row(list(values.values()))
+        scaled = dict(zip(values, nums))
         e = math.lcm(*(c.denominator for c in set(terms.values())))
-        scaled = {c: v.numerator * (d // v.denominator) for c, v in values.items()}
         acc = terms if e == 1 else {m: c.numerator * (e // c.denominator) for m, c in terms.items()}
         bits = FIELD_BITS * _EVAL_CODES
         mask = (1 << bits) - 1

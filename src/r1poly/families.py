@@ -638,21 +638,15 @@ def hermite_linearization_check(n: int, m: int, a: ScalarLike = Fraction(2, 3)) 
     a = as_scalar(a)
     cs = r1_hermite(a).build()
     lhs = P(n, cs) * P(m, cs)
-    rhs = Poly()
-    for s in range(min(n, m) + 1):
-        rhs = rhs + (
-            Poly.linear(a, 1) ** s
-            * P(n + m - 2 * s, cs)
-            * (binomial(n, s) * binomial(m, s) * math.factorial(s))
-        )
+    rhs = sum((Poly.linear(a, 1) ** s * P(n + m - 2 * s, cs)
+               * (binomial(n, s) * binomial(m, s) * math.factorial(s))
+               for s in range(min(n, m) + 1)), Poly())
     if lhs != rhs:
         return False
     if a == 0:
         return True
     c = expand_in_P(lhs, cs)
-    back = Poly()
-    for k, c_k in enumerate(c):
-        back = back + P(k, cs) * c_k
+    back = sum((P(k, cs) * c_k for k, c_k in enumerate(c)), Poly())
     return len(c) == n + m + 1 and c[-1] != 0 and back == lhs
 
 

@@ -42,6 +42,8 @@ from .core import CoeffSystem
 # Largest length each enumeration accepts; the history count grows
 # factorially (9! Laguerre, 545835 Meixner histories at the caps).
 CAPS = {"laguerre": 9, "meixner": 8}
+# The point `histories --check` and the verify suite check each history sum at.
+CHECK_POINTS = {"laguerre": (Fraction(3, 5),), "meixner": (Fraction(2, 3), Fraction(1, 4))}
 
 
 def _walk(steps: str) -> Iterator[tuple[int, str, int]]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -125,3 +126,48 @@ def _p_at_root(b, a, lam, k):
     for j in range(k):
         prev, cur = cur, (x - b[j]) * cur - ((a[j] * x + lam[j]) * prev if j else 0)
     return cur
+
+
+# -- a plain list-of-Fraction polynomial, the reference Poly is tested against:
+# coefficients lowest power first, with no trailing zero
+
+
+def ref_poly(coeffs) -> list:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_add(p, q) -> list:
+    n = max(len(p), len(q))
+    return ref_poly([(p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)])
+
+
+def ref_mul(p, q) -> list:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ref_poly(out)
+
+
+def ref_eval(p, x) -> Fraction:
+    return sum((c * Fraction(x) ** k for k, c in enumerate(p)), Fraction(0))
+
+
+def ref_shift(p, k) -> list:
+    return ref_poly([0] * k + p) if p else []
+
+
+def ref_reverse(p, n) -> list:
+    return ref_poly((p + [Fraction(0)] * (n + 1 - len(p)))[::-1])
+
+
+def check_poly_form(p):
+    """The stored form of a Poly: int numerators over an int denominator > 0,
+    gcd 1 between them, and no trailing zero."""
+    nums, den = p.numerators, p.denominator
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0

@@ -13,7 +13,7 @@ import pytest
 import r1poly
 from r1poly import cli
 from r1poly.cli import main
-from r1poly.exactmath import read_scalar
+from r1poly.exactmath import parse_scalar, read_scalar
 from r1poly.paths import Path
 
 
@@ -747,3 +747,49 @@ def test_path_sum_past_the_int_string_limit(capsys, long_moments):
     code, out, _ = run(capsys, *"paths sum --family little_q_jacobi --param a=4/7 b=5/7 "
                                "q=1/2 --from 0,0 --to 170,0".split())
     assert code == 0 and read_scalar(out.strip(), "stdout") == long_moments[170]
+
+
+def test_path_weights_past_the_int_string_limit(capsys):
+    # the one path from (0,200) to (0,0) is 200 V steps, weighing a_1...a_200
+    argv = ("paths {} --family little_q_jacobi --param a=4/7 b=5/7 q=1/2 "
+            "--from 0,200 --to 0,0")
+    code, out, _ = run(capsys, *argv.format("sum").split())
+    assert code == 0
+    total = parse_scalar(out)
+    cs = r1poly.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    ws = r1poly.WeightSystem(cs)
+    code, text, err = run(capsys, *argv.format("enumerate").split())
+    assert (code, err) == (0, "")
+    text_rows = [json.loads(line) for line in text.splitlines()]
+    code, out, _ = run(capsys, *argv.format("enumerate").split(), "--format", "json")
+    assert code == 0
+    json_rows = json.loads(out)["paths"]
+    assert text_rows == json_rows and len(json_rows) == 1
+    assert len(json_rows[0]["weight"]) > sys.get_int_max_str_digits()
+    weights = [parse_scalar(row["weight"]) for row in json_rows]
+    assert weights == [Path.parse(row["path"]).weight(ws) for row in json_rows]
+    assert sum(weights) == total
+
+
+def test_a_long_bad_scalar_is_one_short_line(capsys, tmp_path):
+    bad = "1" * 5000 + ".5"
+    with pytest.raises(ValueError) as info:
+        read_scalar(bad, "wire")
+    message = str(info.value)
+    limit = sys.get_int_max_str_digits()
+    assert message == (f"bad scalar '{'1' * 20}'… (5001 digits) in wire: "
+                       f"past {limit} digits only a plain p or p/q is read")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"kind": "table", "b": [bad], "a": ["1"], "lambda": ["1"]}))
+    code, out, err = run(capsys, "moments", "--coeffs", str(path), "--n", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: " + message.replace(" in wire:", " in b:") + "\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    argv = "verify --suite bounded --seed 1"
+    code, out, _ = run(capsys, *argv.split())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
+    done = subprocess.run([sys.executable, "-m", "r1poly", *argv.split()], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (code, out)

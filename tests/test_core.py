@@ -709,11 +709,19 @@ def test_u_row_and_p_at_root_are_the_division_of_P(table, grid_lists):
     }[table]
     cs, twin = build(), build()
     roots = cs.nu_table()
-    for m in range(1, 41):
+
+    def no_fractions(*args):
+        raise AssertionError("a Fraction of a coefficient of P_m was made")
+
+    # the division reads the integers of the stored rows alone
+    with mock.patch.object(Poly, "coeffs", property(no_fractions)), \
+            mock.patch.object(Poly, "__getitem__", no_fractions):
+        got = [(roots.u_row(m), roots.p_at_root(m)) for m in range(1, 41)]
+    for m, (u, at_root) in enumerate(got, 1):
         quot, rem = poly_divrem(P(m, twin), Poly.linear(twin.a(m), twin.lam(m)))
-        assert roots.u_row(m) == quot
-        assert roots.p_at_root(m) == rem[0]
-    assert not cs._poly_rows._polys  # no Poly of any P_m was built
+        assert u == quot
+        assert at_root == rem[0]
+    assert len(cs._poly_rows.rows) == 41
 
 
 def _degenerate_at(k, rng):

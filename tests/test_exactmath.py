@@ -12,15 +12,19 @@ from r1poly.exactmath import (
     SymDegreeError,
     SymPoly,
     format_scalar,
+    int_row,
     parse_scalar,
     read_scalar,
     pochhammer,
     poly_divrem,
     qpochhammer,
+    reduced,
     series_from_rational,
     stirling1,
     stirling2,
 )
+
+from conftest import check_poly_form, ref_add, ref_eval, ref_mul, ref_poly, ref_reverse, ref_shift
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_polys = st.lists(fractions, max_size=8).map(Poly)
@@ -93,6 +97,82 @@ def test_divrem_roundtrip(p, q):
 def test_poly_degree_multiplicative():
     p, q = Poly([1, 2, 3]), Poly([Fraction(1, 2), 0, 0, 4])
     assert (p * q).degree == p.degree + q.degree
+
+
+# -- Poly against the plain list-of-Fraction reference in conftest
+
+poly_entries = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    fractions,
+    # unrelated large denominators, so the lcm of a row is far past any entry's
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+entry_lists = st.lists(poly_entries, max_size=7)
+
+
+def check_matches(got, want):
+    check_poly_form(got)
+    assert list(got.coeffs) == want
+    assert got.degree == len(want) - 1
+
+
+@given(entry_lists, entry_lists, poly_entries, st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=150)
+def test_poly_matches_the_fraction_reference(p, q, c, k, pad):
+    P, Q = Poly(p), Poly(q)
+    p, q = ref_poly(p), ref_poly(q)
+    check_matches(P, p)
+    check_matches(P + Q, ref_add(p, q))
+    check_matches(P - Q, ref_add(p, ref_mul(q, [-1])))
+    check_matches(-P, ref_mul(p, [-1]))
+    check_matches(P * Q, ref_mul(p, q))
+    check_matches(P * c, ref_mul(p, ref_poly([c])))
+    check_matches(c * P + 1, ref_add(ref_mul(p, ref_poly([c])), [1]))
+    check_matches(P.shift(k), ref_shift(p, k))
+    check_matches(P.reversed(len(p) - 1 + pad), ref_reverse(p, len(p) - 1 + pad))
+    assert P(c) == ref_eval(p, c) and type(P(c)) is Fraction
+    assert [P[i] for i in range(len(p) + 2)] == p + [0, 0]
+    assert P == Poly(p + [0] * pad) and hash(P) == hash(Poly(p + [0] * pad))
+    assert (P == Q) == (p == q)
+    back = Poly.from_row([v * 6 for v in P.numerators] + [0] * pad, -6 * P.denominator)
+    check_matches(back, ref_mul(p, [-1]))
+
+
+@given(entry_lists)
+def test_p_plus_minus_p_is_the_empty_row_over_one(p):
+    P = Poly(p)
+    for zero in (P + (-P), P - P, P * 0, Poly([0] * len(p)), Poly.from_row([0] * len(p), 7)):
+        check_poly_form(zero)
+        assert zero.numerators == () and zero.denominator == 1
+        assert zero == Poly() == 0 and zero.degree == -1 and not zero
+
+
+def test_zero_polynomial():
+    zero = Poly()
+    for got in (zero * Poly([1, 2]), zero + zero, zero.shift(3), zero.reversed(2), -zero):
+        check_poly_form(got)
+        assert got == zero and got.coeffs == ()
+    assert zero(Fraction(-3, 7)) == 0 and zero[0] == 0 and str(zero) == "0"
+    assert repr(zero) == "Poly([])"
+    with pytest.raises(ValueError):
+        zero.leading()
+
+
+def test_poly_stored_form_and_coeffs_made_on_read():
+    p = Poly([Fraction(1, 6), -2, Fraction(3, 4), 0])
+    assert p.numerators == (2, -24, 9) and p.denominator == 12
+    assert p.coeffs == (Fraction(1, 6), Fraction(-2), Fraction(3, 4))
+    assert all(type(c) is Fraction for c in p.coeffs) and p.coeffs is not p.coeffs
+    assert p.leading() == Fraction(3, 4) and p[1] == -2
+    assert repr(p) == "Poly([Fraction(1, 6), Fraction(-2, 1), Fraction(3, 4)])"
+    assert str(p) == "1/6 - 2*x + 3/4*x^2"
+    with pytest.raises(AttributeError):
+        p.numerators = (1,)
+    assert Poly.from_row([4, -6, 0, 0], -8) == Poly([Fraction(-1, 2), Fraction(3, 4)])
+    assert int_row([Fraction(1, 6), 2, Fraction(-3, 4)]) == ([2, 24, -9], 12)
+    assert reduced([4, 6], 10) == ([2, 3], 5) and reduced([4, 6], -2) == ([-2, -3], 1)
+    assert reduced([3, 5], 7) == ([3, 5], 7)
 
 
 def test_series_geometric():

@@ -9,8 +9,8 @@ and steps it on integers with (numerator, denominator) weights.  Each
 column stays in the form it was kept in: a scaled column k holds
 D_k^e times its values, D_k = ``dens[k]``, and only the column the walk
 stands in is converted by a new D or by the crossing.  P keeps
-every row as integers over one denominator, the lcm of the row's reduced
-denominators, and builds a Poly only for a row asked for.  The references
+every row as a Poly, integers over one denominator, the lcm of the row's
+reduced denominators, and hands out the row it keeps.  The references
 below are the recurrences
 written out over Fraction, reading the coefficients lazily in the order of
 a plain Fraction fill, so the values, the reads and the errors can all be
@@ -34,6 +34,8 @@ from r1poly.core import (CoeffError, CoeffSystem, MemoLimitError, P, PathColumns
 from r1poly.exactmath import Poly, Series, series_from_rational
 from r1poly.families import FamilyParamError, FamilySpec
 from r1poly.paths import WeightSystem, finite_cf_rational, weight_sum
+
+from conftest import check_poly_form, ref_add, ref_mul
 
 
 def reference_mu_rows(cs: CoeffSystem, upto: int, rows: list | None = None) -> list:
@@ -417,27 +419,30 @@ def test_memo_limit_on_a_gated_table(monkeypatch):
 
 
 def reference_P(cs: CoeffSystem, upto: int, polys: list | None = None) -> list:
-    """P_0..P_upto by the recurrence in Poly arithmetic over Fraction,
-    reading b_{k-1}, then a_{k-1} and lam_{k-1}.  ``polys`` continues an
-    earlier fill."""
+    """P_0..P_upto by the recurrence on lists of Fractions (the conftest
+    reference), reading b_{k-1}, then a_{k-1} and lam_{k-1}, each handed
+    out as the Poly of its list.  ``polys`` continues an earlier fill."""
     polys = polys if polys is not None else [Poly.const(1)]
+    rows = [list(p.coeffs) for p in polys[-2:]]
     for k in range(len(polys), upto + 1):
-        term = Poly.linear(1, -cs.b(k - 1)) * polys[k - 1]
+        term = ref_mul([-cs.b(k - 1), 1], rows[-1])
         if k >= 2:
-            term = term - Poly.linear(cs.a(k - 1), cs.lam(k - 1)) * polys[k - 2]
-        polys.append(term)
+            a, lam = cs.a(k - 1), cs.lam(k - 1)
+            term = ref_add(term, ref_mul([-lam, -a], rows[-2]))
+        rows.append(term)
+        polys.append(Poly(term))
     return polys
 
 
 def check_P_rows(cs: CoeffSystem, want: list):
-    """Every row P keeps is ints over one denominator den > 0 with
-    gcd(den, *row) = 1, and holds the coefficients of the reference."""
+    """Every row P keeps is a Poly in its stored form, ints over one
+    denominator den > 0 with gcd(den, *row) = 1 and no trailing zero, and
+    holds the coefficients of the reference."""
     rows = cs._poly_rows.rows
     assert len(rows) <= len(want)
-    for (row, den), p in zip(rows, want):
-        assert type(den) is int and den > 0 and all(type(c) is int for c in row)
-        assert math.gcd(den, *row) == 1
-        assert [Fraction(c, den) for c in row] == list(p.coeffs)
+    for row, p in zip(rows, want):
+        check_poly_form(row)
+        assert [Fraction(c, row.denominator) for c in row.numerators] == list(p.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,13 +475,30 @@ def test_each_P_ring_matches_the_reference(name):
 
 @pytest.mark.parametrize("name", RING_CASES)
 def test_P_builds_a_poly_only_for_the_row_asked_for(name):
+    """P_n steps the rows up to n and no further, and every P_k is the Poly
+    the rows keep, handed out with nothing built."""
     spec, n, _, _ = RING_CASES[name]
     want = reference_P(spec.build(), n)
     cs = spec.build()
     first = P(n, cs)
-    assert list(cs._poly_rows._polys) == [n] and len(cs._poly_rows.rows) == n + 1
+    rows = cs._poly_rows.rows
+    assert len(rows) == n + 1 and first is rows[n]
     assert P(n, cs) is first and first == want[n]
     assert [P(k, cs) for k in range(n)] == want[:n]
+    assert all(P(k, cs) is rows[k] for k in range(n + 1)) and len(rows) == n + 1
+    check_P_rows(cs, want)
+
+
+def test_every_P_k_to_300_is_the_stored_row():
+    """Asking for every P_k hands out the rows the recurrence keeps, with
+    nothing built per request, and each equals the Fraction reference."""
+    spec = families.laguerre(Fraction(9, 7))
+    want = reference_P(spec.build(), 300)
+    cs = spec.build()
+    got = [P(k, cs) for k in range(301)]
+    assert all(p is cs._poly_rows.rows[k] for k, p in enumerate(got))
+    assert got == want
+    check_P_rows(cs, want)
 
 
 def test_growing_denominators_rescale_the_P_rows():
@@ -485,9 +507,9 @@ def test_growing_denominators_rescale_the_P_rows():
     want = reference_P(_growing_denominators().build(), 45)
     cs = _growing_denominators().build()
     P(20, cs)  # reads up to index 19
-    assert [den for _, den in cs._poly_rows.rows] == [1] * 21
+    assert [p.denominator for p in cs._poly_rows.rows] == [1] * 21
     P(31, cs)
-    dens = [den for _, den in cs._poly_rows.rows]
+    dens = [p.denominator for p in cs._poly_rows.rows]
     assert dens[21] % 7 == 0 and dens[31] % 11 == 0
     assert P(45, cs) == want[45]
     check_P_rows(cs, want)
