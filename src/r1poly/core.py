@@ -916,9 +916,9 @@ def cf_series(cs: CoeffSystem, order: int) -> Series:
 
     The depth-N fraction is its convergent P*^(1)_N / P*_{N+1}: the
     reversed P_{N+1} of cs over the reversed P_N of ``cs.shifted(1)``
-    (Euler-Wallis), expanded by one series division.  P_{N+1} is read
-    first, so the coefficients b_0..b_N, a_1..a_N, lam_1..lam_N are read in
-    ascending order."""
+    (Euler-Wallis), expanded by one series division on the two integer
+    rows.  P_{N+1} is read first, so the coefficients b_0..b_N, a_1..a_N,
+    lam_1..lam_N are read in ascending order."""
     if order < 0:
         raise ValueError("series order must be >= 0")
     den = Pstar(order + 1, cs)
@@ -926,17 +926,15 @@ def cf_series(cs: CoeffSystem, order: int) -> Series:
 
 
 def Vm_series(m: int, cs: CoeffSystem, order: int) -> Series:
-    """V_m(x) = a_m nu_{0,m}/(a_m + lam_m x) + x V_{m-1}(x)/(a_m + lam_m x),
-    from V_0 = the moment series up, one level j = 1..m at a time."""
+    """V_m(x) = (a_m nu_{0,m} + x V_{m-1}(x)) / (a_m + lam_m x), from V_0 =
+    the moment series up, one series division per level j = 1..m."""
     if m < 0:
         raise ValueError("V_m needs m >= 0")
     v = moment_series(cs, order)
     for j in range(1, m + 1):
         a_j = cs.a_nonzero(j)
-        nu0j = cs.nu_table().value(0, j)
-        den = Series([a_j, cs.lam(j)], order).inverse()
-        shifted = Series((Fraction(0),) + v.coeffs, order)
-        v = (Series([a_j * nu0j], order) + shifted) * den
+        top = v.poly.shift(1) + a_j * cs.nu_table().value(0, j)
+        v = series_from_rational(top, Poly.linear(cs.lam(j), a_j), order)
     return v
 
 

@@ -18,9 +18,11 @@ Three container types are built on top of it:
     the other integer-row kernels.
 
 ``Series``
-    Truncated power series with an explicit truncation order carried on
-    every value.  Mixing two orders truncates to the minimum, so a result
-    never silently claims more precision than its inputs had.
+    Truncated power series: a ``Poly`` of degree <= its order, with the
+    order carried on every value and ``coeffs`` padded to it on each read.
+    Its arithmetic is Poly's, truncated; mixing two orders truncates to the
+    minimum, so a result never silently claims more precision than its
+    inputs had.  ``series_from_rational`` divides on the integer rows.
 
 ``SymPoly``
     Sparse multivariate polynomial in the indexed symbols b_i, a_i, lam_i,
@@ -219,7 +221,7 @@ class Poly:
 
     @staticmethod
     def x(power: int = 1) -> "Poly":
-        return Poly([0] * power + [1])
+        return Poly.const(1).shift(power)
 
     @staticmethod
     def linear(a1: ScalarLike, a0: ScalarLike) -> "Poly":
@@ -253,8 +255,8 @@ class Poly:
             return self == Poly.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.numerators, self.denominator))
+    def __hash__(self):  # a constant equals its scalar, so hashes as it
+        return hash(self[0]) if self.degree <= 0 else hash((self.numerators, self.denominator))
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -301,7 +303,9 @@ class Poly:
         return math.prod([self] * n, start=Poly.const(1))
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
+        """Multiply by x^k, k >= 0."""
+        if k < 0:
+            raise ValueError(f"polynomial shift needs k >= 0, got {k}")
         return Poly.from_row((0,) * k + self.numerators, self.denominator)
 
     def reversed(self, n: int | None = None) -> "Poly":
@@ -367,105 +371,99 @@ def poly_divrem(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 class Series:
     """Power series truncated at an explicit order N (coefficients 0..N).
 
-    All arithmetic truncates; combining two series keeps the smaller order.
+    Immutable: ``poly``, a Poly of degree <= N, and ``order``.  ``coeffs``,
+    the N + 1 Fractions padded with zeros, is made on every read.  +, - and
+    * are Poly's, truncated; combining two series keeps the smaller order.
+    ``==`` compares up to the smaller order, so a Series is unhashable.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("poly", "order")
 
     def __init__(self, coeffs: Sequence[ScalarLike], order: int | None = None):
-        cs = [as_scalar(c) for c in coeffs]
+        coeffs = list(coeffs)
         if order is None:
-            order = len(cs) - 1
+            order = len(coeffs) - 1
+        self._set(Poly(coeffs[: order + 1]), order)
+
+    def _set(self, poly: Poly, order: int):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if poly.degree > order:
+            poly = Poly.from_row(poly.numerators[: order + 1], poly.denominator)
+        object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    @staticmethod
-    def from_poly(p: Poly, order: int) -> "Series":
-        return Series(p.coeffs, order)
+    @classmethod
+    def from_poly(cls, p: Poly, order: int) -> "Series":
+        out = object.__new__(cls)
+        out._set(p, order)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return self.poly.coeffs + (Fraction(0),) * (self.order - self.poly.degree)
 
     def __getitem__(self, k: int) -> Scalar:
         if k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return self.poly[range(self.order + 1)[k]]  # a negative k counts from the order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        return not (self - other).poly
 
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
+    __hash__ = None
 
     def _binop(self, other, op) -> "Series":
         if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order)
+            return Series.from_poly(op(self.poly, other), self.order)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return Series([op(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)], n)
+        return Series.from_poly(op(self.poly, other.poly), min(self.order, other.order))
 
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+    __add__ = __radd__ = functools.partialmethod(_binop, op=operator.add)
+    __sub__ = functools.partialmethod(_binop, op=operator.sub)
+    __mul__ = __rmul__ = functools.partialmethod(_binop, op=operator.mul)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            return Series([c * a for a in self.coeffs], self.order)
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return Series(out, n)
-
-    __rmul__ = __mul__
+        return Series.from_poly(-self.poly, self.order)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse: the expansion of 1/(this series as a
         polynomial).  A zero constant term raises ZeroDivisionError."""
-        return series_from_rational(Poly.const(1), Poly(self.coeffs), self.order)
+        return series_from_rational(Poly.const(1), self.poly, self.order)
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r}, order={self.order})"
 
 
 def series_from_rational(num: Poly, den: Poly, order: int) -> Series:
-    """Expand num/den as a power series through x^order; needs den(0) != 0."""
-    if den.is_zero() or den[0] == 0:
+    """Expand num/den as a power series through x^order; needs den(0) != 0.
+
+    With num = N/n0 and den = D/d0, T_k = (N_k d0/n0 - sum_{j>=1} D_j T_{k-j}) / D_0
+    on the integer rows.  T_k is kept as t_k/q, q the lcm of the reduced
+    denominators so far, widened only when a new T_k needs it."""
+    N, n0 = num.numerators, num.denominator
+    D, d0 = den.numerators, den.denominator
+    if not D or not D[0]:
         raise ZeroDivisionError("rational function has a pole at 0, cannot expand")
-    num, den = num.coeffs, den.coeffs
-    d0 = den[0]
-    out = []
+    tail, t, q = D[1:], [], 1
     for k in range(order + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc / d0)
-    return Series(out, order)
+        acc = (N[k] * d0 * q if k < len(N) else 0) - n0 * sum(map(operator.mul, tail, reversed(t)))
+        (acc,), r = reduced([acc], n0 * q * D[0])  # T_k = acc / r
+        if q % r:
+            widen = r // math.gcd(q, r)
+            t = [v * widen for v in t]
+            q *= widen
+        t.append(acc * (q // r))
+    return Series.from_poly(Poly.from_row(t, q), order)
 
 
 # Symbols are (kind, index) pairs; kinds are the three coefficient streams.
@@ -615,8 +613,9 @@ class SymPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    def __hash__(self):  # a constant equals its scalar, so hashes as it
+        terms = self._terms
+        return hash(terms.get(0, 0)) if terms.keys() <= {0} else hash(frozenset(terms.items()))
 
     @staticmethod
     def sum(polys: Sequence["SymPoly"]) -> "SymPoly":

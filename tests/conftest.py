@@ -1,11 +1,14 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from r1poly.checks import random_laurent_system, random_system
 from r1poly.core import CoeffSystem
+from r1poly.exactmath import Poly
 
 
 @pytest.fixture
@@ -171,3 +174,36 @@ def check_poly_form(p):
     assert type(nums) is tuple and all(type(c) is int for c in nums)
     assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
     assert not nums or nums[-1] != 0
+
+
+def ref_series(num, den, order) -> list:
+    """num/den through x^order, for reference polys with den[0] != 0: the
+    Fraction recurrence T_k = (num_k - sum_{j>=1} den_j T_{k-j}) / den_0."""
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+def check_series(s, want, order):
+    """s is the reference list ``want`` truncated at ``order``, in the stored
+    form of a Series: a Poly of degree <= order, with coeffs padded to it."""
+    check_poly_form(s.poly)
+    assert s.order == order and s.poly.degree <= order
+    padded = (list(want) + [Fraction(0)] * (order + 1))[: order + 1]
+    assert len(s.coeffs) == order + 1 and list(s.coeffs) == padded
+    assert [s[k] for k in range(-order - 1, order + 1)] == padded * 2
+
+
+@contextlib.contextmanager
+def no_poly_fractions():
+    """Poly.coeffs and Poly.__getitem__ fail inside: the code run there must
+    read the integer rows of its Polys."""
+    def fail(*args):
+        raise AssertionError("a Fraction of a coefficient of a Poly was made")
+
+    with mock.patch.object(Poly, "coeffs", property(fail)), mock.patch.object(Poly, "__getitem__", fail):
+        yield

@@ -46,7 +46,9 @@ from r1poly.core import (
     table_spec,
 )
 from r1poly.exactmath import Poly, Series, SymPoly, poly_divrem
-from r1poly.paths import WeightSystem, bounded_gf, rho_sum, weight_sum
+from r1poly.paths import WeightSystem, bounded_gf, enumerate_paths, rho_sum, weight_sum
+
+from conftest import no_poly_fractions
 
 
 def test_P_base_cases(ones):
@@ -275,6 +277,15 @@ def test_mu_n_reads_a_n():
         mu(6, six)
 
 
+def test_the_paths_to_n_0_reach_height_n():
+    # V = (0, -1) does not advance x, so U^n V^n ends at (n, 0) at height n
+    # with weight a_1...a_n: a fill of the mu row alone (heights up to n/2)
+    # would miss it.  test_mu_n_reads_a_n finds that monomial in mu_n.
+    for n in range(1, 7):
+        tallest = [p.steps for p in enumerate_paths((0, 0), (n, 0)) if max(p.heights()) == n]
+        assert tallest == ["U" * n + "V" * n]
+
+
 def test_symbolic_mu_specializes(rng):
     cs = random_system(rng)
     for n in range(7):
@@ -333,6 +344,37 @@ def test_Vm_series_functional_equation(rng):
         lhs = (vm - Series([nu(0, m, cs)], N)) * cs.a(m) + x * vm * cs.lam(m)
         assert lhs == x * vprev
         assert all(vm[n] == nu(n, m, cs) for n in range(N + 1))
+
+
+def test_Vm_series_divides_once_per_level(rng):
+    cs = random_system(rng)
+    with mock.patch.object(core, "series_from_rational", wraps=core.series_from_rational) as div:
+        vm = Vm_series(4, cs, 10)
+    assert div.call_count == 4
+    assert [vm[n] for n in range(11)] == [nu(n, 4, cs) for n in range(11)]
+
+
+@pytest.mark.parametrize("table", ["grid", "little_q_jacobi", "laguerre"])
+def test_cf_series_is_the_moment_series_without_a_fraction_per_coefficient(table, grid_lists):
+    cs = {
+        "grid": lambda: CoeffSystem.from_lists(*grid_lists),
+        "little_q_jacobi": r1poly.little_q_jacobi(
+            Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build,
+        "laguerre": r1poly.laguerre(Fraction(9, 7)).build,
+    }[table]()
+    want = moment_series(cs, 60)
+    with no_poly_fractions():
+        got = cf_series(cs, 60)
+        same = got == want
+    assert same and got.order == 60 and got.poly.degree == 60
+
+
+def test_mu_nml_and_rho_reject_a_negative_n(rng):
+    cs = random_system(rng)
+    for call in (lambda: mu_nml(-1, 2, 1, cs), lambda: rho(-1, 2, 1, cs),
+                 lambda: rho(-2, 1, 1, cs), lambda: rho_sum(-2, 1, 1, WeightSystem(cs))):
+        with pytest.raises(ValueError):
+            call()
 
 
 def _stack_depth() -> int:

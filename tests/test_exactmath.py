@@ -24,7 +24,8 @@ from r1poly.exactmath import (
     stirling2,
 )
 
-from conftest import check_poly_form, ref_add, ref_eval, ref_mul, ref_poly, ref_reverse, ref_shift
+from conftest import (check_poly_form, check_series, no_poly_fractions, ref_add, ref_eval, ref_mul,
+                      ref_poly, ref_reverse, ref_series, ref_shift)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_polys = st.lists(fractions, max_size=8).map(Poly)
@@ -210,6 +211,87 @@ def test_series_inverse():
     assert prod == Series([1], 4)
     with pytest.raises(ZeroDivisionError):
         Series([0, 1], 3).inverse()
+
+
+# -- Series against the Fraction reference in conftest
+
+series_lists = st.lists(poly_entries, max_size=10)  # longer than most orders
+
+
+@given(series_lists, poly_entries.filter(bool), series_lists, st.integers(0, 8), st.integers(0, 3))
+@settings(max_examples=150)
+def test_series_from_rational_matches_the_fraction_reference(num, d0, den, order, pad):
+    # d0 of either sign; den of degree above the order; trailing zeros in both
+    num, den = num + [0] * pad, [d0] + den + [0] * pad
+    s = series_from_rational(Poly(num), Poly(den), order)
+    check_series(s, ref_series(ref_poly(num), ref_poly(den), order), order)
+
+
+@given(series_lists, series_lists, poly_entries, st.integers(0, 8), st.integers(0, 8))
+@settings(max_examples=150)
+def test_series_matches_the_fraction_reference(p, q, c, m, n):
+    S, T = Series(p, m), Series(q, n)
+    p, q, k = ref_poly(p), ref_poly(q), min(m, n)
+    check_series(S, p, m)
+    check_series(Series.from_poly(Poly(p), m), p, m)
+    check_series(S + T, ref_add(p, q), k)
+    check_series(S - T, ref_add(p, ref_mul(q, [-1])), k)
+    check_series(-S, ref_mul(p, [-1]), m)
+    check_series(S * T, ref_mul(p, q), k)
+    check_series(S * c, ref_mul(p, ref_poly([c])), m)
+    check_series(c * S + 1, ref_add(ref_mul(p, ref_poly([c])), [1]), m)
+    check_series(c - S, ref_add([Fraction(c)], ref_mul(p, [-1])), m)
+    assert (S == T) == ((p + [0] * (k + 1))[: k + 1] == (q + [0] * (k + 1))[: k + 1])
+    assert S == Series(list(S.coeffs) + [c], m + 1) and S != 1 and S != Poly(p)
+    if q and q[0]:
+        check_series(T.inverse(), ref_series([Fraction(1)], q[: n + 1], n), n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            T.inverse()
+    for past in (m + 1, -m - 2):
+        with pytest.raises(IndexError):
+            S[past]
+
+
+def test_series_of_order_zero():
+    check_series(Series([Fraction(-3, 4), 5, 6], 0), [Fraction(-3, 4)], 0)
+    check_series(series_from_rational(Poly([2, 1]), Poly([-6, 7, 1]), 0), [Fraction(-1, 3)], 0)
+    check_series(Series([5]) * Series([2, 1], 3), [10], 0)
+    check_series(Series([0, 0], 1), [], 1)
+    assert repr(Series([Fraction(1, 2)], 1)) == "Series([Fraction(1, 2), Fraction(0, 1)], order=1)"
+    with pytest.raises(ValueError, match="series order must be >= 0"):
+        Series([1, 2], -1)
+    with pytest.raises(AttributeError):
+        Series([1], 0).order = 3
+
+
+def test_series_from_rational_makes_no_fraction_per_coefficient():
+    cases = [(Poly([Fraction(1, 3), 2, 0, Fraction(-5, 7)]), Poly([Fraction(-2, 9), 1, Fraction(3, 11)]), 12),
+             (Poly.const(1), Poly([1, -1]), 5), (Poly(), Poly([Fraction(7, 10**30)]), 3)]
+    with no_poly_fractions():
+        got = [series_from_rational(num, den, order) for num, den, order in cases]
+    for s, (num, den, order) in zip(got, cases):
+        check_series(s, ref_series(list(num.coeffs), list(den.coeffs), order), order)
+
+
+def test_hash_agrees_with_eq():
+    short, long, other = Series([1, 2], 1), Series([1, 2, 3], 2), Series([1, 2, 4], 2)
+    assert short == long and short == other and long != other  # == is not transitive
+    for s in (short, long):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
+    for scalar in (3, Fraction(-2, 7), 0, Fraction(0)):
+        for const in (Poly.const(scalar), SymPoly.const(scalar)):
+            assert const == scalar and hash(const) == hash(scalar) and len({const, scalar}) == 1
+    assert hash(Poly()) == hash(SymPoly()) == hash(0)
+    assert len({Poly([1, 2]), Poly([Fraction(2, 2), 2, 0])}) == 1
+
+
+def test_a_negative_shift_raises():
+    for bad in (lambda: Poly([1, 2]).shift(-1), lambda: Poly.x(-1), lambda: Poly().shift(-3)):
+        with pytest.raises(ValueError, match=r"k >= 0"):
+            bad()
+    assert Poly.x(0) == 1 and Poly.x(2) == Poly([0, 0, 1]) and Poly([1]).shift(0) == 1
 
 
 def test_pochhammer_values():
