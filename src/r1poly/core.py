@@ -702,9 +702,10 @@ _SYMBOLIC_MU = _SYMBOLIC.mu_table()
 # start height of its symbolic path sums: a walk from (0, y) to column s is
 # part of the walk from the origin to column s + y, since every path from
 # (0, y) follows y U steps from (-y, 0).  The terms of mu_n, and the memory,
-# about triple with each n: mu_symbolic(12) has 400,850 terms and a run to it
-# peaks at 532 MiB, so n = 13 would need about 1.6 GB.  mu_symbolic itself
-# takes any n.
+# about triple with each n: mu_symbolic(12) has 400,850 terms, computing
+# mu_symbolic(0..12) peaks at 278 MiB and a whole `moments --symbolic --n 12`
+# run, printing included, at 333 MiB, so n = 13 would need about 1 GB.
+# mu_symbolic itself takes any n.
 SYMBOLIC_CAP = 12
 
 
@@ -882,11 +883,15 @@ def L_eval(v: VElem) -> Scalar:
 
 def mu_nml(n: int, m: int, ell: int, cs: CoeffSystem) -> Scalar:
     """mu_{n,m,ell} = L(x^n P_m Q_ell)."""
+    if min(n, m, ell) < 0:
+        raise ValueError("indices must be >= 0")
     return L_eval(VElem((P(m, cs) * P(ell, cs)).shift(n), ell, cs))
 
 
 def rho(n: int, m: int, ell: int, cs: CoeffSystem) -> Scalar:
     """rho_{n,m,ell} = L(x^n P_m P_ell)."""
+    if min(n, m, ell) < 0:
+        raise ValueError("indices must be >= 0")
     return L_eval(VElem((P(m, cs) * P(ell, cs)).shift(n), 0, cs))
 
 

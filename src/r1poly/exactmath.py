@@ -37,7 +37,11 @@ Three container types are built on top of it:
     ``terms`` property decodes the keys on every read into the canonical
     dict of ``((kind, index), ...)`` monomials that ``SymPoly(dict)`` takes.
     Whole coefficients are ``int``, and ``evaluate`` sums over ints and
-    divides once.
+    divides once.  ``str`` prints the terms in key order: by total degree,
+    then by the exponent bytes from the lowest code, a larger exponent
+    first, which is the order of the sorted symbol tuples.
+
+``Poly`` and ``SymPoly`` print their terms by one rule, ``_terms_text``.
 """
 
 from __future__ import annotations
@@ -105,6 +109,25 @@ def format_scalar(value: Scalar) -> str:
     except ValueError:  # past the int string limit
         text = str(decimal.Decimal(value.numerator))
         return text if value.denominator == 1 else f"{text}/{decimal.Decimal(value.denominator)}"
+
+
+def _terms_text(terms: Iterable[tuple[ScalarLike, str]]) -> str:
+    """(coefficient, factors) pairs in order as "c*f + f - f - c": a zero
+    coefficient is skipped, empty factors print the bare scalar, and a
+    coefficient of +-1 prints only its sign; no term at all prints "0"."""
+    parts = []
+    for c, factors in terms:
+        if not c:
+            continue
+        if not factors:
+            parts.append(format_scalar(c))
+        elif c == 1:
+            parts.append(factors)
+        elif c == -1:
+            parts.append("-" + factors)
+        else:
+            parts.append(format_scalar(c) + "*" + factors)
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def pochhammer(a: ScalarLike, n: int) -> Scalar:
@@ -329,23 +352,8 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.numerators:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(format_scalar(c))
-            else:
-                xk = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    parts.append(xk)
-                elif c == -1:
-                    parts.append(f"-{xk}")
-                else:
-                    parts.append(f"{format_scalar(c)}*{xk}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _terms_text((c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+                           for k, c in enumerate(self.coeffs))
 
 
 def poly_divrem(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -483,6 +491,7 @@ Coeff = Union[int, Fraction]
 FIELD_BITS = 8
 MAX_DEGREE = (1 << FIELD_BITS) - 1
 _EVAL_CODES = 6  # fields that one pass of ``SymPoly.evaluate`` takes off
+_DESCENDING = bytes(range(255, -1, -1))  # exponent e -> 255 - e, for the print order
 
 
 class SymDegreeError(ValueError):
@@ -502,6 +511,7 @@ def _symbol(code: int) -> Symbol:
     return SYM_KINDS[code % 3], code // 3
 
 
+@functools.cache
 def _factor(code: int, e: int) -> str:
     kind, index = _symbol(code)
     return f"{kind}{index}" if e == 1 else f"{kind}{index}^{e}"
@@ -722,28 +732,15 @@ class SymPoly:
         return Fraction(acc.get(0, 0), e * d**pad)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        rows = []
-        for mono, coeff in self._terms.items():
-            fields = _fields(mono)
-            codes: tuple[int, ...] = ()
-            for c, e in fields:
-                codes += (c,) * e
-            rows.append((len(codes), codes, fields, coeff))
-        rows.sort()  # by degree, then the codes with repetition; no two tie
-        parts = []
-        for _, _, fields, coeff in rows:
-            factors = "*".join([_factor(c, e) for c, e in fields])
-            if not factors:
-                parts.append(format_scalar(coeff))
-            elif coeff == 1:
-                parts.append(factors)
-            elif coeff == -1:
-                parts.append("-" + factors)
-            else:
-                parts.append(format_scalar(coeff) + "*" + factors)
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = self._terms  # printed in key order, see the module docstring
+        width = (max(terms, default=0).bit_length() + 7) // 8
+
+        def order(key: int) -> tuple[int, bytes]:
+            exps = key.to_bytes(width, "little")
+            return sum(exps), exps.translate(_DESCENDING)
+
+        return _terms_text((terms[key], "*".join([_factor(c, e) for c, e in _fields(key)]))
+                           for key in sorted(terms, key=order))
 
     def __repr__(self) -> str:
         return f"SymPoly({self})"

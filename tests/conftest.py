@@ -8,7 +8,7 @@ import pytest
 
 from r1poly.checks import random_laurent_system, random_system
 from r1poly.core import CoeffSystem
-from r1poly.exactmath import Poly
+from r1poly.exactmath import Poly, format_scalar
 
 
 @pytest.fixture
@@ -174,6 +174,28 @@ def check_poly_form(p):
     assert type(nums) is tuple and all(type(c) is int for c in nums)
     assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
     assert not nums or nums[-1] != 0
+
+
+def ref_poly_str(p) -> str:
+    """The display of a reference poly, term by term as Poly printed it
+    before its terms went through the printer it shares with SymPoly."""
+    if not p:
+        return "0"
+    parts = []
+    for k, c in enumerate(p):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(format_scalar(c))
+        else:
+            xk = "x" if k == 1 else f"x^{k}"
+            if c == 1:
+                parts.append(xk)
+            elif c == -1:
+                parts.append(f"-{xk}")
+            else:
+                parts.append(f"{format_scalar(c)}*{xk}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def ref_series(num, den, order) -> list:

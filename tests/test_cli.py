@@ -63,6 +63,15 @@ def test_symbolic_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_mu_symbolic_10_text_is_pinned():
+    # The term order at scale: 43,377 terms, recorded with the printer that
+    # sorted the symbol tuples of every term.
+    text = str(r1poly.core.mu_symbolic(10))
+    assert len(text) == 1_288_851
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8eee091f21019acbb249305a1034494c520b0db9c10471018ef3e7a0a48279db")
+
+
 # Recorded before the moment grids ran over scaled integers: laguerre stays
 # scaled for every row, jacobi11 leaves the scaled ring mid-fill, and the
 # bounded path sum runs the column step from a start off the origin.  The

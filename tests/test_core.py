@@ -370,11 +370,16 @@ def test_cf_series_is_the_moment_series_without_a_fraction_per_coefficient(table
 
 
 def test_mu_nml_and_rho_reject_a_negative_n(rng):
-    cs = random_system(rng)
-    for call in (lambda: mu_nml(-1, 2, 1, cs), lambda: rho(-1, 2, 1, cs),
-                 lambda: rho(-2, 1, 1, cs), lambda: rho_sum(-2, 1, 1, WeightSystem(cs))):
-        with pytest.raises(ValueError):
-            call()
+    # A negative m or ell raises too, though P_{-1} = 0 would make the answer 0.
+    for cs in (random_system(rng), random_system(random.Random(1))):
+        ws = WeightSystem(cs)
+        for call in (lambda: mu_nml(-1, 2, 1, cs), lambda: rho(-1, 2, 1, cs),
+                     lambda: rho(-2, 1, 1, cs), lambda: rho_sum(-2, 1, 1, ws),
+                     lambda: rho(0, -1, 1, cs), lambda: rho(1, 2, -1, cs),
+                     lambda: mu_nml(0, -1, 1, cs), lambda: rho_sum(0, -1, 1, ws)):
+            with pytest.raises(ValueError, match=r"^indices must be >= 0$"):
+                call()
+        assert P(-1, cs) == Poly()
 
 
 def _stack_depth() -> int:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from r1poly.exactmath import (
@@ -25,7 +25,7 @@ from r1poly.exactmath import (
 )
 
 from conftest import (check_poly_form, check_series, no_poly_fractions, ref_add, ref_eval, ref_mul,
-                      ref_poly, ref_reverse, ref_series, ref_shift)
+                      ref_poly, ref_poly_str, ref_reverse, ref_series, ref_shift)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_polys = st.lists(fractions, max_size=8).map(Poly)
@@ -176,6 +176,29 @@ def test_poly_stored_form_and_coeffs_made_on_read():
     assert reduced([3, 5], 7) == ([3, 5], 7)
 
 
+# Entries that hit every branch of the term rule: zeros, +-1, and negative and
+# large-denominator fractions.  A number past the int string limit is put in
+# at a drawn position, since Hypothesis cannot print one.
+printed_entries = poly_entries | st.sampled_from([1, -1, Fraction(-1, 10**40 + 7)])
+PAST_LIMIT = (10**5000 + 1, Fraction(-(10**5000), 7))
+
+
+@given(st.lists(printed_entries, max_size=7), st.integers(-1, 6), st.integers(0, 1))
+@settings(max_examples=150)
+@example([], -1, 0)
+@example([1], -1, 0)
+@example([-1], -1, 0)
+@example([0, 1, 0, -1], -1, 0)
+@example([-1, 0, 0, 0, 1], -1, 0)
+@example([Fraction(-3, 10**30 + 1), 0, 0, Fraction(5, 2)], -1, 0)
+@example([0, 0, 1], 0, 0)
+@example([1, 0, 1], 2, 1)
+def test_poly_str_matches_the_fraction_reference(p, big_at, which):
+    if 0 <= big_at < len(p):
+        p = p[:big_at] + [PAST_LIMIT[which]] + p[big_at + 1:]
+    assert str(Poly(p)) == ref_poly_str(ref_poly(p))
+
+
 def test_series_geometric():
     s = series_from_rational(Poly.const(1), Poly([1, -1]), 5)
     assert list(s.coeffs) == [1, 1, 1, 1, 1, 1]
@@ -318,6 +341,11 @@ def test_stirling1_expands_the_rising_factorial():
 def test_sympoly_display_and_zero_pruning():
     expr = SymPoly.b(0) * SymPoly.b(0) + 2 * SymPoly.a(1) * SymPoly.b(0)
     assert str(expr) == "b0^2 + 2*b0*a1"
+    b85, a85, b100 = SymPoly.b(85), SymPoly.a(85), SymPoly.b(100)  # codes 255, 256, 300
+    expr = b85 * a85 - 2 * b100 * b100 + b85 * b85 * b100 + b85 * b100 * b100 - 1
+    assert str(expr) == "-1 + b85*a85 - 2*b100^2 + b85^2*b100 + b85*b100^2"
+    assert [str(SymPoly.const(c)) for c in (0, 1, -1, Fraction(-3, 7))] == ["0", "1", "-1", "-3/7"]
+    assert str(SymPoly.const(10**5000)) == "1" + "0" * 5000
     cancel = SymPoly.b(1) - SymPoly.b(1)
     assert cancel.is_zero() and not cancel.terms
     with pytest.raises(ValueError, match="unknown symbol kind 'x'"):
@@ -530,6 +558,30 @@ def test_sympoly_powers_match_reference(x, y, z, values):
         _assert_canonical(got)
         assert got == want and str(got) == str(want) == _ref_str(want)
         assert got.evaluate(assign) == _fraction_value(want, assign)
+
+
+# Indices to 120 put codes past 255 and keys past 32 bytes; each exponent
+# vector comes with a permutation of itself, so terms of one degree meet.
+wide_symbols = st.tuples(st.sampled_from(SYM_KINDS), st.integers(0, 120))
+wide_coeffs = st.sampled_from([1, -1]) | coeffs
+
+
+@st.composite
+def wide_polys(draw):
+    syms = draw(st.lists(wide_symbols, min_size=1, max_size=4, unique=True))
+    exps = st.lists(st.integers(0, 100), min_size=len(syms), max_size=len(syms)).filter(
+        lambda e: sum(e) <= MAX_DEGREE)
+    terms = {}
+    for e in draw(st.lists(exps, max_size=6)):
+        for perm in (e, draw(st.permutations(e))):
+            terms[tuple(s for s, k in zip(syms, perm) for _ in range(k))] = draw(wide_coeffs)
+    return SymPoly(terms)
+
+
+@given(wide_polys())
+@settings(max_examples=150)
+def test_sympoly_str_matches_reference_past_code_255(p):
+    assert str(p) == _ref_str(p)
 
 
 def test_sympoly_products_match_sympy():
