@@ -260,10 +260,8 @@ def cmd_histories(args) -> int:
     if not 0 <= n <= cap:
         raise ValueError(f"{args.kind} histories need 0 <= n <= {cap}")
     if args.map:
-        found, image = ((histories._iter_LH, histories.phi) if args.kind == "laguerre"
-                        else (histories._iter_MH, lambda h: histories.psi(h).cycles))
-        rows = ({"path": h.steps, "labels": h.labeled_pairs(), "image": image(h)}
-                for h in found(n))
+        rows = ({"path": h.steps, "labels": h.labeled_pairs(), "image": cycles}
+                for h, cycles in histories.images(args.kind, n))
         if args.format == "json":
             _emit(args, [], {"histories": list(rows)})
         else:  # one line per row as it is built, so no row is kept

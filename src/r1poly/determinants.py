@@ -36,10 +36,7 @@ pivoting, which serves every other determinant.
 Both kernels keep each row as integers over its own denominator, the lcm of
 the reduced denominators of its entries, and reduce a new row by one gcd of
 its integers with that denominator: ``exactmath.int_row`` and ``reduced``,
-the row rule of ``Poly``.  No entry is a Fraction.  On the 25 x 25
-nu matrices of a random small-height table this is 3-4 times faster than
-Fraction rows: D'_24 went from about 0.035 to 0.008 s and D'''_24 from
-0.05 to 0.011 s (2-core x86-64, Python 3.11.7).  Two other integer forms
+the row rule of ``Poly``.  No entry is a Fraction.  Two other integer forms
 lost, because each carries one denominator shared by the whole matrix or
 sequence, far past any row's own: a fraction-free Bareiss elimination
 (3.5 s against 0.6 s for Fraction rows at n = 40), and the Chebyshev

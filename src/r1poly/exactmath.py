@@ -155,35 +155,27 @@ def qpochhammer(a: ScalarLike, q: ScalarLike, n: int) -> Scalar:
     return out
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, by the standard recurrence."""
+def _stirling(n: int, k: int, weight: Callable[[int, int], int]) -> int:
+    """Entry (n, k) of the triangle t(m, j) = weight(m, j) t(m-1, j) +
+    t(m-1, j-1), t(0, 0) = 1, by rows."""
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    row = [1]  # S(0, 0)
+    row = [1]  # t(0, 0)
     for m in range(1, n + 1):
-        new = [0] * (m + 1)
-        for j in range(1, m + 1):
-            below = row[j] if j < len(row) else 0
-            new[j] = j * below + row[j - 1]
-        row = new
+        row.append(0)
+        row = [0] + [weight(m, j) * row[j] + row[j - 1] for j in range(1, m + 1)]
     return row[k]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of n into k blocks."""
+    return _stirling(n, k, lambda m, j: j)
 
 
 def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of n with k
     cycles, so that (x)_n = sum_k c(n, k) x^k."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]  # c(0, 0)
-    for m in range(1, n + 1):
-        new = [0] * (m + 1)
-        for j in range(1, m + 1):
-            below = row[j] if j < len(row) else 0
-            new[j] = (m - 1) * below + row[j - 1]
-        row = new
-    return row[k]
+    return _stirling(n, k, lambda m, j: m - 1)
 
 
 def int_row(values: Sequence[ScalarLike]) -> tuple[list[int], int]:

@@ -577,31 +577,23 @@ def hermite_moment(j: int) -> Scalar:
     return Fraction(_double_factorial(j - 1)) if j % 2 == 0 else Fraction(0)
 
 
+def _kernel_coefficient(n: int, k: int) -> int:
+    """The weight of term k (k of n's parity) in theta_n and in w_n(x, a)."""
+    return binomial(n // 2 + (k + 1) // 2, k)
+
+
 def theta(m: int, a: ScalarLike) -> Scalar:
     """Moments of the deformed Hermite system as binomial sums over the
     classical ones: switching vertical drops back to diagonal ones."""
     a = as_scalar(a)
-    if m % 2 == 0:
-        n = m // 2
-        return sum(
-            binomial(n + k // 2, k) * a**k * hermite_moment(2 * n + k)
-            for k in range(0, 2 * n + 1, 2)
-        )
-    n = (m - 1) // 2
-    return sum(
-        binomial(n + (k + 1) // 2, k) * a**k * hermite_moment(2 * n + 1 + k)
-        for k in range(1, 2 * n + 2, 2)
-    )
+    return sum(_kernel_coefficient(m, k) * a**k * hermite_moment(m + k)
+               for k in range(m % 2, m + 1, 2))
 
 
 def chebyshev_weight(n: int, x: ScalarLike, a: ScalarLike) -> Scalar:
     """The kernel w_n(x, a) with theta_n = L(x^n w_n(x, a)); binomial form."""
     x, a = as_scalar(x), as_scalar(a)
-    if n % 2 == 0:
-        m = n // 2
-        return sum(binomial(m + k // 2, k) * (a * x) ** k for k in range(0, n + 1, 2))
-    m = (n - 1) // 2
-    return sum(binomial(m + (k + 1) // 2, k) * (a * x) ** k for k in range(1, n + 2, 2))
+    return sum(_kernel_coefficient(n, k) * (a * x) ** k for k in range(n % 2, n + 1, 2))
 
 
 def chebyshev_weight_hyp(n: int, x: ScalarLike, a: ScalarLike) -> Scalar:

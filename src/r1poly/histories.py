@@ -87,14 +87,6 @@ def _label_options(steps: str, kind: str) -> list[tuple]:
     return options
 
 
-def _trusted(cls, steps: str, labels: tuple):
-    """A history the enumerator built valid, made without ``__post_init__``."""
-    history = object.__new__(cls)
-    object.__setattr__(history, "steps", steps)
-    object.__setattr__(history, "labels", labels)
-    return history
-
-
 def _peak_free_shapes(n: int) -> Iterator[str]:
     """All peak-free Schroeder shapes (0,0) -> (n,0), steps tried U < H < V."""
 
@@ -112,6 +104,48 @@ def _peak_free_shapes(n: int) -> Iterator[str]:
             acc.pop()
 
     yield from rec(0, 0, "", [])
+
+
+def _histories(kind: str, n: int) -> Iterator:
+    """The ``kind`` histories of length n, shape-then-label order, built
+    valid and so made without ``__post_init__``; ValueError past the cap."""
+    if n > CAPS[kind]:
+        raise ValueError(f"{kind.capitalize()} history enumeration is capped at n = {CAPS[kind]}")
+    cls = LaguerreHistory if kind == "laguerre" else MeixnerHistory
+    for shape in _peak_free_shapes(n):
+        for labels in itertools.product(*_label_options(shape, kind)):
+            history = object.__new__(cls)
+            object.__setattr__(history, "steps", shape)
+            object.__setattr__(history, "labels", labels)
+            yield history
+
+
+def images(kind: str, n: int) -> Iterator[tuple]:
+    """(history, cycles) for each ``kind`` history of length n, streamed in
+    enumeration order: the permutation ``phi`` makes of a Laguerre history,
+    or the cycles of the pair ``psi`` makes of a Meixner one."""
+    laguerre = kind == "laguerre"
+    for h in _histories(kind, n):
+        yield h, (phi(h) if laguerre else psi(h).cycles)
+
+
+def _round_trip(kind: str, n: int, inverse, kept, total: int) -> tuple[int, bool]:
+    """(count, ok) over the ``kind`` histories of length n: the private
+    ``inverse`` of every image gives back h's steps and labels, the map keeps
+    ``kept(h, cycles)``, and there are ``total`` histories.
+
+    The histories stream past once and no image is kept.  The inverse
+    answers only for an image in canonical form, so two histories sent to
+    the same permutation or pair have equal images, and so equal steps and
+    labels: the map is injective, and ``total`` distinct images are all of
+    them.
+    """
+    count = 0
+    ok = True
+    for h, cycles in images(kind, n):
+        count += 1
+        ok = ok and inverse(cycles) == (h.steps, h.labels) and kept(h, cycles)
+    return count, ok and count == total
 
 
 # What a step lets follow it: anything, anything but a V, only a V.
@@ -192,17 +226,9 @@ class LaguerreHistory:
         return [[i, lab] for i, lab in zip(vs, self.labels)]
 
 
-def _iter_LH(n: int) -> Iterator[LaguerreHistory]:
-    if n > CAPS["laguerre"]:
-        raise ValueError(f"Laguerre history enumeration is capped at n = {CAPS['laguerre']}")
-    for shape in _peak_free_shapes(n):
-        for labels in itertools.product(*_label_options(shape, "laguerre")):
-            yield _trusted(LaguerreHistory, shape, labels)
-
-
 def enumerate_LH(n: int) -> list[LaguerreHistory]:
     """All Laguerre histories of length n, shape-then-label order."""
-    return list(_iter_LH(n))
+    return list(_histories("laguerre", n))
 
 
 Cycles = tuple[tuple[int, ...], ...]
@@ -247,13 +273,14 @@ def _phi_inv(cycles: Cycles) -> tuple[str, tuple[int, ...]] | None:
     by maximum), tested in the same pass.  The result is not validated:
     equal to a valid history's (steps, labels), it is that history.
     """
+    n = sum(map(len, cycles))
     free: list[int] = []  # the integers below x not yet placed, increasing
     steps: list[str] = []
     labels: list[int] = []
     x = 0
     for cyc in cycles:
         top = cyc[0]
-        if top <= x:
+        if not x < top <= n:  # so ``free`` never outgrows the input
             return None
         free.extend(range(x + 1, top))
         steps.append("U" * (top - x - 1) + "H" + "V" * (len(cyc) - 1))
@@ -269,30 +296,19 @@ def _phi_inv(cycles: Cycles) -> tuple[str, tuple[int, ...]] | None:
 
 def phi_inv(cycles: Cycles) -> LaguerreHistory:
     """Inverse of phi, for cycles in any rotation and order."""
-    elements = sorted(e for cyc in cycles for e in cyc)
-    if elements != list(range(1, len(elements) + 1)):
+    found = _phi_inv(_canonical_cycles(cycles))
+    if found is None:
         raise ValueError("cycles do not form a permutation of 1..n")
-    return LaguerreHistory(*_phi_inv(_canonical_cycles(cycles)))
+    return LaguerreHistory(*found)
 
 
 def laguerre_bijection_check(n: int) -> tuple[int, bool]:
     """(count, ok) over all Laguerre histories of length n: the inverse
     undoes phi, horizontal steps become cycles, and phi is a bijection onto
-    the n! permutations of [n].
-
-    The histories stream past once and no image is kept.  ``_phi_inv`` of
-    every image must give back h's steps and labels; it answers only for a
-    permutation in canonical form, so equal images are the same permutation,
-    and phi is injective; and n! distinct permutations are all of them.
-    """
-    count = 0
-    ok = True
-    for h in _iter_LH(n):
-        count += 1
-        img = phi(h)
-        ok = (ok and _phi_inv(img) == (h.steps, h.labels)
-              and h.horizontal_count() == len(img))
-    return count, ok and count == math.factorial(n)
+    the n! permutations of [n], by ``_round_trip`` through ``_phi_inv``."""
+    return _round_trip("laguerre", n, _phi_inv,
+                       lambda h, cycles: h.horizontal_count() == len(cycles),
+                       math.factorial(n))
 
 
 # Step weights at starting height h for ``_peak_free_sum``: t^#H, and every
@@ -371,17 +387,9 @@ class MeixnerHistory:
         return [[i, lab] for i, lab in enumerate(self.labels) if lab is not None]
 
 
-def _iter_MH(n: int) -> Iterator[MeixnerHistory]:
-    if n > CAPS["meixner"]:
-        raise ValueError(f"Meixner history enumeration is capped at n = {CAPS['meixner']}")
-    for shape in _peak_free_shapes(n):
-        for labels in itertools.product(*_label_options(shape, "meixner")):
-            yield _trusted(MeixnerHistory, shape, labels)
-
-
 def enumerate_MH(n: int) -> list[MeixnerHistory]:
     """All Meixner histories of length n, shape-then-label order."""
-    return list(_iter_MH(n))
+    return list(_histories("meixner", n))
 
 
 Block = tuple[int, ...]
@@ -534,22 +542,15 @@ def meixner_bijection_check(n: int, b: ScalarLike, d: ScalarLike) -> tuple[int, 
     undoes psi, psi keeps the weight, and psi is a bijection onto the
     Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n].
 
-    Weights are compared as their exponent pairs (i, j) of b^i d^j, so they
-    agree at every (b, d), the given point included.  The histories stream
-    past once and no image is kept.  ``_psi_inv`` of every image must give
-    back h's steps and labels; it answers only for a partition of [n] in
-    canonical form and reads blocks as sets, so equal images are the same
-    pair, and psi is injective; and Fubini(n) distinct pairs are all of them.
+    Weights are compared as their exponent pairs (i, j) of b^i d^j, here
+    (#cycles, #blocks) of the image, so they agree at every (b, d), the given
+    point included.  The rest is ``_round_trip`` through ``_psi_inv``, which
+    reads blocks as sets, so equal images are the same pair.
     """
-    count = 0
-    ok = True
-    for h in _iter_MH(n):
-        count += 1
-        pc = psi(h)
-        ok = (ok and _psi_inv(pc.cycles) == (h.steps, h.labels)
-              and h.exponents() == pc.exponents())
     fubini = sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
-    return count, ok and count == fubini
+    return _round_trip("meixner", n, _psi_inv,
+                       lambda h, cycles: h.exponents() == (len(cycles), sum(map(len, cycles))),
+                       fubini)
 
 
 # Step weights at starting height h for ``_peak_free_sum``, as b^i d^j.

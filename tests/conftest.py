@@ -8,7 +8,8 @@ import pytest
 
 from r1poly.checks import random_laurent_system, random_system
 from r1poly.core import CoeffSystem
-from r1poly.exactmath import Poly, format_scalar
+from r1poly.exactmath import Poly, binomial, format_scalar
+from r1poly.families import hermite_moment
 
 
 @pytest.fixture
@@ -229,3 +230,29 @@ def no_poly_fractions():
 
     with mock.patch.object(Poly, "coeffs", property(fail)), mock.patch.object(Poly, "__getitem__", fail):
         yield
+
+
+# -- theta and chebyshev_weight as parity-split binomial sums, the form each
+# had before both summed one kernel coefficient over k of n's parity
+
+
+def ref_theta(m, a) -> Fraction:
+    if m % 2 == 0:
+        n = m // 2
+        return sum(
+            binomial(n + k // 2, k) * a**k * hermite_moment(2 * n + k)
+            for k in range(0, 2 * n + 1, 2)
+        )
+    n = (m - 1) // 2
+    return sum(
+        binomial(n + (k + 1) // 2, k) * a**k * hermite_moment(2 * n + 1 + k)
+        for k in range(1, 2 * n + 2, 2)
+    )
+
+
+def ref_chebyshev_weight(n, x, a) -> Fraction:
+    if n % 2 == 0:
+        m = n // 2
+        return sum(binomial(m + k // 2, k) * (a * x) ** k for k in range(0, n + 1, 2))
+    m = (n - 1) // 2
+    return sum(binomial(m + (k + 1) // 2, k) * (a * x) ** k for k in range(1, n + 2, 2))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import itertools
@@ -554,6 +555,7 @@ _BAD_INPUT = [  # (extra environment, argv)
     ({}, "moments --coeffs q_racah_half_N.json --n 3"),
     ({}, "moments --coeffs . --n 3"),
     ({}, "poly --family laguerre --param a=1 --n 25 --method tiling"),
+    ({}, "poly --family laguerre --param a=1 --n 13 --method tiling"),
 ]
 
 
@@ -802,3 +804,25 @@ def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     done = subprocess.run([sys.executable, "-m", "r1poly", *argv.split()], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the names cli.py binds to r1poly modules and to what they export
+    with open(cli.__file__) as f:
+        tree = ast.parse(f.read())
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("r1poly")):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+    assert {"core", "histories", "paths"} <= bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                private.append(ast.unparse(node))
+    assert not private

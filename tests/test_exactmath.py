@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -322,6 +324,37 @@ def test_pochhammer_values():
     assert pochhammer(Fraction(7, 3), 0) == 1
     assert qpochhammer(1, Fraction(1, 2), 3) == 0
     assert qpochhammer(Fraction(1, 3), Fraction(1, 2), 2) == Fraction(2, 3) * Fraction(5, 6)
+
+
+def _set_partitions(n):
+    """Every partition of range(n) into blocks, each block a list."""
+    if n == 0:
+        yield []
+        return
+    for part in _set_partitions(n - 1):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [n - 1]] + part[i + 1:]
+        yield part + [[n - 1]]
+
+
+def _cycle_count(perm):
+    seen = set()
+    count = 0
+    for start in range(len(perm)):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return count
+
+
+def test_stirling_numbers_count_cycles_and_blocks():
+    for n in range(8):
+        cycles = Counter(_cycle_count(p) for p in itertools.permutations(range(n)))
+        blocks = Counter(len(part) for part in _set_partitions(n))
+        for k in range(-2, n + 3):
+            assert stirling1(n, k) == cycles[k], (n, k)
+            assert stirling2(n, k) == blocks[k], (n, k)
 
 
 def test_stirling2_small_table():

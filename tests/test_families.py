@@ -30,6 +30,8 @@ from r1poly.families import (
     theta,
 )
 
+from conftest import ref_chebyshev_weight, ref_theta
+
 A13, B25 = Fraction(1, 3), Fraction(2, 5)
 Q12 = Fraction(1, 2)
 
@@ -289,6 +291,14 @@ def test_chebyshev_weight_forms():
     for n in range(10):
         for x in (Fraction(0), Fraction(1, 2), Fraction(-2)):
             assert chebyshev_weight(n, x, a) == chebyshev_weight_hyp(n, x, a)
+
+
+def test_theta_and_chebyshev_weight_match_the_parity_split_sums():
+    for a in (Fraction(2, 3), Fraction(-5, 7), Fraction(0)):
+        for n in range(41):
+            assert theta(n, a) == ref_theta(n, a), (n, a)
+            for x in (Fraction(1, 2), Fraction(-2), Fraction(0)):
+                assert chebyshev_weight(n, x, a) == ref_chebyshev_weight(n, x, a), (n, x, a)
 
 
 def test_genthm():

@@ -343,6 +343,8 @@ def test_private_inverses_answer_only_canonical_images():
         assert histories_module._psi_inv(bad) is None
     with pytest.raises(ValueError):
         phi_inv(((1, 2), (2,)))
+    with pytest.raises(ValueError):  # refused before 1..10^12 is listed
+        phi_inv(((10**12,),))
     with pytest.raises(ValueError):
         psi_inv(PartitionCycles((((1,), (1,)),)))
 
@@ -374,10 +376,10 @@ def test_bijection_checks_report_a_broken_map(monkeypatch, broken):
 
 
 def test_bijection_checks_report_a_lost_history(monkeypatch):
-    real_LH, real_MH = histories_module._iter_LH, histories_module._iter_MH
-    monkeypatch.setattr(histories_module, "_iter_LH", lambda n: iter(list(real_LH(n))[1:]))
+    real = histories_module._histories
+    monkeypatch.setattr(histories_module, "_histories",
+                        lambda kind, n: iter(list(real(kind, n))[1:]))
     assert laguerre_bijection_check(3) == (5, False)
-    monkeypatch.setattr(histories_module, "_iter_MH", lambda n: iter(list(real_MH(n))[1:]))
     assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (12, False)
 
 
