@@ -281,7 +281,6 @@ def _family_points(name: str):
 
 
 def _suite_families(rng: random.Random):
-    sample_xs = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2)]
     for name in ("jacobi11", "jacobi01", "laguerre", "meixner",
                  "little_q_jacobi", "big_q_jacobi"):
         for fam in _family_points(name):
@@ -294,7 +293,7 @@ def _suite_families(rng: random.Random):
             if fam.moment is not None:
                 ok = all(fam.closed_moment(k) == mu(k, cs) for k in range(9))
                 yield f"{fam.name} closed moments", ok
-            reps = [families.glue_shift_check(fam, n, sample_xs, order=8) for n in range(1, 5)]
+            reps = [families.glue_shift_check(fam, n, order=8) for n in range(1, 5)]
             yield f"{fam.name} shifted-classical proportionality", all(
                 rep.proportional for rep in reps)
             if reps[1].series_match is not None:
@@ -314,10 +313,7 @@ def _suite_families(rng: random.Random):
     ok = True
     for n in range(5):
         h = aw.hyp_poly(n)
-        mono = h * (1 / h.leading())
-        ok = ok and mono == P(n, csaw)
-        for x in sample_xs[:3]:
-            ok = ok and mono(x) == P(n, csaw)(x)
+        ok = ok and h * (1 / h.leading()) == P(n, csaw)
     yield "Askey-Wilson recurrence = monic 4phi3", ok
     aw_swap = families.askey_wilson(
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), q)
@@ -384,7 +380,7 @@ def _suite_histories(rng: random.Random):
         histories.laguerre_bijection_check(n)[1] for n in range(8))
     (a,), (b, d) = histories.CHECK_POINTS["laguerre"], histories.CHECK_POINTS["meixner"]
     yield "psi weight-preserving bijection, n<=6", all(
-        histories.meixner_bijection_check(n, b, d)[1] for n in range(7))
+        histories.meixner_bijection_check(n)[1] for n in range(7))
     yield "Laguerre history sums, n<=8", all(histories.lh_moment_check(n, a) for n in range(9))
     yield "Meixner history chain, n<=7", all(
         histories.mh_moment_check(n, b, d) for n in range(8))

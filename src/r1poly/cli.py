@@ -273,7 +273,7 @@ def cmd_histories(args) -> int:
         count, ok = histories.laguerre_bijection_check(n)
         ok = ok and histories.lh_moment_check(n, *point)
     else:
-        count, ok = histories.meixner_bijection_check(n, *point)
+        count, ok = histories.meixner_bijection_check(n)
         ok = ok and histories.mh_moment_check(n, *point)
     status = "ok" if ok else "FAIL"
     _emit(args, [f"{args.kind} histories n={n}: {status} ({count} histories)"],

@@ -113,6 +113,8 @@ def hankel_minors(seq: Sequence[Scalar], n: int, start: int = 0) -> list[Scalar]
     alpha and beta stay Fractions.  If sigma_{k,k} = 0 for some k < n, each
     larger minor from H_start on comes from ``det_exact``, which pivots.
     """
+    if n < 0:
+        raise ValueError(f"H_n needs n >= 0, got {n}")
     c = [Fraction(v) for v in seq[: 2 * n + 1]]
     if len(c) < 2 * n + 1:
         raise ValueError(f"H_{n} needs {2 * n + 1} sequence terms, got {len(c)}")

@@ -682,6 +682,11 @@ class SymPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int) -> "SymPoly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        return math.prod([self] * n, start=SymPoly.const(1))
+
     def evaluate(self, assign: Callable[[str, int], ScalarLike]) -> Scalar:
         """Substitute scalars for symbols; assign(kind, index) -> Scalar.
 

@@ -654,38 +654,19 @@ class GlueReport:
     series_match: bool | None
 
 
-def glue_shift_check(
-    fam: FamilySpec,
-    n: int,
-    sample_xs: Sequence[ScalarLike],
-    order: int = 8,
-) -> GlueReport:
+def glue_shift_check(fam: FamilySpec, n: int, order: int = 8) -> GlueReport:
     """Check the family against its shifted hypergeometric form.
 
-    (i) P_n is proportional to the hypergeometric polynomial, the constant
-    recovered from values at the sample points (and independent of them);
-    (ii) the moment series agrees with the classical side: the J-fraction
-    of the recorded (B_n, Lam_n) when the family has one, otherwise the
-    closed moment formula.
+    (i) P_n is proportional to the hypergeometric polynomial h, as one Poly
+    equality: P_n is monic, so h = lead(h) P_n and ``ratio`` = P_n / h is
+    1 / lead(h); (ii) the moment series agrees with the classical side: the
+    J-fraction of the recorded (B_n, Lam_n) when the family has one,
+    otherwise the closed moment formula.
     """
     cs = fam.build()
-    p = P(n, cs)
     h = fam.hyp_poly(n)
-    ratio = None
-    proportional = True
-    for x in sample_xs:
-        hx = h(as_scalar(x))
-        px = p(as_scalar(x))
-        if hx == 0:
-            proportional = proportional and px == 0
-            continue
-        r = px / hx
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            proportional = False
-    if ratio is None or ratio == 0:
-        proportional = False
+    proportional = bool(h) and h == P(n, cs) * h.leading()
+    ratio = 1 / h.leading() if h else None
 
     series_match: bool | None = None
     if fam.classical is not None:

@@ -21,20 +21,22 @@ histories once, through the map and a private inverse that answers only for
 canonical images and builds no validated history.  The history sums are not
 enumerated: a history weighs the product of its steps' weights, and a step
 with several labels weighs the sum over them, so one column DP over
-peak-free paths (``_peak_free_sum``) gives each sum as a polynomial.
+peak-free paths (``_peak_free_sum``) gives each sum as a package polynomial:
+a ``Poly`` in t for the Laguerre histories, a ``SymPoly`` in b and d for the
+Meixner ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exactmath import Scalar, ScalarLike, as_scalar, pochhammer, stirling1, stirling2
+from .exactmath import (Poly, Scalar, ScalarLike, SymPoly, as_scalar, pochhammer,
+                        stirling1, stirling2)
 from . import paths as pathmod
 from .core import CoeffSystem
 
@@ -44,6 +46,16 @@ from .core import CoeffSystem
 CAPS = {"laguerre": 9, "meixner": 8}
 # The point `histories --check` and the verify suite check each history sum at.
 CHECK_POINTS = {"laguerre": (Fraction(3, 5),), "meixner": (Fraction(2, 3), Fraction(1, 4))}
+# The variables of the history sums: t counts the Laguerre histories'
+# horizontal steps, b and d (the symbols b0 and a0) weigh the Meixner
+# histories as b^i d^j.
+_T = Poly.x()
+_B, _D = SymPoly.b(0), SymPoly.a(0)
+
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"history length must be >= 0, got {n}")
 
 
 def _walk(steps: str) -> Iterator[tuple[int, str, int]]:
@@ -108,7 +120,9 @@ def _peak_free_shapes(n: int) -> Iterator[str]:
 
 def _histories(kind: str, n: int) -> Iterator:
     """The ``kind`` histories of length n, shape-then-label order, built
-    valid and so made without ``__post_init__``; ValueError past the cap."""
+    valid and so made without ``__post_init__``; ValueError below 0 or past
+    the cap."""
+    _check_length(n)
     if n > CAPS[kind]:
         raise ValueError(f"{kind.capitalize()} history enumeration is capped at n = {CAPS[kind]}")
     cls = LaguerreHistory if kind == "laguerre" else MeixnerHistory
@@ -129,15 +143,15 @@ def images(kind: str, n: int) -> Iterator[tuple]:
         yield h, (phi(h) if laguerre else psi(h).cycles)
 
 
-def _round_trip(kind: str, n: int, inverse, kept, total: int) -> tuple[int, bool]:
+def _round_trip(kind: str, n: int, inverse, kept, total) -> tuple[int, bool]:
     """(count, ok) over the ``kind`` histories of length n: the private
     ``inverse`` of every image gives back h's steps and labels, the map keeps
-    ``kept(h, cycles)``, and there are ``total`` histories.
+    ``kept(h, cycles)``, and there are ``total(n)`` histories.
 
     The histories stream past once and no image is kept.  The inverse
     answers only for an image in canonical form, so two histories sent to
     the same permutation or pair have equal images, and so equal steps and
-    labels: the map is injective, and ``total`` distinct images are all of
+    labels: the map is injective, and ``total(n)`` distinct images are all of
     them.
     """
     count = 0
@@ -145,7 +159,7 @@ def _round_trip(kind: str, n: int, inverse, kept, total: int) -> tuple[int, bool
     for h, cycles in images(kind, n):
         count += 1
         ok = ok and inverse(cycles) == (h.steps, h.labels) and kept(h, cycles)
-    return count, ok and count == total
+    return count, ok and count == total(n)
 
 
 # What a step lets follow it: anything, anything but a V, only a V.
@@ -157,35 +171,31 @@ _ADVANCE = {"U": (1, _NO_V), "H": (0, _FREE), "H+": (0, _MUST_V),
             "H-": (0, _NO_V), "D": (-1, _FREE)}
 
 
-def _add_product(acc: dict, poly: dict, weight: dict) -> None:
-    """acc += poly * weight, polynomials as {exponent tuple: coefficient}."""
-    for f, c in weight.items():
-        if c:
-            for e, m in poly.items():
-                key = tuple(map(operator.add, e, f))
-                acc[key] = acc.get(key, 0) + m * c
+def _accumulate(table: dict, key, term) -> None:
+    table[key] = table[key] + term if key in table else term
 
 
-def _peak_free_sum(n: int, steps: dict) -> Counter:
+def _peak_free_sum(n: int, steps: dict, *point):
     """Sum over peak-free paths (0,0) -> (n,0) of the product of their step
-    weights, as a polynomial {exponent tuple: coefficient}.
+    weights, in the ring of the weights: only + and * are used, so the sum
+    is a Poly, a SymPoly or a Fraction as the weights are.
 
     ``steps`` maps the step kinds the paths use (U, V and some of H, H+, H-,
     D; U = (1,1), V = (0,-1), D = (1,-1), the H kinds (1,0)) to their weight
-    at starting height h.  No V follows a U (no peak) or an H-, and a V
-    always follows an H+.  One column DP over states (height, what may follow): V steps
-    stay in their column and are taken top down, so runs of them chain.
+    ``weight(h, *point)`` at starting height h; U weighs the ring's one.  No
+    V follows a U (no peak) or an H-, and a V always follows an H+.  One
+    column DP over states (height, what may follow): V steps stay in their
+    column and are taken top down, so runs of them chain.
     """
-    unit = (0,) * len(next(iter(steps["U"](0))))  # U weighs one
+    _check_length(n)
     moves = [(_ADVANCE[kind], weight) for kind, weight in steps.items() if kind != "V"]
-    col: dict = {(0, _FREE): {unit: 1}}
+    col: dict = {(0, _FREE): steps["U"](0, *point)}
     for x in range(n + 1):
         for h in range(x, 0, -1):
-            weight = steps["V"](h)
-            acc = col.setdefault((h - 1, _FREE), {})
+            weight = steps["V"](h, *point)
             for poly in (col.pop((h, _MUST_V), None), col.get((h, _FREE))):
-                if poly:
-                    _add_product(acc, poly, weight)
+                if poly is not None:
+                    _accumulate(col, (h - 1, _FREE), poly * weight)
         col.pop((0, _MUST_V), None)  # an H+ on the axis has no V to take
         if x == n:
             break
@@ -193,11 +203,9 @@ def _peak_free_sum(n: int, steps: dict) -> Counter:
         for (h, _), poly in col.items():
             for (rise, after), weight in moves:
                 if h + rise >= 0:
-                    _add_product(nxt.setdefault((h + rise, after), {}), poly, weight(h))
+                    _accumulate(nxt, (h + rise, after), poly * weight(h, *point))
         col = nxt
-    out = Counter(col.get((0, _FREE), {}))
-    out.update(col.get((0, _NO_V), {}))
-    return Counter({e: m for e, m in out.items() if m})
+    return col.get((0, _FREE), 0) + col.get((0, _NO_V), 0)
 
 
 # -- Laguerre histories ---------------------------------------------------
@@ -308,15 +316,15 @@ def laguerre_bijection_check(n: int) -> tuple[int, bool]:
     the n! permutations of [n], by ``_round_trip`` through ``_phi_inv``."""
     return _round_trip("laguerre", n, _phi_inv,
                        lambda h, cycles: h.horizontal_count() == len(cycles),
-                       math.factorial(n))
+                       math.factorial)
 
 
-# Step weights at starting height h for ``_peak_free_sum``: t^#H, and every
-# V counted once per label it may carry (1..h).
+# Step weights at starting height h for ``_peak_free_sum``, as functions of
+# (h, t): t per H, and every V counted once per label it may carry (1..h).
 _LAGUERRE_STEPS = {
-    "U": lambda h: {(0,): 1},
-    "H": lambda h: {(1,): 1},
-    "V": lambda h: {(0,): h},
+    "U": lambda h, t: t**0,
+    "H": lambda h, t: t,
+    "V": lambda h, t: h,
 }
 
 
@@ -331,10 +339,10 @@ def lh_moment_check(n: int, a: ScalarLike) -> bool:
     At t = a + 1 the same sum is the collapsed one.
     """
     a = as_scalar(a)
-    counts = _peak_free_sum(n, _LAGUERRE_STEPS)
-    if counts != Counter({(k,): stirling1(n, k) for k in range(n + 1)}):
+    counts = _peak_free_sum(n, _LAGUERRE_STEPS, _T)
+    if counts != Poly([stirling1(n, k) for k in range(n + 1)]):
         return False
-    collapsed = sum(m * (a + 1) ** k for (k,), m in counts.items())
+    collapsed = counts(a + 1)
     if collapsed != pochhammer(a + 1, n):
         return False
     cs = CoeffSystem(lambda k: a - k, lambda k: Fraction(k), lambda k: Fraction(0))
@@ -537,44 +545,38 @@ def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
     return MeixnerHistory(*found)
 
 
-def meixner_bijection_check(n: int, b: ScalarLike, d: ScalarLike) -> tuple[int, bool]:
+def meixner_bijection_check(n: int) -> tuple[int, bool]:
     """(count, ok) over all Meixner histories of length n: the inverse
     undoes psi, psi keeps the weight, and psi is a bijection onto the
     Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n].
 
     Weights are compared as their exponent pairs (i, j) of b^i d^j, here
-    (#cycles, #blocks) of the image, so they agree at every (b, d), the given
-    point included.  The rest is ``_round_trip`` through ``_psi_inv``, which
-    reads blocks as sets, so equal images are the same pair.
+    (#cycles, #blocks) of the image, so they agree at every (b, d).  The
+    rest is ``_round_trip`` through ``_psi_inv``, which reads blocks as
+    sets, so equal images are the same pair.
     """
-    fubini = sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
     return _round_trip("meixner", n, _psi_inv,
                        lambda h, cycles: h.exponents() == (len(cycles), sum(map(len, cycles))),
-                       fubini)
+                       lambda n: sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1)))
 
 
-# Step weights at starting height h for ``_peak_free_sum``, as b^i d^j.
-# Histories: V d per label (1..h); an H before a V b*d unlabeled or b
-# labeled 0 (H+), any other H b*d unlabeled or 1 per label in 1..h (H-).
+# Step weights at starting height h for ``_peak_free_sum``, as functions of
+# (h, b, d).  Histories: V d per label (1..h); an H before a V b*d unlabeled
+# or b labeled 0 (H+), any other H b*d unlabeled or 1 per label in 1..h (H-).
 _MEIXNER_STEPS = {
-    "U": lambda h: {(0, 0): 1},
-    "H-": lambda h: {(1, 1): 1, (0, 0): h},
-    "H+": lambda h: {(1, 1): 1, (1, 0): 1},
-    "V": lambda h: {(0, 1): h},
+    "U": lambda h, b, d: d**0,
+    "H-": lambda h, b, d: b * d + h,
+    "H+": lambda h, b, d: b * d + b,
+    "V": lambda h, b, d: h * d,
 }
 # Peak-free Schroeder paths with diagonal steps: b'_h = h + bd, a_h = hd,
 # lam_h = bdh - dh^2.
 _DIAGONAL_STEPS = {
-    "U": lambda h: {(0, 0): 1},
-    "H": lambda h: {(0, 0): h, (1, 1): 1},
-    "V": lambda h: {(0, 1): h},
-    "D": lambda h: {(1, 1): h, (0, 1): -h * h},
+    "U": lambda h, b, d: d**0,
+    "H": lambda h, b, d: h + b * d,
+    "V": lambda h, b, d: h * d,
+    "D": lambda h, b, d: h * b * d - h * h * d,
 }
-
-
-def _at(poly: Counter, b: Scalar, d: Scalar) -> Scalar:
-    """A polynomial {(i, j): coefficient} of b^i d^j, evaluated."""
-    return sum((m * b**i * d**j for (i, j), m in poly.items()), Fraction(0))
 
 
 def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
@@ -585,25 +587,27 @@ def mh_moment_check(n: int, b: ScalarLike, d: ScalarLike) -> bool:
     diagonal steps still allowed; and diagonal-free peak-free paths under the
     split horizontal weights, which is the labeled-history sum (each step
     weighs the sum over its labels).  All equal sum_j S(n,j) (b)_j d^j.  The
-    last two are one column DP each (``_peak_free_sum``), as polynomials in
-    (b, d), and the history sum also holds as a polynomial: the histories
-    with weight b^k d^j number S(n, j) c(j, k), the coefficients of that sum.
+    last two are one column DP each (``_peak_free_sum``): the diagonal one
+    at the point, the history one as a SymPoly in b and d, which must equal
+    sum_{j,k} S(n, j) c(j, k) b^k d^j as a polynomial: the histories with
+    weight b^k d^j number S(n, j) c(j, k).
     """
     b, d = as_scalar(b), as_scalar(d)
-    if n == 0:
-        return True
-    target = sum(stirling2(n, j) * pochhammer(b, j) * d**j for j in range(1, n + 1))
+    counts = _peak_free_sum(n, _MEIXNER_STEPS, _B, _D)
+    want = SymPoly.sum([stirling2(n, j) * stirling1(j, k) * _B**k * _D**j
+                        for j in range(n + 1) for k in range(j + 1)])
+    if counts != want:
+        return False
+    target = sum(stirling2(n, j) * pochhammer(b, j) * d**j for j in range(n + 1))
     cs = CoeffSystem(
         lambda k: k - d * k + b * d - d,
         lambda k: k * d,
         lambda k: b * d * k - d * k * k,
     )
     s1 = pathmod.weight_sum((0, 0), (n, 0), pathmod.WeightSystem(cs))
-    s2 = _at(_peak_free_sum(n, _DIAGONAL_STEPS), b, d)
-    counts = _peak_free_sum(n, _MEIXNER_STEPS)
-    want = Counter({(k, j): stirling2(n, j) * stirling1(j, k)
-                    for j in range(n + 1) for k in range(j + 1)})
-    return counts == want and s1 == s2 == _at(counts, b, d) == target
+    s2 = _peak_free_sum(n, _DIAGONAL_STEPS, b, d)
+    at_point = counts.evaluate(lambda kind, _: b if kind == "b" else d)
+    return s1 == s2 == at_point == target
 
 
 def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
@@ -614,6 +618,7 @@ def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
     excedance); the weak inequality is forced by the n = 1 case, where the
     identity reads b*c = b*c.
     """
+    _check_length(n)
     b, c = as_scalar(b), as_scalar(c)
     counts: Counter = Counter()
     for perm in itertools.permutations(range(1, n + 1)):

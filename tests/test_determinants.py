@@ -112,6 +112,8 @@ def test_hankel_minors_edge_cases():
     assert lemma_xin_check(Fraction(-1), 4).computed == 0
     with pytest.raises(ValueError):
         hankel_minors([1, 2], 1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        hankel_minors([1, 2, 3], -1)
 
 
 def test_hankel_minors_fall_back_exactly_at_a_vanishing_pivot(random_systems, monkeypatch):

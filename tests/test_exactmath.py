@@ -586,7 +586,8 @@ def test_sympoly_powers_match_reference(x, y, z, values):
         return values.get((kind, i), Fraction(i - 4, 3))
 
     cases = [(x * y, _ref_product(x, y)), (x * y * z, _ref_product(_ref_product(x, y), z)),
-             (x + y - z, _ref_sum(x.terms, y.terms, (-z).terms))]
+             (x + y - z, _ref_sum(x.terms, y.terms, (-z).terms)),
+             (x**2, _ref_product(x, x)), (x**0, SymPoly.const(1))]
     for got, want in cases:
         _assert_canonical(got)
         assert got == want and str(got) == str(want) == _ref_str(want)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -54,8 +55,6 @@ GLUE_FAMILIES = [
     big_q_jacobi(A13, Fraction(2, 7), Fraction(3, 5), Q12, "ashift"),
 ]
 
-SAMPLE_XS = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2)]
-
 
 def test_laguerre_coefficient_table():
     cs = laguerre(Fraction(2)).build()
@@ -106,13 +105,22 @@ def test_family_hyp_proportionality(fam):
         h = fam.hyp_poly(n)
         assert not h.is_zero()
         assert h * (1 / h.leading()) == P(n, cs)
-        report = glue_shift_check(fam, n, SAMPLE_XS, order=8)
+        report = glue_shift_check(fam, n, order=8)
         assert report.proportional
+        x = next(x for x in range(n + 1) if h(x))  # h has at most n roots
+        assert report.ratio == P(n, cs)(x) / h(x)
+
+
+@pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
+def test_glue_shift_check_reports_a_form_off_by_a_constant(fam):
+    broken = dataclasses.replace(fam, hyp=lambda n: fam.hyp_poly(n) + 1)
+    for n in range(1, 5):
+        assert not glue_shift_check(broken, n, order=8).proportional
 
 
 @pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
 def test_family_series_equality(fam):
-    report = glue_shift_check(fam, 2, SAMPLE_XS, order=8)
+    report = glue_shift_check(fam, 2, order=8)
     if report.series_match is None:
         assert fam.moment is None and fam.classical is None
     else:

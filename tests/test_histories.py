@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import r1poly.histories as histories_module
-from r1poly.exactmath import stirling1, stirling2
+from r1poly.exactmath import Poly, SymPoly, stirling1, stirling2
 from r1poly.histories import (
     LaguerreHistory,
     MeixnerHistory,
@@ -99,7 +99,7 @@ def test_bijection_checks_report_a_broken_inverse(monkeypatch):
     assert laguerre_bijection_check(3) == (6, False)
     monkeypatch.setattr(histories_module, "_psi_inv",
                         lambda cycles: (FIG_MEIXNER.steps, FIG_MEIXNER.labels))
-    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (13, False)
+    assert meixner_bijection_check(3) == (13, False)
 
 
 def test_lh_label_validation():
@@ -148,11 +148,10 @@ def test_single_meixner_history():
 
 
 def test_psi_weight_preserving_bijection():
-    b, d = Fraction(2, 3), Fraction(1, 4)
     for n in range(7):
         # cardinality: partitions into j blocks times arrangements of blocks
         want = sum(stirling2(n, j) * math.factorial(j) for j in range(n + 1))
-        assert meixner_bijection_check(n, b, d) == (want, True)
+        assert meixner_bijection_check(n) == (want, True)
 
 
 def test_mh_label_rules():
@@ -372,7 +371,7 @@ def test_bijection_checks_report_a_broken_map(monkeypatch, broken):
     monkeypatch.setattr(histories_module, "phi", fake_phi)
     assert laguerre_bijection_check(3) == (6, False)
     monkeypatch.setattr(histories_module, "psi", fake_psi)
-    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (13, False)
+    assert meixner_bijection_check(3) == (13, False)
 
 
 def test_bijection_checks_report_a_lost_history(monkeypatch):
@@ -380,7 +379,7 @@ def test_bijection_checks_report_a_lost_history(monkeypatch):
     monkeypatch.setattr(histories_module, "_histories",
                         lambda kind, n: iter(list(real(kind, n))[1:]))
     assert laguerre_bijection_check(3) == (5, False)
-    assert meixner_bijection_check(3, Fraction(2, 3), Fraction(1, 4)) == (12, False)
+    assert meixner_bijection_check(3) == (12, False)
 
 
 def test_exponents_count_the_step_weights():
@@ -402,65 +401,62 @@ def test_exponents_count_the_step_weights():
 # -- the peak-free path DP behind the history sums ----------------------------
 
 
-def _poly_mul(p, q):
-    out = Counter()
-    for e, m in p.items():
-        for f, c in q.items():
-            out[tuple(a + b for a, b in zip(e, f))] += m * c
-    return out
+T, B, D = histories_module._T, histories_module._B, histories_module._D
+
+
+def _dp(n, table):
+    """The table's sum as a package polynomial: in t, or in b and d."""
+    point = (T,) if table == "_LAGUERRE_STEPS" else (B, D)
+    return histories_module._peak_free_sum(n, getattr(histories_module, table), *point)
+
+
+def _in_b_d(counts):
+    """sum m * b^i d^j over {(i, j): m}, as a SymPoly."""
+    return SymPoly.sum([m * B**i * D**j for (i, j), m in counts.items()])
 
 
 def test_dp_counts_the_enumerated_histories():
     for n in range(8):
-        assert histories_module._peak_free_sum(n, histories_module._LAGUERRE_STEPS) == Counter(
-            (h.horizontal_count(),) for h in enumerate_LH(n))
-        assert histories_module._peak_free_sum(n, histories_module._MEIXNER_STEPS) == Counter(
-            h.exponents() for h in enumerate_MH(n))
+        by_h = Counter(h.horizontal_count() for h in enumerate_LH(n))
+        assert _dp(n, "_LAGUERRE_STEPS") == Poly([by_h[k] for k in range(n + 1)])
+        assert _dp(n, "_MEIXNER_STEPS") == _in_b_d(Counter(h.exponents() for h in enumerate_MH(n)))
 
 
 def test_dp_diagonal_sum_matches_the_enumerated_paths():
     # every peak-free Schroeder path with its weights b'_h = h + bd, a_h = hd,
-    # lam_h = bdh - dh^2 multiplied out as a polynomial {(i, j): c} of b^i d^j
+    # lam_h = bdh - dh^2 multiplied out in b and d
     weight = {
-        "U": lambda h: {(0, 0): 1},
-        "H": lambda h: {(0, 0): h, (1, 1): 1},
-        "V": lambda h: {(0, 1): h},
-        "D": lambda h: {(1, 1): h, (0, 1): -h * h},
+        "U": lambda h: 1,
+        "H": lambda h: h + B * D,
+        "V": lambda h: h * D,
+        "D": lambda h: h * B * D - h * h * D,
     }
     for n in range(7):
-        total = Counter()
-        for p in enumerate_paths((0, 0), (n, 0)):
-            if "UV" in p.steps:
-                continue
-            w = Counter({(0, 0): 1})
-            for s, h in zip(p.steps, p.heights()):
-                w = _poly_mul(w, weight[s](h))
-            total.update(w)
-        total = Counter({e: m for e, m in total.items() if m})
-        assert histories_module._peak_free_sum(n, histories_module._DIAGONAL_STEPS) == total
+        total = SymPoly.sum([
+            math.prod((weight[s](h) for s, h in zip(p.steps, p.heights())), start=SymPoly.const(1))
+            for p in enumerate_paths((0, 0), (n, 0)) if "UV" not in p.steps])
+        assert _dp(n, "_DIAGONAL_STEPS") == total
 
 
 def test_history_sums_are_the_stirling_polynomials_to_n_20():
     # sum_k c(n, k) t^k = (t)_n, and sum_{j,k} S(n, j) c(j, k) b^k d^j =
     # sum_j S(n, j) (b)_j d^j, for the histories and the diagonal paths alike
-    dp = histories_module._peak_free_sum
     for n in range(21):
-        assert dp(n, histories_module._LAGUERRE_STEPS) == Counter(
-            {(k,): stirling1(n, k) for k in range(n + 1)})
-        want = Counter({(k, j): stirling2(n, j) * stirling1(j, k)
+        assert _dp(n, "_LAGUERRE_STEPS") == Poly([stirling1(n, k) for k in range(n + 1)])
+        want = _in_b_d({(k, j): stirling2(n, j) * stirling1(j, k)
                         for j in range(n + 1) for k in range(j + 1)})
-        assert dp(n, histories_module._MEIXNER_STEPS) == want
-        assert dp(n, histories_module._DIAGONAL_STEPS) == want
+        assert _dp(n, "_MEIXNER_STEPS") == want
+        assert _dp(n, "_DIAGONAL_STEPS") == want
 
 
 @pytest.mark.parametrize("table, kind, weight", [
-    ("_LAGUERRE_STEPS", "V", lambda h: {(0,): h + 1}),
-    ("_LAGUERRE_STEPS", "H", lambda h: {(1,): 1, (0,): 1}),
-    ("_MEIXNER_STEPS", "H+", lambda h: {(1, 1): 1}),
-    ("_MEIXNER_STEPS", "H-", lambda h: {(1, 1): 1, (0, 0): h, (1, 0): 1}),
-    ("_MEIXNER_STEPS", "V", lambda h: {(0, 1): h, (0, 0): 1}),
-    ("_DIAGONAL_STEPS", "D", lambda h: {(1, 1): h}),
-    ("_DIAGONAL_STEPS", "H", lambda h: {(0, 0): h + 1, (1, 1): 1}),
+    ("_LAGUERRE_STEPS", "V", lambda h, t: h + 1),
+    ("_LAGUERRE_STEPS", "H", lambda h, t: t + 1),
+    ("_MEIXNER_STEPS", "H+", lambda h, b, d: b * d),
+    ("_MEIXNER_STEPS", "H-", lambda h, b, d: b * d + h + b),
+    ("_MEIXNER_STEPS", "V", lambda h, b, d: h * d + 1),
+    ("_DIAGONAL_STEPS", "D", lambda h, b, d: h * b * d),
+    ("_DIAGONAL_STEPS", "H", lambda h, b, d: h + 1 + b * d),
 ])
 def test_moment_checks_report_a_changed_step_weight(monkeypatch, table, kind, weight):
     a, b, d = Fraction(3, 5), Fraction(2, 3), Fraction(1, 4)
@@ -470,3 +466,13 @@ def test_moment_checks_report_a_changed_step_weight(monkeypatch, table, kind, we
         assert not lh_moment_check(5, a)
     else:
         assert not mh_moment_check(5, b, d)
+
+
+def test_every_entry_point_refuses_a_negative_length():
+    a, b, d = Fraction(3, 5), Fraction(2, 3), Fraction(1, 4)
+    for call in (lambda: enumerate_LH(-1), lambda: enumerate_MH(-2),
+                 lambda: laguerre_bijection_check(-1), lambda: meixner_bijection_check(-1),
+                 lambda: lh_moment_check(-1, a), lambda: mh_moment_check(-1, b, d),
+                 lambda: non_excedance_check(-1, b, d)):
+        with pytest.raises(ValueError, match="history length must be >= 0"):
+            call()
