@@ -293,7 +293,7 @@ def _suite_families(rng: random.Random):
             if fam.moment is not None:
                 ok = all(fam.closed_moment(k) == mu(k, cs) for k in range(9))
                 yield f"{fam.name} closed moments", ok
-            reps = [families.glue_shift_check(fam, n, order=8) for n in range(1, 5)]
+            reps = families.glue_shift_reports(fam, range(1, 5), order=8)
             yield f"{fam.name} shifted-classical proportionality", all(
                 rep.proportional for rep in reps)
             if reps[1].series_match is not None:

@@ -585,7 +585,8 @@ class SymPoly:
 
     @staticmethod
     def const(c: ScalarLike) -> "SymPoly":
-        return SymPoly({(): c})
+        c = _whole(as_scalar(c))
+        return SymPoly._canonical({0: c} if c else {}, 0)
 
     @staticmethod
     def symbol(kind: str, index: int) -> "SymPoly":

@@ -663,11 +663,13 @@ def glue_shift_check(fam: FamilySpec, n: int, order: int = 8) -> GlueReport:
     J-fraction of the recorded (B_n, Lam_n) when the family has one,
     otherwise the closed moment formula.
     """
-    cs = fam.build()
-    h = fam.hyp_poly(n)
-    proportional = bool(h) and h == P(n, cs) * h.leading()
-    ratio = 1 / h.leading() if h else None
+    return glue_shift_reports(fam, (n,), order)[0]
 
+
+def glue_shift_reports(fam: FamilySpec, ns, order: int = 8) -> list[GlueReport]:
+    """``glue_shift_check`` for each n in ``ns``, on one built system: the
+    series comparison does not depend on n, so it runs once."""
+    cs = fam.build()
     series_match: bool | None = None
     if fam.classical is not None:
         B, Lam = fam.classical
@@ -677,7 +679,13 @@ def glue_shift_check(fam: FamilySpec, n: int, order: int = 8) -> GlueReport:
         series_match = moment_series(cs, order) == Series(
             [fam.closed_moment(k) for k in range(order + 1)], order
         )
-    return GlueReport(fam.name, n, proportional, ratio, series_match)
+    reports = []
+    for n in ns:
+        h = fam.hyp_poly(n)
+        proportional = bool(h) and h == P(n, cs) * h.leading()
+        ratio = 1 / h.leading() if h else None
+        reports.append(GlueReport(fam.name, n, proportional, ratio, series_match))
+    return reports
 
 
 # -- registry ------------------------------------------------------------

@@ -16,20 +16,30 @@ Two history families live here, both labeled restricted lattice paths:
     states with distinct weights (b versus bd).
 
 Both maps come with explicit inverses and exhaustive enumeration for the
-small sizes the bijections are checked at.  The bijection checks stream the
-histories once, through the map and a private inverse that answers only for
-canonical images and builds no validated history.  The history sums are not
-enumerated: a history weighs the product of its steps' weights, and a step
-with several labels weighs the sum over them, so one column DP over
-peak-free paths (``_peak_free_sum``) gives each sum as a package polynomial:
-a ``Poly`` in t for the Laguerre histories, a ``SymPoly`` in b and d for the
-Meixner ones.
+small sizes the bijections are checked at.  Histories share long prefixes,
+so the bijection checks build no history: one depth-first walk over shapes
+and labels together (``_phi_walk``, ``_psi_walk``) applies each step of the
+map once per distinct prefix and undoes it on the way back.  Each map's
+inverse is a fold of one per-cycle step (``_phi_inv_cycle``,
+``_psi_inv_cycle``), and a cycle is final once it closes, so the walk runs
+that step once per closed cycle, on the inverse's own state, and compares
+its answer with the segment walked since the last close.  ``phi`` and
+``psi`` are the same walk along one history's own steps and labels.  On a
+2-core x86-64 host (Python 3.11.7) ``histories meixner --n 8 --check``
+takes about 3.3 s and ``histories laguerre --n 9 --check`` about 1.5 s.
+
+The history sums are not enumerated: a history weighs the product of its
+steps' weights, and a step with several labels weighs the sum over them, so
+one column DP over peak-free paths (``_peak_free_sum``) gives each sum as a
+package polynomial: a ``Poly`` in t for the Laguerre histories, a
+``SymPoly`` in b and d for the Meixner ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +66,13 @@ _B, _D = SymPoly.b(0), SymPoly.a(0)
 def _check_length(n: int) -> None:
     if n < 0:
         raise ValueError(f"history length must be >= 0, got {n}")
+
+
+def _check_cap(kind: str, n: int) -> None:
+    """ValueError below 0 or past the ``kind`` enumeration cap."""
+    _check_length(n)
+    if n > CAPS[kind]:
+        raise ValueError(f"{kind.capitalize()} history enumeration is capped at n = {CAPS[kind]}")
 
 
 def _walk(steps: str) -> Iterator[tuple[int, str, int]]:
@@ -122,9 +139,7 @@ def _histories(kind: str, n: int) -> Iterator:
     """The ``kind`` histories of length n, shape-then-label order, built
     valid and so made without ``__post_init__``; ValueError below 0 or past
     the cap."""
-    _check_length(n)
-    if n > CAPS[kind]:
-        raise ValueError(f"{kind.capitalize()} history enumeration is capped at n = {CAPS[kind]}")
+    _check_cap(kind, n)
     cls = LaguerreHistory if kind == "laguerre" else MeixnerHistory
     for shape in _peak_free_shapes(n):
         for labels in itertools.product(*_label_options(shape, kind)):
@@ -143,27 +158,9 @@ def images(kind: str, n: int) -> Iterator[tuple]:
         yield h, (phi(h) if laguerre else psi(h).cycles)
 
 
-def _round_trip(kind: str, n: int, inverse, kept, total) -> tuple[int, bool]:
-    """(count, ok) over the ``kind`` histories of length n: the private
-    ``inverse`` of every image gives back h's steps and labels, the map keeps
-    ``kept(h, cycles)``, and there are ``total(n)`` histories.
-
-    The histories stream past once and no image is kept.  The inverse
-    answers only for an image in canonical form, so two histories sent to
-    the same permutation or pair have equal images, and so equal steps and
-    labels: the map is injective, and ``total(n)`` distinct images are all of
-    them.
-    """
-    count = 0
-    ok = True
-    for h, cycles in images(kind, n):
-        count += 1
-        ok = ok and inverse(cycles) == (h.steps, h.labels) and kept(h, cycles)
-    return count, ok and count == total(n)
-
-
-# What a step lets follow it: anything, anything but a V, only a V.
-_FREE, _NO_V, _MUST_V = range(3)
+# What a step lets follow it: anything but a V, anything but a V after it
+# closed a cycle (the history walks only), anything, only a V.
+_NO_V, _CLOSED, _FREE, _MUST_V = range(4)
 # Non-vertical step kinds: height change and what may follow.  H is a plain
 # horizontal step; H+ and H- are horizontal steps that are and are not
 # followed by a V, for weights that tell the two apart.
@@ -252,53 +249,133 @@ def _canonical_cycles(cycles, key=None) -> tuple:
     return tuple(sorted(rotated, key=lambda c: key(c[0]) if key else c[0]))
 
 
-def phi(history: LaguerreHistory) -> Cycles:
-    """History -> permutation: one cycle per horizontal step.
+def _phi_walk(n: int, follow: list | None = None) -> tuple[int, bool, Cycles | None]:
+    """Walk the Laguerre histories of length n depth first, shape and labels
+    together, carrying phi's state with undo: each step of phi runs once per
+    distinct prefix.  ``follow`` (one history's (step, label) pairs, then
+    ("", None)) restricts the walk to that history.
 
-    The H crossing to x = i starts a cycle at i; each following V with label
-    v appends the v-th smallest integer in [i] not used anywhere yet.
+    Returns (count, ok, image).  ``count`` is the number of histories walked.
+    ``ok`` says that each was checked and kept: at each cycle's close the
+    inverse's step ``_phi_inv_cycle``, on the inverse's own state, gives back
+    the segment walked since the last close, and at each leaf the horizontal
+    steps number the cycles.  After a failure the walk goes on counting.
+    ``image`` is the permutation of a followed history, which is not checked.
+
+    phi: the H crossing to x = i starts a cycle at i; each following V with
+    label v appends the v-th smallest integer in [i] not used anywhere yet.
     """
-    labels = iter(history.labels)
     free: list[int] = []  # the unused integers in [x], increasing
-    cycles: list[list[int]] = []
-    x = 0
-    for s in history.steps:
-        if s == "U":
-            x += 1
-            free.append(x)
-        elif s == "H":
-            x += 1
-            cycles.append([x])
-        else:  # a V only follows an H or a V
-            cycles[-1].append(free.pop(next(labels) - 1))
-    return tuple(map(tuple, cycles))
+    cycles: list[list[int]] = []  # the last takes the V steps after its H
+    path: list[str] = []
+    labs: list[int] = []  # the labels of the V steps in ``path``
+    count = 0
+    ok = follow is None
+    image = None
+
+    def node(x, y, after, inv):
+        # inv: the inverse's x and free integers after the last closed cycle,
+        # and where in ``path`` and ``labs`` the segment since then starts
+        nonlocal count, ok, image
+        want = label = None  # the step and label a followed history takes here
+        if follow:
+            want, label = follow[len(path)]
+        if after == _FREE and y and (want is None or want == "V"):
+            cycle = cycles[-1]
+            path.append("V")
+            labs.append(0)
+            for v in range(1, y + 1) if want is None else (label,):
+                cycle.append(free.pop(v - 1))
+                labs[-1] = v
+                node(x, y - 1, _FREE, inv)
+                free.insert(v - 1, cycle.pop())
+            path.pop()
+            labs.pop()
+        if after == _FREE and ok and (x < n or not y):  # the cycle has closed
+            ix, ifree, smark, lmark = inv
+            ifree = ifree[:]
+            steps: list[str] = []
+            labels: list[int] = []
+            ix = _phi_inv_cycle(cycles[-1], ix, n, ifree, steps, labels)
+            ok = ix is not None and steps == path[smark:] and labels == labs[lmark:]
+            inv = ix, ifree, len(path), len(labs)
+        if x == n:
+            if not y:
+                count += 1
+                ok = ok and path.count("H") == len(cycles)
+                if follow:
+                    image = tuple(map(tuple, cycles))
+            return
+        x1 = x + 1
+        if x1 < n and (want is None or want == "U"):
+            free.append(x1)
+            path.append("U")
+            node(x1, y + 1, _NO_V, inv)
+            free.pop()
+            path.pop()
+        if want is None or want == "H":
+            cycles.append([x1])
+            path.append("H")
+            node(x1, y, _FREE, inv)
+            cycles.pop()
+            path.pop()
+
+    node(0, 0, _NO_V, (0, [], 0, 0))
+    return count, ok, image
+
+
+def phi(history: LaguerreHistory) -> Cycles:
+    """History -> permutation: one cycle per horizontal step, by ``_phi_walk``
+    along the history."""
+    steps = history.steps
+    labels = iter(history.labels)
+    follow = [(s, next(labels) if s == "V" else None) for s in steps] + [("", None)]
+    image = _phi_walk(len(steps) - steps.count("V"), follow)[2]
+    if image is None:
+        raise ValueError(f"{history!r} is not a Laguerre history")
+    return image
+
+
+def _phi_inv_cycle(cyc, x: int, n: int, free: list[int], steps: list[str],
+                   labels: list[int]) -> int | None:
+    """One cycle of phi's inverse: append to ``steps`` and ``labels`` the
+    segment of the history that ends with ``cyc``, given that the cycles
+    before it end at maximum x, and return cyc's maximum, its first entry.
+    ``free`` holds the integers below x not yet placed, increasing.  None
+    unless that maximum lies in x+1..n and every other entry is free."""
+    top = cyc[0]
+    if not x < top <= n:  # so ``free`` never outgrows the input
+        return None
+    free.extend(range(x + 1, top))
+    steps.extend("U" * (top - x - 1))
+    steps.append("H")
+    for e in cyc[1:]:
+        if e not in free:  # above top, a maximum, or placed already
+            return None
+        rank = free.index(e)
+        del free[rank]
+        steps.append("V")
+        labels.append(rank + 1)
+    return top
 
 
 def _phi_inv(cycles: Cycles) -> tuple[str, tuple[int, ...]] | None:
-    """(steps, labels) of the history phi sends to ``cycles``: cycle maxima
-    become horizontal steps.  None unless ``cycles`` is a permutation of
-    1..n in canonical form (each cycle starts at its maximum, cycles listed
-    by maximum), tested in the same pass.  The result is not validated:
-    equal to a valid history's (steps, labels), it is that history.
+    """(steps, labels) of the history phi sends to ``cycles``, one
+    ``_phi_inv_cycle`` per cycle: cycle maxima become horizontal steps.  None
+    unless ``cycles`` is a permutation of 1..n in canonical form (each cycle
+    starts at its maximum, cycles listed by maximum), tested in the same
+    pass.  The result is not validated: equal to a valid history's (steps,
+    labels), it is that history.
     """
     n = sum(map(len, cycles))
-    free: list[int] = []  # the integers below x not yet placed, increasing
+    free: list[int] = []
     steps: list[str] = []
     labels: list[int] = []
     x = 0
     for cyc in cycles:
-        top = cyc[0]
-        if not x < top <= n:  # so ``free`` never outgrows the input
+        x = _phi_inv_cycle(cyc, x, n, free, steps, labels)
+        if x is None:
             return None
-        free.extend(range(x + 1, top))
-        steps.append("U" * (top - x - 1) + "H" + "V" * (len(cyc) - 1))
-        x = top
-        for e in cyc[1:]:
-            if e not in free:  # above top, a maximum, or placed already
-                return None
-            rank = free.index(e)
-            del free[rank]
-            labels.append(rank + 1)
     return None if free else ("".join(steps), tuple(labels))
 
 
@@ -313,10 +390,15 @@ def phi_inv(cycles: Cycles) -> LaguerreHistory:
 def laguerre_bijection_check(n: int) -> tuple[int, bool]:
     """(count, ok) over all Laguerre histories of length n: the inverse
     undoes phi, horizontal steps become cycles, and phi is a bijection onto
-    the n! permutations of [n], by ``_round_trip`` through ``_phi_inv``."""
-    return _round_trip("laguerre", n, _phi_inv,
-                       lambda h, cycles: h.horizontal_count() == len(cycles),
-                       math.factorial)
+    the n! permutations of [n], by one ``_phi_walk``.
+
+    The inverse gives back each history, segment by segment, from its
+    image, so phi is injective; n! histories then have n! distinct images,
+    all of them.
+    """
+    _check_cap("laguerre", n)
+    count, ok, _ = _phi_walk(n)
+    return count, ok and count == math.factorial(n)
 
 
 # Step weights at starting height h for ``_peak_free_sum``, as functions of
@@ -379,12 +461,7 @@ class MeixnerHistory:
     def exponents(self) -> tuple[int, int]:
         """(i, j) with weight b^i d^j: U: 1, V: d, unlabeled H: b*d,
         H labeled 0: b, H labeled >= 1: 1."""
-        steps, labels = self.steps, self.labels
-        v = steps.count("V")
-        # U steps carry None, V steps a label >= 1, so only an H carries a 0
-        labeled_h = len(labels) - labels.count(None) - v
-        unlabeled_h = steps.count("H") - labeled_h
-        return unlabeled_h + labels.count(0), v + unlabeled_h
+        return _exponents(self.steps, self.labels)
 
     def weight(self, b: Scalar, d: Scalar) -> Scalar:
         i, j = self.exponents()
@@ -395,6 +472,15 @@ class MeixnerHistory:
         return [[i, lab] for i, lab in enumerate(self.labels) if lab is not None]
 
 
+def _exponents(steps, labels) -> tuple[int, int]:
+    """``MeixnerHistory.exponents`` of aligned steps and labels."""
+    v = steps.count("V")
+    # U steps carry None, V steps a label >= 1, so only an H carries a 0
+    labeled_h = len(labels) - labels.count(None) - v
+    unlabeled_h = steps.count("H") - labeled_h
+    return unlabeled_h + labels.count(0), v + unlabeled_h
+
+
 def enumerate_MH(n: int) -> list[MeixnerHistory]:
     """All Meixner histories of length n, shape-then-label order."""
     return list(_histories("meixner", n))
@@ -402,7 +488,6 @@ def enumerate_MH(n: int) -> list[MeixnerHistory]:
 
 Block = tuple[int, ...]
 Cycle = tuple[Block, ...]
-_UNSEEN, _OPEN, _CLOSED = range(3)  # block states in _psi_inv
 
 
 @dataclass(frozen=True)
@@ -429,117 +514,233 @@ class PartitionCycles:
         return _canonical_cycles(self.cycles, max)
 
 
-def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
-    """History -> (partition, cycles of blocks), weight preserving.
+def _psi_walk(n: int, follow: list | None = None,
+              trace: list | None = None) -> tuple[int, bool, tuple | None]:
+    """Walk the Meixner histories of length n depth first, shape and labels
+    together, carrying psi's state with undo: each step of psi runs once per
+    distinct prefix.  ``follow`` (one history's (step, label) pairs, an H
+    before a V written "H+", then ("", None)) restricts the walk to that
+    history.
 
-    Up steps open singleton blocks; horizontal steps either extend a block
-    (labeled >= 1), close a singleton cycle (unlabeled, no V run), or close
-    a longer cycle from the available blocks picked by the V labels
+    Returns (count, ok, image).  ``count`` is the number of histories walked.
+    ``ok`` says that each was checked and kept: at each cycle's close the
+    inverse's step ``_psi_inv_cycle``, on the inverse's own state, gives back
+    the segment walked since the last close, and at each leaf the history's
+    ``exponents`` are the image's (#cycles, #blocks).  After a failure the
+    walk goes on counting.  ``image`` is the cycles of a followed history,
+    which is not checked.  When ``trace`` is given (with ``follow``), one
+    snapshot of the open blocks is appended per non-vertical step: the pool
+    the step chooses from for cycle-closing steps, the pool after acting
+    for the others.
+
+    psi: up steps open singleton blocks; horizontal steps either extend a
+    block (labeled >= 1), close a singleton cycle (unlabeled, no V run), or
+    close a longer cycle from the open blocks picked by the V labels
     (unlabeled starts the cycle with a fresh block; label 0 seats the new
-    element in an existing block first).
+    element in the first block picked).
 
-    When ``trace`` is given, one snapshot of the available blocks is
-    appended per non-vertical step: the pool the step chooses from for
-    cycle-closing steps, the pool after acting for the others.
+    The inverse needs the block of each element below its cycle's maximum
+    before that block closes, so it reads ``block_of``, psi's running map.
+    A block grows only by the current x, so the map is the image's own,
+    restricted to 1..x; the inverse's step checks each block it closes
+    against the elements it has seated there.
     """
-    steps = history.steps
-    # Blocks not yet consumed by a cycle, by smallest element.  A block opens
-    # at the current x and grows only by the current x, which exceeds all its
+    # Blocks not yet taken by a cycle, by smallest element.  A block opens at
+    # the current x and grows only by the current x, which exceeds all its
     # elements, so the pool and each block stay sorted without re-sorting.
     avail: list[list[int]] = []
-    cycles: list = []  # of cycles, each a sequence of block tuples
-    x = 0
-    for idx, (s, lab) in enumerate(zip(steps, history.labels)):
-        if s == "V":
-            blk = avail.pop(lab - 1)
-            if not cycle:
-                blk.append(x)
-            cycle.append(tuple(blk))
-            continue
-        x += 1
-        if s == "U":
-            avail.append([x])
-        elif steps[idx + 1 : idx + 2] == "V":
-            # closes a cycle from the pool; label 0 seats x in the first
-            # block the V run picks, no label starts with the block (x,)
-            if trace is not None:
+    cycles: list = []  # of cycles, each a sequence of blocks
+    # the smallest element of the block of each element a U or a labeled H
+    # placed, below its cycle's maximum: the map the inverse reads
+    block_of = [0] * (n + 1)
+    path: list[str] = []
+    labs: list[int | None] = []
+    count = 0
+    ok = follow is None
+    image = None
+
+    def node(x, y, after, inv):
+        # inv: the inverse's x, open blocks and their elements after the last
+        # closed cycle, and where in ``path`` the segment since then starts
+        nonlocal count, ok, image
+        want = label = None  # the step and label a followed history takes here
+        if follow:
+            want, label = follow[len(path)]
+            if trace is not None and path and path[-1] != "V":
                 trace.append(tuple(map(tuple, avail)))
-            cycle = [] if lab == 0 else [(x,)]
-            cycles.append(cycle)
-            continue
-        elif lab is None:
-            cycles.append(((x,),))
-        else:
-            avail[lab - 1].append(x)
-        if trace is not None:
-            trace.append(tuple(map(tuple, avail)))
-    if avail:
-        raise AssertionError("unconsumed blocks after a complete history")
-    return PartitionCycles(tuple(map(tuple, cycles)))
+        if after >= _FREE and y and (want is None or want == "V"):
+            cycle = cycles[-1]
+            fresh = not cycle  # after an H labeled 0, x joins the first block
+            path.append("V")
+            labs.append(0)
+            for v in range(1, y + 1) if want is None else (label,):
+                blk = avail.pop(v - 1)
+                if fresh:
+                    blk.append(x)
+                cycle.append(blk)
+                labs[-1] = v
+                node(x, y - 1, _FREE, inv)
+                cycle.pop()
+                if fresh:
+                    blk.pop()
+                avail.insert(v - 1, blk)
+            path.pop()
+            labs.pop()
+        if after == _MUST_V:
+            return
+        if after != _NO_V and ok and (x < n or not y):  # the cycle has closed
+            ix, iavail, seen, mark = inv
+            iavail, seen = iavail[:], seen[:]
+            steps: list[str] = []
+            labels: list[int | None] = []
+            ix = _psi_inv_cycle(cycles[-1], ix, n, block_of, iavail, seen, steps, labels)
+            ok = ix is not None and steps == path[mark:] and labels == labs[mark:]
+            inv = ix, iavail, seen, len(path)
+        if x == n:
+            if not y:
+                count += 1
+                ok = ok and _exponents(path, labs) == (len(cycles), sum(map(len, cycles)))
+                if follow:
+                    image = tuple(tuple(map(tuple, cyc)) for cyc in cycles)
+            return
+        x1 = x + 1
+        path.append("U")
+        labs.append(None)
+        if x1 < n and (want is None or want == "U"):
+            avail.append([x1])
+            block_of[x1] = x1
+            node(x1, y + 1, _NO_V, inv)
+            avail.pop()
+        path[-1] = "H"
+        if (x1 < n or not y) and (want is None or want == "H" and label is None):
+            cycles.append(((x1,),))
+            node(x1, y, _CLOSED, inv)
+            cycles.pop()
+        if y:
+            if x1 < n and (want is None or want == "H" and label):
+                for v in range(1, y + 1) if want is None else (label,):
+                    blk = avail[v - 1]
+                    blk.append(x1)
+                    block_of[x1] = blk[0]
+                    labs[-1] = v
+                    node(x1, y, _NO_V, inv)
+                    blk.pop()
+                labs[-1] = None
+            # an H before a V opens a cycle; the V run closes it
+            if want is None or want == "H+" and label is None:
+                cycles.append([(x1,)])
+                node(x1, y, _MUST_V, inv)
+                cycles.pop()
+            if want is None or want == "H+" and label == 0:
+                labs[-1] = 0
+                cycles.append([])
+                node(x1, y, _MUST_V, inv)
+                cycles.pop()
+        path.pop()
+        labs.pop()
+
+    node(0, 0, _NO_V, (0, [], [None] * (n + 1), 0))
+    return count, ok, image
+
+
+def psi(history: MeixnerHistory, trace: list | None = None) -> PartitionCycles:
+    """History -> (partition, cycles of blocks), weight preserving, by
+    ``_psi_walk`` along the history; ``trace`` as there."""
+    steps = history.steps
+    follow = [("H+" if s == "H" and steps[i + 1:i + 2] == "V" else s, lab)
+              for i, (s, lab) in enumerate(zip(steps, history.labels))] + [("", None)]
+    image = _psi_walk(len(steps) - steps.count("V"), follow, trace)[2]
+    if image is None:
+        raise ValueError(f"{history!r} is not a Meixner history")
+    return PartitionCycles(image)
+
+
+def _psi_inv_cycle(cyc, x: int, n: int, block_of: list[int], avail: list[int],
+                   seen: list, steps: list[str], labels: list) -> int | None:
+    """One cycle of psi's inverse: append to ``steps`` and ``labels`` the
+    segment of the history that ends with ``cyc``, given that the cycles
+    before it end at maximum x, and return cyc's maximum top.
+
+    Each i in x+1..top-1 is a U when it is the smallest element of its block
+    (by ``block_of``), which then opens, else an H labeled by the rank of its
+    open block in ``avail`` (by smallest element); ``seen`` holds the
+    elements seated so far in each open block.  top is an unlabeled H when
+    it is alone in cyc's first block, else an H labeled 0 that joins it.
+    Each block the cycle takes is a V labeled by its rank, and must be open
+    and hold exactly the elements seated there, increasing.  None otherwise.
+    """
+    first = cyc[0]
+    top = max(first)
+    if not x < top <= n:
+        return None
+    for i in range(x + 1, top):
+        k = block_of[i]
+        if k == i:
+            avail.append(i)
+            seen[i] = (i,)
+            steps.append("U")
+            labels.append(None)
+        elif seen[k]:
+            seen[k] += (i,)
+            steps.append("H")
+            labels.append(avail.index(k) + 1)
+        else:  # i's block has closed, or did not open at its smallest element
+            return None
+    steps.append("H")
+    if len(first) == 1:
+        labels.append(None)
+        cyc = cyc[1:]
+    elif seen[first[0]]:
+        seen[first[0]] += (top,)
+        labels.append(0)
+    else:
+        return None
+    for blk in cyc:
+        k = blk[0]
+        if seen[k] != tuple(blk):
+            return None
+        seen[k] = None
+        rank = avail.index(k)
+        del avail[rank]
+        steps.append("V")
+        labels.append(rank + 1)
+    return top
 
 
 def _psi_inv(cycles: tuple[Cycle, ...]) -> tuple[str, tuple[int | None, ...]] | None:
-    """(steps, labels) of the history psi sends to ``cycles``, by the case
-    analysis on each i = 1..n in turn.  None unless ``cycles`` partitions
-    1..n in canonical form (each cycle starts with the block holding its
-    maximum, cycles listed by maximum), tested in the same pass.  The result
-    is not validated: equal to a valid history's (steps, labels), it is that
-    history.
+    """(steps, labels) of the history psi sends to ``cycles``, one
+    ``_psi_inv_cycle`` per cycle.  None unless ``cycles`` partitions 1..n in
+    canonical form (blocks increasing, each cycle starts with the block
+    holding its maximum, cycles listed by maximum), tested in the same pass.
+    The result is not validated: equal to a valid history's (steps, labels),
+    it is that history.
     """
     blocks = [blk for cyc in cycles for blk in cyc]
     n = sum(map(len, blocks))
-    block_of = [-1] * (n + 1)  # element -> index of its block in ``blocks``
-    for k, blk in enumerate(blocks):
+    block_of = [0] * (n + 1)
+    for blk in blocks:
+        if not blk:
+            return None
+        low = min(blk)
         for e in blk:
-            if not 0 < e <= n or block_of[e] >= 0:
+            if not 0 < e <= n or block_of[e]:
                 return None
-            block_of[e] = k
-    # A block opens at its smallest element and waits in ``avail`` (by
-    # smallest element) until its cycle closes; then no element may follow.
-    state = [_UNSEEN] * len(blocks)
+            block_of[e] = low
     avail: list[int] = []
+    seen: list = [None] * (n + 1)
     steps: list[str] = []
     labels: list[int | None] = []
     x = 0
     for cyc in cycles:
-        top = max(cyc[0])
-        if top <= x:
+        x = _psi_inv_cycle(cyc, x, n, block_of, avail, seen, steps, labels)
+        if x is None:
             return None
-        for i in range(x + 1, top):  # below the cycle's maximum: U or a labeled H
-            k = block_of[i]
-            if state[k] == _OPEN:
-                steps.append("H")
-                labels.append(avail.index(k) + 1)
-            elif state[k] == _UNSEEN:
-                state[k] = _OPEN
-                avail.append(k)
-                steps.append("U")
-                labels.append(None)
-            else:  # i is above the maximum of its block's closed cycle
-                return None
-        x = top
-        # top closes its cycle
-        if len(cyc[0]) == 1:
-            labels.append(None)
-            to_take = cyc[1:]
-        else:
-            labels.append(0)
-            to_take = cyc  # r_1 picks the block that receives top itself
-        steps.append("H" + "V" * len(to_take))
-        for blk in to_take:
-            k = block_of[blk[0]]
-            if state[k] != _OPEN:
-                return None
-            state[k] = _CLOSED
-            rank = avail.index(k)
-            del avail[rank]
-            labels.append(rank + 1)
     return None if x < n else ("".join(steps), tuple(labels))
 
 
 def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
     """Inverse of psi, for cycles and blocks in any rotation and order."""
-    found = _psi_inv(pc.canonical())
+    found = _psi_inv(tuple(tuple(tuple(sorted(blk)) for blk in cyc) for cyc in pc.canonical()))
     if found is None:
         raise ValueError("blocks do not partition 1..n")
     return MeixnerHistory(*found)
@@ -548,16 +749,18 @@ def psi_inv(pc: PartitionCycles) -> MeixnerHistory:
 def meixner_bijection_check(n: int) -> tuple[int, bool]:
     """(count, ok) over all Meixner histories of length n: the inverse
     undoes psi, psi keeps the weight, and psi is a bijection onto the
-    Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n].
+    Fubini(n) = sum_j j! S(n, j) partition-cycle pairs of [n], by one
+    ``_psi_walk``.
 
     Weights are compared as their exponent pairs (i, j) of b^i d^j, here
     (#cycles, #blocks) of the image, so they agree at every (b, d).  The
-    rest is ``_round_trip`` through ``_psi_inv``, which reads blocks as
-    sets, so equal images are the same pair.
+    inverse gives back each history, segment by segment, from its image, so
+    psi is injective; Fubini(n) histories then have that many distinct
+    images, all of them.
     """
-    return _round_trip("meixner", n, _psi_inv,
-                       lambda h, cycles: h.exponents() == (len(cycles), sum(map(len, cycles))),
-                       lambda n: sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1)))
+    _check_cap("meixner", n)
+    count, ok, _ = _psi_walk(n)
+    return count, ok and count == sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
 
 
 # Step weights at starting height h for ``_peak_free_sum``, as functions of
@@ -621,19 +824,18 @@ def non_excedance_check(n: int, b: ScalarLike, c: ScalarLike) -> bool:
     _check_length(n)
     b, c = as_scalar(b), as_scalar(c)
     counts: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
+    idx = range(1, n + 1)
+    for perm in itertools.permutations(idx):
         seen = [False] * (n + 1)
         cyc = 0
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cyc += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j - 1]
-        nexc = sum(1 for i in range(1, n + 1) if perm[i - 1] <= i)
-        counts[cyc, nexc] += 1
+        for start in idx:
+            if not seen[start]:
+                cyc += 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j - 1]
+        counts[cyc, sum(map(operator.le, perm, idx))] += 1
     lhs = sum((m * b**k * c**j for (k, j), m in counts.items()), Fraction(0))
     rhs = sum(
         stirling2(n, j) * pochhammer(b, j) * c**j * (1 - c) ** (n - j)

@@ -8,8 +8,10 @@ import pytest
 
 from r1poly.checks import random_laurent_system, random_system
 from r1poly.core import CoeffSystem
-from r1poly.exactmath import Poly, binomial, format_scalar
+from r1poly.exactmath import Poly, binomial, format_scalar, stirling2
 from r1poly.families import hermite_moment
+from r1poly.histories import (LaguerreHistory, MeixnerHistory, PartitionCycles,
+                               enumerate_LH, enumerate_MH)
 
 
 @pytest.fixture
@@ -256,3 +258,171 @@ def ref_chebyshev_weight(n, x, a) -> Fraction:
         return sum(binomial(m + k // 2, k) * (a * x) ** k for k in range(0, n + 1, 2))
     m = (n - 1) // 2
     return sum(binomial(m + (k + 1) // 2, k) * (a * x) ** k for k in range(1, n + 2, 2))
+
+
+# -- the per-history maps, inverses and round trip the shared-prefix history
+# walk replaced, kept as the reference it is tested against
+
+
+def ref_phi(history):
+    """History -> permutation: the H crossing to x = i starts a cycle at i;
+    each following V with label v appends the v-th smallest integer in [i]
+    not used anywhere yet."""
+    labels = iter(history.labels)
+    free = []
+    cycles = []
+    x = 0
+    for s in history.steps:
+        if s == "U":
+            x += 1
+            free.append(x)
+        elif s == "H":
+            x += 1
+            cycles.append([x])
+        else:
+            cycles[-1].append(free.pop(next(labels) - 1))
+    return tuple(map(tuple, cycles))
+
+
+def ref_phi_inv(cycles):
+    """(steps, labels) of the history ref_phi sends to canonical ``cycles``,
+    else None."""
+    n = sum(map(len, cycles))
+    free = []
+    steps = []
+    labels = []
+    x = 0
+    for cyc in cycles:
+        top = cyc[0]
+        if not x < top <= n:
+            return None
+        free.extend(range(x + 1, top))
+        steps.append("U" * (top - x - 1) + "H" + "V" * (len(cyc) - 1))
+        x = top
+        for e in cyc[1:]:
+            if e not in free:
+                return None
+            rank = free.index(e)
+            del free[rank]
+            labels.append(rank + 1)
+    return None if free else ("".join(steps), tuple(labels))
+
+
+def ref_psi(history, trace=None):
+    """History -> PartitionCycles, with one snapshot of the open blocks per
+    non-vertical step in ``trace``."""
+    steps = history.steps
+    avail = []
+    cycles = []
+    x = 0
+    for idx, (s, lab) in enumerate(zip(steps, history.labels)):
+        if s == "V":
+            blk = avail.pop(lab - 1)
+            if not cycle:
+                blk.append(x)
+            cycle.append(tuple(blk))
+            continue
+        x += 1
+        if s == "U":
+            avail.append([x])
+        elif steps[idx + 1 : idx + 2] == "V":
+            if trace is not None:
+                trace.append(tuple(map(tuple, avail)))
+            cycle = [] if lab == 0 else [(x,)]
+            cycles.append(cycle)
+            continue
+        elif lab is None:
+            cycles.append(((x,),))
+        else:
+            avail[lab - 1].append(x)
+        if trace is not None:
+            trace.append(tuple(map(tuple, avail)))
+    assert not avail
+    return PartitionCycles(tuple(map(tuple, cycles)))
+
+
+def ref_psi_inv(cycles):
+    """(steps, labels) of the history ref_psi sends to canonical ``cycles``
+    (blocks in any order), else None."""
+    unseen, opened, closed = range(3)
+    blocks = [blk for cyc in cycles for blk in cyc]
+    n = sum(map(len, blocks))
+    block_of = [-1] * (n + 1)
+    for k, blk in enumerate(blocks):
+        for e in blk:
+            if not 0 < e <= n or block_of[e] >= 0:
+                return None
+            block_of[e] = k
+    state = [unseen] * len(blocks)
+    avail = []
+    steps = []
+    labels = []
+    x = 0
+    for cyc in cycles:
+        top = max(cyc[0])
+        if top <= x:
+            return None
+        for i in range(x + 1, top):
+            k = block_of[i]
+            if state[k] == opened:
+                steps.append("H")
+                labels.append(avail.index(k) + 1)
+            elif state[k] == unseen:
+                state[k] = opened
+                avail.append(k)
+                steps.append("U")
+                labels.append(None)
+            else:
+                return None
+        x = top
+        if len(cyc[0]) == 1:
+            labels.append(None)
+            to_take = cyc[1:]
+        else:
+            labels.append(0)
+            to_take = cyc
+        steps.append("H" + "V" * len(to_take))
+        for blk in to_take:
+            k = block_of[blk[0]]
+            if state[k] != opened:
+                return None
+            state[k] = closed
+            rank = avail.index(k)
+            del avail[rank]
+            labels.append(rank + 1)
+    return None if x < n else ("".join(steps), tuple(labels))
+
+
+def ref_round_trip(kind, n):
+    """(count, ok) of a bijection check, history by history: the inverse of
+    every image gives back the history, the map keeps the statistic, and
+    there are n! (Laguerre) or Fubini(n) (Meixner) histories."""
+    count = 0
+    ok = True
+    if kind == "laguerre":
+        for h in enumerate_LH(n):
+            cycles = ref_phi(h)
+            count += 1
+            ok = ok and ref_phi_inv(cycles) == (h.steps, h.labels) and (
+                h.horizontal_count() == len(cycles))
+        return count, ok and count == math.factorial(n)
+    for h in enumerate_MH(n):
+        cycles = ref_psi(h).cycles
+        count += 1
+        ok = ok and ref_psi_inv(cycles) == (h.steps, h.labels) and (
+            h.exponents() == (len(cycles), sum(map(len, cycles))))
+    return count, ok and count == sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
+
+
+@contextlib.contextmanager
+def no_history_objects():
+    """The history enumerator and the LaguerreHistory and MeixnerHistory
+    constructors fail inside: the code run there must build no history."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a history object was built")
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch("r1poly.histories._histories", fail))
+        for cls in (LaguerreHistory, MeixnerHistory):
+            stack.enter_context(mock.patch.object(cls, "__init__", fail))
+        yield

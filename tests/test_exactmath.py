@@ -385,6 +385,17 @@ def test_sympoly_display_and_zero_pruning():
         SymPoly({(("b", 0), ("x", 1)): 1})
 
 
+@given(st.integers(-10**30, 10**30) | fractions | st.integers(-50, 50).map(lambda p: Fraction(p, 1))
+       | st.sampled_from([0, Fraction(0)]))
+def test_sympoly_const_matches_the_general_constructor(c):
+    fast, general = SymPoly.const(c), SymPoly({(): c})
+    assert fast == general and hash(fast) == hash(general) and fast._deg == general._deg == 0
+    assert [(k, type(v), v) for k, v in fast._terms.items()] == [
+        (k, type(v), v) for k, v in general._terms.items()]
+    with pytest.raises(TypeError):
+        SymPoly.const(0.5)
+
+
 symbols = st.sampled_from(
     [SymPoly.b(0), SymPoly.b(1), SymPoly.a(1), SymPoly.a(2), SymPoly.lam(1)]
 )

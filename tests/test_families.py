@@ -119,6 +119,14 @@ def test_glue_shift_check_reports_a_form_off_by_a_constant(fam):
 
 
 @pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
+def test_glue_shift_reports_are_the_per_n_checks(fam):
+    broken = dataclasses.replace(fam, hyp=lambda n: fam.hyp_poly(n) + 1)
+    for f in (fam, broken):
+        assert families.glue_shift_reports(f, range(5), order=8) == [
+            glue_shift_check(f, n, order=8) for n in range(5)]
+
+
+@pytest.mark.parametrize("fam", GLUE_FAMILIES, ids=lambda f: f.name + repr(sorted(f.params.items())))
 def test_family_series_equality(fam):
     report = glue_shift_check(fam, 2, order=8)
     if report.series_match is None:

@@ -26,6 +26,9 @@ from r1poly.histories import (
 )
 from r1poly.paths import enumerate_paths
 
+from conftest import (no_history_objects, ref_phi, ref_phi_inv, ref_psi, ref_psi_inv,
+                      ref_round_trip)
+
 FIG_LAGUERRE = LaguerreHistory("UUUHVVUUUHHVVHUHHVVV", (2, 2, 4, 1, 1, 2, 1))
 FIG_LAGUERRE_IMAGE = ((4, 2, 3), (8,), (9, 7, 1), (10,), (12,), (13, 5, 11, 6))
 
@@ -91,14 +94,23 @@ def test_phi_bijective_with_statistic():
         assert laguerre_bijection_check(n) == (math.factorial(n), True)
 
 
+def _lone_h(*h_label):
+    """A broken inverse cycle step: every cycle reads as one H, with the
+    labels ``h_label`` (none for phi, None for psi)."""
+    def step(cyc, x, *state_and_out):
+        steps, labels = state_and_out[-2:]
+        steps.append("H")
+        labels.extend(h_label)
+        return x + 1
+    return step
+
+
 def test_bijection_checks_report_a_broken_inverse(monkeypatch):
-    # the checks invert through the private inverses, which return
-    # (steps, labels); these fakes always answer the worked examples
-    monkeypatch.setattr(histories_module, "_phi_inv",
-                        lambda cycles: (FIG_LAGUERRE.steps, FIG_LAGUERRE.labels))
+    # the walks invert each closed cycle through the private cycle steps;
+    # with these fakes only the all-H history comes back
+    monkeypatch.setattr(histories_module, "_phi_inv_cycle", _lone_h())
     assert laguerre_bijection_check(3) == (6, False)
-    monkeypatch.setattr(histories_module, "_psi_inv",
-                        lambda cycles: (FIG_MEIXNER.steps, FIG_MEIXNER.labels))
+    monkeypatch.setattr(histories_module, "_psi_inv_cycle", _lone_h(None))
     assert meixner_bijection_check(3) == (13, False)
 
 
@@ -348,38 +360,94 @@ def test_private_inverses_answer_only_canonical_images():
         psi_inv(PartitionCycles((((1,), (1,)),)))
 
 
-def _rotated_psi(h):
-    return PartitionCycles(tuple(c[1:] + c[:1] for c in psi(h).cycles))
+def _fed(step, change):
+    """The inverse cycle step fed ``change(cycle)`` for each closed cycle: a
+    map whose image the walk hands on changed."""
+    return lambda cyc, *rest: step(change(cyc), *rest)
 
 
-def _rotated_phi(h):
-    return tuple(c[1:] + c[:1] for c in phi(h))
-
-
-def _colliding(fn, n, enumerate_):
-    first, second = enumerate_(n)[:2]
-    return lambda h: fn(first if h == second else h)
+# Two n = 3 histories sent to one image: UUHVV with V labels (2, 1) where
+# (1, 1) goes, and UHVH with its first H labeled 0 where the unlabeled goes.
+_COLLIDE = {"_phi_inv_cycle": ([3, 2, 1], [3, 1, 2]),
+            "_psi_inv_cycle": ([(1, 2)], [(2,), (1,)])}
 
 
 @pytest.mark.parametrize("broken", ["rotated", "colliding"])
 def test_bijection_checks_report_a_broken_map(monkeypatch, broken):
-    if broken == "rotated":
-        fake_phi, fake_psi = _rotated_phi, _rotated_psi
-    else:
-        fake_phi = _colliding(phi, 3, enumerate_LH)
-        fake_psi = _colliding(psi, 3, enumerate_MH)
-    monkeypatch.setattr(histories_module, "phi", fake_phi)
-    assert laguerre_bijection_check(3) == (6, False)
-    monkeypatch.setattr(histories_module, "psi", fake_psi)
-    assert meixner_bijection_check(3) == (13, False)
+    for name, check, want in (("_phi_inv_cycle", laguerre_bijection_check, (6, False)),
+                              ("_psi_inv_cycle", meixner_bijection_check, (13, False))):
+        if broken == "rotated":
+            change = lambda cyc: cyc[1:] + cyc[:1]
+        else:
+            old, new = _COLLIDE[name]
+            change = lambda cyc, old=old, new=new: new if [
+                c if type(c) is int else tuple(c) for c in cyc] == old else cyc
+        assert check(3)[1]
+        monkeypatch.setattr(histories_module, name,
+                            _fed(getattr(histories_module, name), change))
+        assert check(3) == want
 
 
 def test_bijection_checks_report_a_lost_history(monkeypatch):
-    real = histories_module._histories
-    monkeypatch.setattr(histories_module, "_histories",
-                        lambda kind, n: iter(list(real(kind, n))[1:]))
+    # a walk that misses one leaf counts one history short of n! or Fubini(n)
+    for name in ("_phi_walk", "_psi_walk"):
+        real = getattr(histories_module, name)
+        monkeypatch.setattr(histories_module, name,
+                            lambda n, real=real: (lambda count, ok, image: (count - 1, ok, image))(*real(n)))
     assert laguerre_bijection_check(3) == (5, False)
     assert meixner_bijection_check(3) == (12, False)
+
+
+def test_bijection_checks_match_the_per_history_round_trip():
+    for n in range(8):
+        assert laguerre_bijection_check(n) == ref_round_trip("laguerre", n)
+    for n in range(7):
+        assert meixner_bijection_check(n) == ref_round_trip("meixner", n)
+
+
+def test_maps_and_inverses_match_the_per_history_reference():
+    for n in range(8):
+        for h in enumerate_LH(n):
+            img = phi(h)
+            assert img == ref_phi(h)
+            assert histories_module._phi_inv(img) == ref_phi_inv(img) == (h.steps, h.labels)
+            assert phi_inv(img) == h
+    for n in range(7):
+        for h in enumerate_MH(n):
+            trace, ref_trace = [], []
+            pc = psi(h, trace=trace)
+            assert pc == ref_psi(h, trace=ref_trace) and trace == ref_trace
+            assert histories_module._psi_inv(pc.cycles) == ref_psi_inv(pc.cycles) == (h.steps, h.labels)
+            assert psi_inv(pc) == h
+
+
+def test_bijection_checks_build_no_history():
+    with no_history_objects():
+        assert laguerre_bijection_check(5) == (120, True)
+        assert meixner_bijection_check(5) == (541, True)
+        with pytest.raises(AssertionError, match="history object"):
+            enumerate_LH(2)
+
+
+_cycles_input = st.lists(st.lists(st.integers(-1, 7), min_size=0, max_size=4), max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cycles_input, st.lists(_cycles_input, max_size=3))
+def test_private_inverses_match_the_reference_on_any_input(perm, blocks):
+    # any tuple of tuples, canonical or not: the cycle-step folds answer as
+    # the per-history inverses did (the Meixner one on increasing blocks)
+    perm = tuple(map(tuple, perm))
+    try:
+        want = ref_phi_inv(perm)
+    except IndexError:  # an empty cycle
+        with pytest.raises(IndexError):
+            histories_module._phi_inv(perm)
+    else:
+        assert histories_module._phi_inv(perm) == want
+    pc = tuple(tuple(tuple(sorted(set(b))) for b in cyc) for cyc in blocks)
+    if all(cyc and all(cyc) for cyc in pc):
+        assert histories_module._psi_inv(pc) == ref_psi_inv(pc)
 
 
 def test_exponents_count_the_step_weights():
