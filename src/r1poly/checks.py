@@ -94,8 +94,7 @@ def _suite_orthogonality(rng: random.Random):
                     want *= cs.a(i)
                 ok = ok and L_eval(VElem(P(n, cs) * P(m, cs), m, cs)) == want
         yield f"L(P_n Q_m) = a_(m+1)..a_n (system {t})", ok
-        ws = paths.WeightSystem(cs)
-        dp = [paths.weight_sum((0, 0), (n, 0), ws) for n in range(11)]
+        dp = [row[0] for row in paths.column_sums((0, 0), range(11), (0,), paths.WeightSystem(cs))]
         rec = [mu(n, cs) for n in range(11)]
         cf = cf_series(cs, 10)
         yield f"three-way moments mu_0..mu_10 (system {t})", (
@@ -103,13 +102,15 @@ def _suite_orthogonality(rng: random.Random):
         )
     cs = random_system(rng)
     ws = paths.WeightSystem(cs)
+    sums = [paths.column_sums((0, m), range(5), range(5), ws) for m in range(5)]
     ok = all(
-        core.mu_nml(n, m, l, cs) == paths.weight_sum((0, m), (n, l), ws)
+        core.mu_nml(n, m, l, cs) == sums[m][n][l]
         for n, m, l in itertools.product(range(5), repeat=3)
     )
     yield "L(x^n P_m Q_l) = path sum, n,m,l <= 4", ok
+    sums = [paths.rho_sums(m, range(5), range(5), ws) for m in range(5)]
     ok = all(
-        core.rho(n, m, l, cs) == paths.rho_sum(n, m, l, ws)
+        core.rho(n, m, l, cs) == sums[m][n][l]
         for n, m, l in itertools.product(range(5), repeat=3)
     )
     yield "L(x^n P_m P_l) = restricted path sum, n,m,l <= 4", ok
@@ -139,11 +140,13 @@ def _suite_orthogonality(rng: random.Random):
         ok = ok and lhs == rhs
     yield "inverted-system F equals L after x -> 1/x", ok
     wsl, wsi = paths.WeightSystem(lcs), paths.WeightSystem(inv)
+    lsums = [paths.column_sums((0, m), range(5), range(5), wsl) for m in range(5)]
     ok = True
     for n, m, l in itertools.product(range(5), repeat=3):
-        if core.mu_nml(n, m, l, lcs) != paths.weight_sum((0, m), (n, l), wsl):
+        if core.mu_nml(n, m, l, lcs) != lsums[m][n][l]:
             ok = False
     yield "Laurent path identity (no diagonal steps)", ok
+    isums = [paths.column_sums((0, m), range(5), range(5), wsi) for m in range(5)]
     ok = True
     for n, m, l in itertools.product(range(5), repeat=3):
         scale = Fraction(1)
@@ -155,7 +158,7 @@ def _suite_orthogonality(rng: random.Random):
             pref *= inv.a(i)
         for i in range(1, m + 1):
             pref /= lcs.a(i)
-        if lhs != pref * paths.weight_sum((0, m), (n, l), wsi):
+        if lhs != pref * isums[m][n][l]:
             ok = False
     yield "negative-power identity with inverted weights", ok
 
@@ -219,21 +222,18 @@ def _suite_bounded(rng: random.Random):
     ones = CoeffSystem(lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1))
     ws = paths.WeightSystem(ones)
     yield "unit-weight DP matches counts", [
-        paths.weight_sum((0, 0), (n, 0), ws) for n in range(6)
+        row[0] for row in paths.column_sums((0, 0), range(6), (0,), ws)
     ] == counts
     cs = random_system(rng)
     ws = paths.WeightSystem(cs)
     ok = True
     for k in range(5):
         for r in range(k + 1):
+            sums = paths.column_sums((0, r), range(13), range(k + 1), ws, max_height=k)
             for s in range(k + 1):
                 num, den, pre = paths.bounded_gf(r, s, k, cs)
                 gf = series_from_rational(num * pre, den, 12)
-                dp = Series(
-                    [paths.weight_sum((0, r), (n, s), ws, max_height=k) for n in range(13)],
-                    12,
-                )
-                ok = ok and gf == dp
+                ok = ok and gf == Series([row[s] for row in sums], 12)
     yield "bounded GF = height-capped DP, k<=4, order 12", ok
     ok = True
     for k in range(6):
@@ -241,12 +241,11 @@ def _suite_bounded(rng: random.Random):
         n2, d2 = paths.finite_cf_rational(k, cs)
         ok = ok and num * pre * d2 == n2 * den
     yield "finite continued fraction = bounded GF", ok
-    ok = True
-    for n in range(8):
-        cap = n + 1
-        ok = ok and paths.weight_sum((0, 0), (n, 0), ws, max_height=cap) == paths.weight_sum(
-            (0, 0), (n, 0), ws
-        )
+    uncapped = paths.column_sums((0, 0), range(8), (0,), ws)
+    ok = all(
+        paths.weight_sum((0, 0), (n, 0), ws, max_height=n + 1) == uncapped[n][0]
+        for n in range(8)
+    )
     yield "high caps change nothing", ok
     schroeder = [1, 2, 6, 22, 90, 394]
     got = [
@@ -359,7 +358,7 @@ def _suite_families(rng: random.Random):
         for n in range(9))
     yield "two-sided moment series identity", families.genthm_check(a, 8)
     yield "Hermite linearization n,m<=4", all(
-        families.hermite_linearization_check(n, m, a) for n in range(5) for m in range(5))
+        families.hermite_linearization_checks(itertools.product(range(5), repeat=2), a))
 
 
 def _suite_histories(rng: random.Random):

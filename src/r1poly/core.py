@@ -861,19 +861,20 @@ def L_eval(v: VElem) -> Scalar:
     """Evaluate the unique functional L on an element of V.
 
     L(p / d_m) = sum_k p_k nu_{k,m}, a dot product with column m of the
-    nu table of the system that owns v, over p's numerators and divided by
-    its denominator once.  Every a_i, i <= m, is checked first; the top term
-    is read first, so one fill makes the column prefix the others read."""
+    nu table of the system that owns v.  Every a_i, i <= m, is checked
+    first; the nu values are read top term first, so one fill makes the
+    column prefix the others read.  With q the lcm of their denominators,
+    the sum is the integer sum of c_k num_k (q / den_k) over p's numerators
+    c_k, divided by q and p's denominator in one Fraction at the end."""
     cs, m = v.owner, v.denom_index
     for i in range(1, m + 1):
         cs.a_nonzero(i)
     nu_t = cs.nu_table()
     nums = v.numerator.numerators
-    total = Fraction(0)
-    for k in range(len(nums) - 1, -1, -1):
-        if nums[k]:
-            total += nums[k] * nu_t.value(k, m)
-    return total / v.numerator.denominator
+    terms = [(nums[k], nu_t.value(k, m)) for k in range(len(nums) - 1, -1, -1) if nums[k]]
+    q = math.lcm(*(nu.denominator for _, nu in terms))
+    total = sum(c * nu.numerator * (q // nu.denominator) for c, nu in terms)
+    return Fraction(total, q * v.numerator.denominator)
 
 
 def mu_nml(n: int, m: int, ell: int, cs: CoeffSystem) -> Scalar:

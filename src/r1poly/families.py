@@ -32,6 +32,7 @@ the (1 + a x)^s factor.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -421,6 +422,7 @@ def askey_wilson(
     if b == 0 or a == 0:
         raise FamilyParamError("degenerate parameters: a and b must be nonzero")
 
+    @functools.cache  # a and lam both read it
     def lamP(n):
         return ((1 - q**n) * (1 - a * c * q ** (n - 1)) * (1 - a * d * q ** (n - 1))
                 * (1 - c * d * q ** (n - 1))) / (
@@ -464,6 +466,7 @@ def q_racah(
     if N < 1:
         raise FamilyParamError("q_racah needs N >= 1")
 
+    @functools.cache  # a and lam both read it
     def lamP(n):
         return (d * q ** (1 - 2 * n) * (1 - q**n) * (1 - c * q**n)
                 * (1 - q ** (N - n + 1)) * (1 - d * q ** (N - n + 1))) / (
@@ -627,19 +630,27 @@ def hermite_linearization_check(n: int, m: int, a: ScalarLike = Fraction(2, 3)) 
     basis P_k through the functional, c_k = L(p (Q_k - a_{k+1} Q_{k+1})),
     which must have degree n + m, a nonzero top coefficient, and sum back
     to H_n H_m."""
+    return hermite_linearization_checks([(n, m)], a)[0]
+
+
+def hermite_linearization_checks(pairs, a: ScalarLike = Fraction(2, 3)) -> list[bool]:
+    """``hermite_linearization_check`` for each (n, m) in ``pairs``, on one
+    built system, so its P rows and nu table serve every pair."""
     a = as_scalar(a)
     cs = r1_hermite(a).build()
-    lhs = P(n, cs) * P(m, cs)
-    rhs = sum((Poly.linear(a, 1) ** s * P(n + m - 2 * s, cs)
-               * (binomial(n, s) * binomial(m, s) * math.factorial(s))
-               for s in range(min(n, m) + 1)), Poly())
-    if lhs != rhs:
-        return False
-    if a == 0:
-        return True
-    c = expand_in_P(lhs, cs)
-    back = sum((P(k, cs) * c_k for k, c_k in enumerate(c)), Poly())
-    return len(c) == n + m + 1 and c[-1] != 0 and back == lhs
+    out = []
+    for n, m in pairs:
+        lhs = P(n, cs) * P(m, cs)
+        rhs = sum((Poly.linear(a, 1) ** s * P(n + m - 2 * s, cs)
+                   * (binomial(n, s) * binomial(m, s) * math.factorial(s))
+                   for s in range(min(n, m) + 1)), Poly())
+        ok = lhs == rhs
+        if ok and a != 0:
+            c = expand_in_P(lhs, cs)
+            back = sum((P(k, cs) * c_k for k, c_k in enumerate(c)), Poly())
+            ok = len(c) == n + m + 1 and c[-1] != 0 and back == lhs
+        out.append(ok)
+    return out
 
 
 # -- gluing checks -------------------------------------------------------

@@ -14,8 +14,11 @@ paid for by a U and heights stay nonnegative.
 ``weight_sum`` is the column dynamic program of ``core.PathColumns``, the
 same walk the mu-grid is filled by (no explicit enumeration): within a
 column the V contribution flows downward, so heights are processed top to
-bottom.  ``enumerate_paths`` is the brute-force oracle, ordered by step
-kind U < H < V < D at every position.  Weights come from the ring of the
+bottom.  ``column_sums`` reads many endpoints off one such walk: column x
+of a walk does not depend on how far the walk later goes, and each value
+read is exact, so every sum it returns is the one ``weight_sum`` gives
+for that endpoint.  ``enumerate_paths`` is the brute-force oracle, ordered
+by step kind U < H < V < D at every position.  Weights come from the ring of the
 coefficient system behind a ``WeightSystem``: rationals, or the indexed
 symbols themselves for ``symbolic_weights()``.  A rational walk runs over
 integers scaled by D^((x - x0) - (y - y0)), D the lcm of the denominators
@@ -168,6 +171,30 @@ def enumerate_paths(
     return out
 
 
+def column_sums(start: Point, xs, heights, ws: WeightSystem,
+                max_height: int | None = None) -> list[list]:
+    """Path sums from start to (x, y) for each x in ``xs`` and y in
+    ``heights``, as one row per x, off one ``PathColumns`` walk.
+
+    ``xs`` must increase from the start's column; each sum is the one
+    ``weight_sum(start, (x, y), ws, max_height)`` gives, so a start or a
+    height above the cap reads zero.
+    """
+    if start[1] < 0 or any(y < 0 for y in heights):
+        raise ValueError("heights must be >= 0")
+    if max_height is not None and start[1] > max_height:
+        return [[ws.zero] * len(heights) for _ in xs]
+    walk = PathColumns(ws.cs, start, max_height)
+    rows = []
+    for x in xs:
+        if x < walk.x:
+            raise ValueError("columns must increase from the start's column")
+        while walk.x < x:
+            walk.advance()
+        rows.append([walk.value(y) for y in heights])
+    return rows
+
+
 def weight_sum(
     start: Point,
     end: Point,
@@ -187,24 +214,13 @@ def weight_sum(
         raise ValueError("endpoints must have height >= 0")
     if x1 < x0 or (max_height is not None and (y0 > max_height or y1 > max_height)):
         return ws.zero
-    walk = PathColumns(ws.cs, start, max_height)
-    for _ in range(x1 - x0):
-        walk.advance()
-    return walk.value(y1)
+    return column_sums(start, (x1,), (y1,), ws, max_height)[0][0]
 
 
-def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):
-    """Weighted paths (0,m) -> (n+ell, 0) whose final ell steps are V or D.
-
-    Such a suffix descends heights ell..1; a D at height h advances x while a
-    V does not, so the suffix contributions are the coefficients of
-    prod_{h=1..ell} (a_h + lam_h z), graded by the number of D steps.  The
-    suffix with j D steps starts at (n + ell - j, ell), so one
-    ``PathColumns`` walk from (0, m), read at height ell in columns
-    n..n+ell, gives every prefix sum.
-    """
-    if n < 0 or m < 0 or ell < 0:
-        raise ValueError("indices must be >= 0")
+def _rho_suffix(ell: int, ws: WeightSystem) -> list:
+    """The coefficients of prod_{h=1..ell} (a_h + lam_h z), graded by z: the
+    weights of the descents from height ell to 0 by V and D steps, by their
+    number of D steps.  Read from h = ell down."""
     suffix = [ws.one]
     for h in range(ell, 0, -1):
         v, d = ws.step_weight("V", h), ws.step_weight("D", h)
@@ -213,17 +229,42 @@ def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):
             nxt[j] = nxt[j] + c * v
             nxt[j + 1] = nxt[j + 1] + c * d
         suffix = nxt
-    walk = PathColumns(ws.cs, (0, m))
-    for _ in range(n):
-        walk.advance()
-    prefix = [walk.value(ell)]  # prefix[i]: the sum to (n + i, ell)
-    for _ in range(ell):
-        walk.advance()
-        prefix.append(walk.value(ell))
-    total = ws.zero
-    for j, c in enumerate(suffix):
-        total = total + c * prefix[ell - j]
-    return total
+    return suffix
+
+
+def rho_sums(m: int, ns, ells, ws: WeightSystem) -> list[list]:
+    """``rho_sum(n, m, ell, ws)`` for each n in ``ns`` (increasing) and ell in
+    ``ells``, as one row per n: each suffix once, then one ``column_sums``
+    walk from (0, m) read at the heights ``ells``."""
+    ells = list(ells)
+    suffixes = [_rho_suffix(ell, ws) for ell in ells]
+    xs = sorted({n + j for n in ns for j in range(max(ells) + 1)})
+    at = dict(zip(xs, column_sums((0, m), xs, ells, ws)))
+    rows = []
+    for n in ns:
+        row = []
+        for i, (ell, suffix) in enumerate(zip(ells, suffixes)):
+            total = ws.zero
+            for j, c in enumerate(suffix):
+                total = total + c * at[n + ell - j][i]
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def rho_sum(n: int, m: int, ell: int, ws: WeightSystem):
+    """Weighted paths (0,m) -> (n+ell, 0) whose final ell steps are V or D.
+
+    Such a suffix descends heights ell..1; a D at height h advances x while a
+    V does not, so the suffix contributions are the coefficients of
+    prod_{h=1..ell} (a_h + lam_h z) (``_rho_suffix``), graded by the number
+    of D steps.  The suffix with j D steps starts at (n + ell - j, ell), so
+    one ``PathColumns`` walk from (0, m), read at height ell in columns
+    n..n+ell, gives every prefix sum (``rho_sums``).
+    """
+    if n < 0 or m < 0 or ell < 0:
+        raise ValueError("indices must be >= 0")
+    return rho_sums(m, (n,), (ell,), ws)[0][0]
 
 
 def bounded_gf(r: int, s: int, k: int, cs: CoeffSystem) -> tuple[Poly, Poly, Poly]:

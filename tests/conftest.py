@@ -1,17 +1,23 @@
 import contextlib
+import itertools
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
+from r1poly import core
 from r1poly.checks import random_laurent_system, random_system
 from r1poly.core import CoeffSystem
 from r1poly.exactmath import Poly, binomial, format_scalar, stirling2
 from r1poly.families import hermite_moment
 from r1poly.histories import (LaguerreHistory, MeixnerHistory, PartitionCycles,
                                enumerate_LH, enumerate_MH)
+from r1poly.paths import weight_sum
 
 
 @pytest.fixture
@@ -34,6 +40,25 @@ def ones():
     return CoeffSystem(
         lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1), name="ones"
     )
+
+
+# -- random tables for Hypothesis, and the gate that sends walks past SCALED_MAX_BITS
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def tables(draw, depth):
+    """The lists of a random table: b, a (nonzero) and lam, ``depth`` each."""
+    return tuple(draw(st.lists(kind, min_size=depth, max_size=depth))
+                 for kind in (small, nonzero, small))
+
+
+def gate_at_zero(on: bool):
+    """With ``on``, the gate at 0 bits: a rational walk leaves the scaled
+    integers at its first fractional coefficient (``core.SCALED_MAX_BITS``)."""
+    return mock.patch.object(core, "SCALED_MAX_BITS", 0) if on else contextlib.nullcontext()
 
 
 # -- the plain Fraction references the integer-row fast paths are tested against
@@ -414,6 +439,26 @@ def ref_round_trip(kind, n):
     return count, ok and count == sum(math.factorial(j) * stirling2(n, j) for j in range(n + 1))
 
 
+def ref_cycle_non_excedance_counts(n):
+    """counts[cycles, non-excedances] over the permutations of [n], by brute
+    force: every permutation from ``itertools.permutations``, its cycles by
+    a scan."""
+    counts = Counter()
+    idx = range(1, n + 1)
+    for perm in itertools.permutations(idx):
+        seen = [False] * (n + 1)
+        cycles = 0
+        for start in idx:
+            if not seen[start]:
+                cycles += 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j - 1]
+        counts[cycles, sum(map(operator.le, perm, idx))] += 1
+    return counts
+
+
 @contextlib.contextmanager
 def no_history_objects():
     """The history enumerator and the LaguerreHistory and MeixnerHistory
@@ -426,3 +471,44 @@ def no_history_objects():
         for cls in (LaguerreHistory, MeixnerHistory):
             stack.enter_context(mock.patch.object(cls, "__init__", fail))
         yield
+
+
+# -- the per-endpoint forms the verify readers replace
+
+
+def ref_column_sums(start, xs, heights, ws, max_height=None):
+    """``paths.column_sums`` by one ``weight_sum`` walk per endpoint."""
+    return [[weight_sum(start, (x, y), ws, max_height) for y in heights] for x in xs]
+
+
+def ref_rho_sum(n, m, ell, ws):
+    """``paths.rho_sum`` one endpoint at a time: prod_{h=1..ell} (a_h + lam_h z)
+    expanded here, and the prefix to (n + ell - j, ell) of the suffix with j
+    D steps by its own ``weight_sum`` walk."""
+    suffix = [ws.one]
+    for h in range(ell, 0, -1):
+        v, d = ws.step_weight("V", h), ws.step_weight("D", h)
+        nxt = [ws.zero] * (len(suffix) + 1)
+        for j, c in enumerate(suffix):
+            nxt[j] = nxt[j] + c * v
+            nxt[j + 1] = nxt[j + 1] + c * d
+        suffix = nxt
+    total = ws.zero
+    for j, c in enumerate(suffix):
+        total = total + c * weight_sum((0, m), (n + ell - j, ell), ws)
+    return total
+
+
+def fraction_L_eval(v):
+    """``core.L_eval`` summed term by term over Fraction, top term first,
+    after the same a_i checks."""
+    cs, m = v.owner, v.denom_index
+    for i in range(1, m + 1):
+        cs.a_nonzero(i)
+    nu_t = cs.nu_table()
+    nums = v.numerator.numerators
+    total = Fraction(0)
+    for k in range(len(nums) - 1, -1, -1):
+        if nums[k]:
+            total += nums[k] * nu_t.value(k, m)
+    return total / v.numerator.denominator

@@ -10,6 +10,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import r1poly
 from r1poly import checks, core, families
@@ -48,7 +50,7 @@ from r1poly.core import (
 from r1poly.exactmath import Poly, Series, SymPoly, poly_divrem
 from r1poly.paths import WeightSystem, bounded_gf, enumerate_paths, rho_sum, weight_sum
 
-from conftest import no_poly_fractions
+from conftest import fraction_L_eval, gate_at_zero, no_poly_fractions, small, tables
 
 
 def test_P_base_cases(ones):
@@ -214,6 +216,52 @@ def test_L_eval_matches_the_decomposition_on_a_laurent_system(laurent_system, rn
 def test_L_eval_matches_the_decomposition_past_the_gate(rng):
     cs = families.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
     _assert_L_matches_reference(cs, rng, max_m=10)
+
+
+def L_outcome(evaluate, v):
+    """The value, or the type and message of the named error raised."""
+    try:
+        return evaluate(v)
+    except (CoeffError, DegeneracyError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(14), st.booleans(), st.integers(0, 6), st.lists(small, max_size=12))
+def test_L_eval_is_the_fraction_sum(lists, gated, m, coeffs):
+    """One integer dot product gives the Fraction the term-by-term sum
+    gives, on a zero numerator too, past the gate, and the same named
+    degeneracy where the system has one."""
+    with gate_at_zero(gated):
+        got, want = (L_outcome(evaluate, VElem(Poly(coeffs), m, CoeffSystem.from_lists(*lists)))
+                     for evaluate in (L_eval, fraction_L_eval))
+    assert got == want
+    if not isinstance(got, tuple):
+        assert type(got) is Fraction
+
+
+def test_L_eval_is_the_fraction_sum_on_big_entries():
+    cs = families.little_q_jacobi(Fraction(4, 7), Fraction(5, 7), Fraction(1, 2)).build()
+    for m in (0, 5, 12):
+        for p in (Poly(), P(m, cs).shift(3), P(m + 7, cs) * Fraction(3, 5)):
+            assert L_eval(VElem(p, m, cs)) == fraction_L_eval(VElem(p, m, cs))
+
+
+def test_L_eval_checks_every_a_i_before_it_reads_nu():
+    cs = CoeffSystem(lambda n: Fraction(1), lambda n: Fraction(n != 3),
+                     lambda n: Fraction(1))
+    with pytest.raises(CoeffError, match="a_3 = 0"):
+        L_eval(VElem(Poly.x(5), 4, cs))
+    assert cs._nu is None
+
+
+def test_L_eval_raises_the_degeneracy_where_the_fraction_sum_does():
+    # b = 0, a = 1, lam_1 = 2, lam_2 = 1: P_2 = x^2 - x - 2 vanishes at
+    # -lam_2/a_2 = -1, while P_1(-lam_1/a_1) = -2 does not
+    got, want = (L_outcome(evaluate, VElem(Poly.x(4), 3, CoeffSystem(
+        lambda n: Fraction(0), lambda n: Fraction(1), lambda n: Fraction(2 if n == 1 else 1))))
+        for evaluate in (L_eval, fraction_L_eval))
+    assert got == want == (DegeneracyError, "degenerate system: P_2(-lam_2/a_2) = 0")
 
 
 def test_a_corrupt_nu_entry_fails_the_orthogonality_check(monkeypatch):

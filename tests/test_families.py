@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from r1poly import families
 from r1poly.core import CoeffSystem, L_eval, P, VElem, cf_series, moment_series, mu
-from r1poly.exactmath import Poly, binomial, pochhammer, qpochhammer
+from r1poly.exactmath import Poly, binomial, format_scalar, pochhammer, qpochhammer
 from r1poly.families import (
     FamilyParamError,
     NoClosedForm,
@@ -19,6 +20,7 @@ from r1poly.families import (
     glue_shift_check,
     hermite_egf_polys,
     hermite_linearization_check,
+    hermite_linearization_checks,
     hermite_moment,
     jacobi01,
     jacobi11,
@@ -338,6 +340,41 @@ def test_hermite_linearization_checks_its_expansion(monkeypatch):
         assert not hermite_linearization_check(2, 3, Fraction(2, 3))
     monkeypatch.setattr(families, "expand_in_P", expand)
     assert hermite_linearization_check(2, 3, Fraction(2, 3))
+
+
+def test_hermite_linearization_checks_build_one_system(monkeypatch):
+    builds = []
+    build = families.FamilySpec.build
+    monkeypatch.setattr(families.FamilySpec, "build",
+                        lambda self, depth=None: builds.append(self.name) or build(self))
+    pairs = [(n, m) for n in range(5) for m in range(5)]
+    for a in (Fraction(2, 3), Fraction(0), Fraction(-1, 5)):
+        builds.clear()
+        assert hermite_linearization_checks(pairs, a) == [True] * len(pairs)
+        assert builds == ["r1_hermite"]
+    monkeypatch.setattr(families, "expand_in_P", lambda p, cs: [])
+    assert hermite_linearization_checks([(0, 0), (1, 2)], Fraction(2, 3)) == [False, False]
+    assert hermite_linearization_checks([(0, 0), (1, 2)], Fraction(0)) == [True, True]
+
+
+# SHA-256 of "b_n a_n lam_n" for n = 1..20, one line each, as the coefficient
+# streams gave them when each evaluated its lamP(n) separately for a and lam
+COEFF_DIGESTS = {
+    "askey_wilson": "4ddf24356091206966264b88177e4ef2efec8999f530ca0b1fb3c314a98885b1",
+    "q_racah": "1bc59c5cbae6e32e253a804db8ce10497a14e46713a5d323e78d331207b1e39c",
+}
+
+
+@pytest.mark.parametrize("fam", [
+    askey_wilson(Fraction(1, 2), A13, Fraction(1, 5), Fraction(1, 7), Q12),
+    q_racah(A13, Fraction(1, 5), Fraction(1, 7), 24, Q12),
+], ids=lambda fam: fam.name)
+def test_coefficients_with_one_lamP_per_index_are_unchanged(fam):
+    for _ in range(2):  # the second build reads lamP(n) from the first
+        cs = fam.build()
+        text = "\n".join(f"{format_scalar(cs.b(n))} {format_scalar(cs.a(n))} "
+                         f"{format_scalar(cs.lam(n))}" for n in range(1, 21))
+        assert hashlib.sha256(text.encode()).hexdigest() == COEFF_DIGESTS[fam.name]
 
 
 def test_resolve_registry():

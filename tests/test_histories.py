@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -26,8 +27,8 @@ from r1poly.histories import (
 )
 from r1poly.paths import enumerate_paths
 
-from conftest import (no_history_objects, ref_phi, ref_phi_inv, ref_psi, ref_psi_inv,
-                      ref_round_trip)
+from conftest import (no_history_objects, ref_cycle_non_excedance_counts, ref_phi, ref_phi_inv,
+                      ref_psi, ref_psi_inv, ref_round_trip)
 
 FIG_LAGUERRE = LaguerreHistory("UUUHVVUUUHHVVHUHHVVV", (2, 2, 4, 1, 1, 2, 1))
 FIG_LAGUERRE_IMAGE = ((4, 2, 3), (8,), (9, 7, 1), (10,), (12,), (13, 5, 11, 6))
@@ -201,6 +202,45 @@ def test_mh_stirling_instantiation():
 def test_non_excedance_identity():
     for n in range(1, 7):
         assert non_excedance_check(n, Fraction(2, 3), Fraction(1, 5))
+
+
+def test_the_insertion_walk_counts_as_the_brute_force_does():
+    for n in range(9):
+        assert (histories_module._cycle_non_excedance_counts(n)
+                == ref_cycle_non_excedance_counts(n))
+
+
+def test_the_non_excedance_check_fails_on_a_wrong_count(monkeypatch):
+    counts = histories_module._cycle_non_excedance_counts(5)
+    counts[2, 3] += 1
+    monkeypatch.setattr(histories_module, "_cycle_non_excedance_counts", lambda n: counts)
+    assert not non_excedance_check(5, Fraction(2, 3), Fraction(1, 5))
+
+
+# -- histories past Python's default recursion depth
+
+
+def test_phi_maps_a_1200_step_history():
+    limit = sys.getrecursionlimit()
+    for h in (LaguerreHistory("H" * 1200, ()),
+              LaguerreHistory("UHV" * 300 + "U" * 300 + "H" + "V" * 300,
+                              (1,) * 300 + tuple(range(300, 0, -1)))):
+        assert phi(h) == ref_phi(h)
+        assert phi_inv(phi(h)) == h
+    assert len(phi(LaguerreHistory("H" * 1200, ()))) == 1200
+    assert sys.getrecursionlimit() == limit
+
+
+def test_psi_maps_a_1200_step_history():
+    limit = sys.getrecursionlimit()
+    for h in (MeixnerHistory("H" * 1200, (None,) * 1200),
+              MeixnerHistory("UHV" * 400, (None, 0, 1) * 400),
+              MeixnerHistory("U" * 400 + "H" + "V" * 400, (None,) * 401 + (1,) * 400)):
+        trace, ref_trace = [], []
+        assert psi(h, trace) == ref_psi(h, ref_trace)
+        assert trace == ref_trace
+        assert psi_inv(psi(h)) == h
+    assert sys.getrecursionlimit() == limit
 
 
 # -- streamed checks and one-pass validation ---------------------------------

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from r1poly.checks import random_system
 from r1poly.core import CoeffSystem, mu, mu_symbolic
@@ -11,12 +13,16 @@ from r1poly.paths import (
     PathOverflowError,
     WeightSystem,
     bounded_gf,
+    column_sums,
     enumerate_paths,
     finite_cf_rational,
     rho_sum,
+    rho_sums,
     symbolic_weights,
     weight_sum,
 )
+
+from conftest import gate_at_zero, ref_column_sums, ref_rho_sum, tables
 
 
 def test_empty_path():
@@ -180,31 +186,61 @@ def test_rho_brute_force(rng):
         assert brute == rho_sum(n, m, ell, ws)
 
 
-def per_suffix_rho_sum(n, m, ell, ws):
-    """rho_sum as it was made before one walk served every suffix: a fresh
-    ``weight_sum`` from (0, m) for each number j of D steps in the suffix."""
-    suffix = [ws.one]
-    for h in range(ell, 0, -1):
-        v, d = ws.step_weight("V", h), ws.step_weight("D", h)
-        nxt = [ws.zero] * (len(suffix) + 1)
-        for j, c in enumerate(suffix):
-            nxt[j] = nxt[j] + c * v
-            nxt[j + 1] = nxt[j + 1] + c * d
-        suffix = nxt
-    total = ws.zero
-    for j, c in enumerate(suffix):
-        total = total + c * weight_sum((0, m), (n + ell - j, ell), ws)
-    return total
-
-
 def test_rho_one_walk_matches_the_per_suffix_sums(rng):
     rational = WeightSystem(random_system(rng, depth=24))
     for n, m, ell in itertools.product(range(5), range(4), range(5)):
-        assert rho_sum(n, m, ell, rational) == per_suffix_rho_sum(n, m, ell, rational)
+        assert rho_sum(n, m, ell, rational) == ref_rho_sum(n, m, ell, rational)
     for n, m, ell in itertools.product(range(3), range(3), range(3)):
         got = rho_sum(n, m, ell, symbolic_weights())
-        assert got == per_suffix_rho_sum(n, m, ell, symbolic_weights())
+        assert got == ref_rho_sum(n, m, ell, symbolic_weights())
         assert isinstance(got, SymPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(16), st.booleans(), st.integers(0, 3), st.integers(0, 5),
+       st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       st.one_of(st.none(), st.integers(0, 4)))
+def test_column_sums_are_the_per_endpoint_sums(lists, gated, x0, y0, offsets, heights, cap):
+    """One walk read at many endpoints gives each endpoint's own walk's
+    Fraction, under height caps 0..4 and past the gate; a start or a
+    height above the cap reads zero."""
+    xs = [x0 + dx for dx in sorted(offsets)]
+    with gate_at_zero(gated):
+        got = column_sums((x0, y0), xs, heights, WeightSystem(CoeffSystem.from_lists(*lists)), cap)
+        want = ref_column_sums((x0, y0), xs, heights,
+                               WeightSystem(CoeffSystem.from_lists(*lists)), cap)
+    assert got == want
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(16), st.booleans(), st.integers(0, 4),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_rho_sums_are_the_per_endpoint_sums(lists, gated, m, ns, ells):
+    ns = sorted(ns)
+    with gate_at_zero(gated):
+        got = rho_sums(m, ns, ells, WeightSystem(CoeffSystem.from_lists(*lists)))
+        ws = WeightSystem(CoeffSystem.from_lists(*lists))
+        want = [[ref_rho_sum(n, m, ell, ws) for ell in ells] for n in ns]
+    assert got == want
+
+
+def test_column_sums_on_symbolic_weights():
+    ws = symbolic_weights()
+    assert column_sums((0, 1), range(5), range(4), ws) == ref_column_sums(
+        (0, 1), range(5), range(4), ws)
+
+
+def test_column_sums_rejects_a_negative_height_and_a_column_behind_the_walk(ones):
+    ws = WeightSystem(ones)
+    with pytest.raises(ValueError):
+        column_sums((0, 0), range(3), (0, -1), ws)
+    with pytest.raises(ValueError):
+        column_sums((2, 0), (1, 3), (0,), ws)
+    with pytest.raises(ValueError):
+        column_sums((0, 0), (3, 2), (0,), ws)
 
 
 def test_bounded_gf_base_case(ones):

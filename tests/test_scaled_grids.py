@@ -35,7 +35,7 @@ from r1poly.exactmath import Poly, Series, series_from_rational
 from r1poly.families import FamilyParamError, FamilySpec
 from r1poly.paths import WeightSystem, finite_cf_rational, weight_sum
 
-from conftest import check_poly_form, ref_add, ref_mul
+from conftest import check_poly_form, ref_add, ref_mul, tables
 
 
 def reference_mu_rows(cs: CoeffSystem, upto: int, rows: list | None = None) -> list:
@@ -110,17 +110,6 @@ def ring_of(cs: CoeffSystem) -> str:
     """Which ring the system's mu walk is on now: "fraction" past the gate,
     where it steps with the coefficients themselves as weights."""
     return "fraction" if cs.mu_table()._walk.scale is None else "scaled"
-
-
-small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-nonzero = small.filter(bool)
-
-
-@st.composite
-def tables(draw, depth):
-    """The lists of a random table: b, a (nonzero) and lam, ``depth`` each."""
-    return tuple(draw(st.lists(kind, min_size=depth, max_size=depth))
-                 for kind in (small, nonzero, small))
 
 
 @settings(max_examples=40, deadline=None)
