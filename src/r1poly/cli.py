@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 identity failure, 2 degeneracy or hypothesis
 violation, 3 usage error or a tripped limit (a memo table over
 R1_MEMO_LIMIT, a path enumeration over its cap, a symbolic `moments --n`
 or `paths sum` x-span plus start height over ``core.SYMBOLIC_CAP`` = 12,
-checked before any work starts).  A verb returns the code of what it reports and raises on
-anything else; ``main`` alone turns an exception into an exit code and one
-``error:`` line, from ``_DEGENERATE`` (exit 2) and ``_BAD_INPUT`` (exit 3).  The verify suites live in
+checked before any work starts, or a run out of memory).  A verb returns the code of what it
+reports and raises on anything else; ``main`` alone turns an exception into an exit code and
+one ``error:`` line: ``_DEGENERATE`` exits 2, ``_BAD_INPUT`` 3, and ``MemoryError`` 3 with a
+line that names the verb and the arguments that size its work.  The verify suites live in
 r1poly.checks; they derive everything from --seed and print the seed in the
 report, so runs are byte-identical.
 """
@@ -42,6 +43,11 @@ EXIT_USAGE = 3
 _DEGENERATE = (CoeffError, DegeneracyError, FamilyParamError, HypothesisViolation, PQUniqueError)
 # Bad input (every other ValueError, an unreadable --coeffs) and tripped limits: exit 3.
 _BAD_INPUT = (ValueError, OSError, core.MemoLimitError, paths.PathOverflowError)
+
+
+# The arguments that size each verb's work (--n unless listed), named when a
+# run out of memory exits 3.
+_SIZE_ARGS = {"functional": ("expr",), "paths": ("from", "to"), "verify": ("suite", "seed")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,6 +390,12 @@ def main(argv=None) -> int:
     except (*_DEGENERATE, *_BAD_INPUT) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY if isinstance(exc, _DEGENERATE) else EXIT_USAGE
+    except MemoryError:
+        pass  # leaving the handler frees what the failed request held
+    size = " ".join(f"--{name} {getattr(args, name)}"
+                    for name in _SIZE_ARGS.get(args.verb, ("n",)) if getattr(args, name) is not None)
+    print(f"error: out of memory: {args.verb} {size}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

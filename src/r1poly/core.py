@@ -10,9 +10,9 @@ read.  Everything else in the package is parameterized by one of these
 systems.  A system reads each b_n, a_n and lam_n from its stream once, on
 first use, checks the index there and memoizes the value; a stream that
 cannot produce a coefficient fails at that read, whatever the index.  Each
-system also carries its own memo tables (the polynomials P_n, the mu and nu
-moment grids), which grow monotonically and are dropped only by building a
-fresh system.
+system also carries its own memo tables (the polynomials P_n, the moments
+mu_n and the nu grid), which grow monotonically and are dropped only by
+building a fresh system.
 
 The mu grid and the path sums of ``paths.weight_sum`` are one dynamic
 program, ``PathColumns``, which makes each column of path sums from the one
@@ -188,7 +188,7 @@ class CoeffSystem:
         return v
 
     def mu_table(self) -> "MuTable":
-        """The system's mu grid, built on first use.  It reaches the system
+        """The system's mu table, built on first use.  It reaches the system
         through a weak proxy, so the caller must keep the system alive: a table
         whose system was dropped raises ``ReferenceError`` once it reads it."""
         if self._mu is None:
@@ -636,43 +636,45 @@ class _PolyRows:
 
 
 class MuTable:
-    """Memoized grid mu_{n,m} = L(x^n P_m / d_m), as path columns from (0, 0).
-
-    mu_{n,m} is the weighted sum of the paths from (0, 0) to (n, m), so
-    row n is column n of a ``PathColumns`` walk from the origin, kept in
-    ``memo`` under (n, m).  The step is the recurrence mu_{0,0} = 1,
-    mu_{n,m} = 0 for n < m, and for n >= m
+    """The moments mu_n = L(x^n), and on request the grid mu_{n,m} =
+    L(x^n P_m / d_m), the path sums from (0, 0) to (n, m): row n is column
+    n of a ``PathColumns`` walk from the origin, whose step is the
+    recurrence mu_{0,0} = 1, mu_{n,m} = 0 for n < m, and for n >= m
 
         mu_{n,m} = a_{m+1} mu_{n,m+1} + b_m mu_{n-1,m}
-                   + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1}.
+                   + mu_{n-1,m-1} + lam_{m+1} mu_{n-1,m+1},
 
-    Only + and * are used, so the entries lie in the ring of the system's
-    coefficients.  For a rational system ``memo`` holds each row n as the
-    walk kept it: the scaled integers D^(n-m) mu_{n,m}, D the lcm the row
-    was made with, or past the gate the integers Q_n mu_{n,m} over the
-    common denominator Q_n of the row; ``value`` returns the Fraction.
-    """
+    in the ring of the coefficients.  mu_n is at height n of column n, so
+    the walk makes every column whole, yet keeps only the one it stands in;
+    ``memo`` keeps row 0, mu_n under (n, 0).  The first m > 0 starts a
+    second walk, ``_grid``, that keeps every column under (n, m), as made.
+    Either walk counts (n+1)(n+2)/2 entries to row n against R1_MEMO_LIMIT."""
 
     def __init__(self, cs: CoeffSystem):
         self.cs = cs
-        self.memo: dict[tuple[int, int], Scalar] = {}
-        self._walk = PathColumns(cs, (0, 0), memo=self.memo)
-        self._filled_to = 0
+        self._walk = PathColumns(cs, (0, 0))
+        self.memo: dict[tuple[int, int], Scalar] = {(0, 0): self._walk.value(0)}
+        self._grid: PathColumns | None = None
 
     def value(self, n: int, m: int) -> Scalar:
         if n < 0 or m < 0:
             raise ValueError("mu indices must be >= 0")
         if n < m:
             return self.cs.zero
-        if n > self._filled_to:
-            self._fill(n, _memo_limit())
-        return self._walk.read(n, m, self.memo[(n, m)])
+        if m and self._grid is None:
+            self._grid = PathColumns(self.cs, (0, 0), memo={})
+        walk = self._grid if m else self._walk
+        if n > walk.x:
+            self._fill(n, _memo_limit(), walk)
+        return walk.read(n, m, walk.memo[(n, m)]) if m else self.memo[(n, 0)]
 
-    def _fill(self, upto: int, limit: int | None):
-        for n in range(self._filled_to + 1, upto + 1):
-            self._walk.advance()
-            self._filled_to = n
-            _check_memo("mu table", len(self.memo), f"filling row {n} for n={upto}", limit)
+    def _fill(self, upto: int, limit: int | None, walk: PathColumns):
+        """Step ``walk`` to column ``upto``; the row walk keeps row 0."""
+        for n in range(walk.x + 1, upto + 1):
+            walk.advance()
+            if walk is self._walk:
+                self.memo[(n, 0)] = walk.value(0)
+            _check_memo("mu table", (n + 1) * (n + 2) // 2, f"filling row {n} for n={upto}", limit)
 
 
 class _SymbolicSystem(CoeffSystem):
@@ -687,20 +689,19 @@ class _SymbolicSystem(CoeffSystem):
 
 
 _SYMBOLIC = _SymbolicSystem(SymPoly.b, SymPoly.a, SymPoly.lam, name="symbolic")
-# The one memo every mu_symbolic call extends.  It is taken once here, not
-# per call, because bench/tracing.py reads the entries of every table that
-# an op reaches through mu_table() as rationals.
+# The one table every mu_symbolic call extends.  It is taken once here, not
+# per call, because bench/tracing.py reads the memo (row 0) of every table an
+# op reaches through mu_table() as rationals, and this one holds SymPolys.
 _SYMBOLIC_MU = _SYMBOLIC.mu_table()
 
 
 # The largest n of the CLI's symbolic moments, and the largest x-span plus
-# start height of its symbolic path sums: a walk from (0, y) to column s is
-# part of the walk from the origin to column s + y, since every path from
-# (0, y) follows y U steps from (-y, 0).  The terms of mu_n, and the memory,
-# about triple with each n: mu_symbolic(12) has 400,850 terms, computing
-# mu_symbolic(0..12) peaks at 278 MiB and a whole `moments --symbolic --n 12`
-# run, printing included, at 333 MiB, so n = 13 would need about 1 GB.
-# mu_symbolic itself takes any n.
+# start height of its symbolic path sums: every path from (0, y) follows y U
+# steps from (-y, 0), so its walk to column s is part of the walk from the
+# origin to column s + y.  The terms of mu_n, and the memory, about triple
+# with each n: mu_symbolic(12) has 400,850 terms, mu_symbolic(0..12) peaks at
+# 262 MiB and a whole `moments --symbolic --n 12` run at 299 MiB, so n = 13
+# would need about 1 GB.  mu_symbolic itself takes any n.
 SYMBOLIC_CAP = 12
 
 
@@ -788,9 +789,8 @@ class NuTable:
         for j, top in reversed(tops):
             for i in range(heights[j], top + 1) if m else (n,):
                 if j == 0:
-                    if i > mu_t._filled_to:
-                        mu_t._fill(i, limit)
-                    val = mu_t.value(i, 0)
+                    mu_t._fill(i, limit, mu_t._walk)
+                    val = mu_t.memo[(i, 0)]
                 elif i == 0:
                     if j not in self._u_rows:
                         self._divide(j, limit)

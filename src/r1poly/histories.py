@@ -44,7 +44,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exactmath import (Poly, Scalar, ScalarLike, SymPoly, as_scalar, pochhammer,
                         stirling1, stirling2)
@@ -98,15 +98,16 @@ def _walk(steps: str) -> Iterator[tuple[int, str, int]]:
         raise ValueError(f"history does not end at ({n},0)")
 
 
-def _label_options(steps: str, kind: str) -> list[tuple]:
+def _label_options(steps: str, kind: str) -> list[Sequence]:
     """The labels each step of a history shape may carry: a V at height h
-    takes 1..h.  A Laguerre history labels its V steps only; a Meixner one
+    takes 1..h, a ``range``, so the options of a shape stay linear in its
+    length.  A Laguerre history labels its V steps only; a Meixner one
     labels every step, where a U takes none, an H before a V none or 0, and
     any other H none or 1..h.  ValueError where ``_walk`` rejects the shape."""
     options = []
     for idx, s, h in _walk(steps):
         if s == "V":
-            options.append(tuple(range(1, h + 1)))
+            options.append(range(1, h + 1))
         elif kind == "meixner":
             if s == "U":
                 options.append((None,))

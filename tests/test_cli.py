@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 import r1poly
 from r1poly import cli
 from r1poly.cli import main
-from r1poly.exactmath import parse_scalar, read_scalar
+from r1poly.exactmath import format_scalar, parse_scalar, pochhammer, read_scalar
 from r1poly.paths import Path
 
 
@@ -466,6 +467,13 @@ def test_histories_map_text_mode_keeps_no_rows():
     assert 10 * _traced_peak(argv) < _traced_peak(argv + ["--format", "json"])
 
 
+def test_moments_keep_one_path_column():
+    # the mu table keeps row 0 and its walk's current column: O(N) entries
+    # where the whole grid to row 600 took 79 MiB
+    argv = ["moments", "--family", "laguerre", "--param", "a=9/7", "--n", "600"]
+    assert _traced_peak(argv) < 10 << 20
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "histories", "--seed", "42")
     code2, out2, _ = run(capsys, "verify", "--suite", "histories", "--seed", "42")
@@ -493,12 +501,21 @@ _DEGENERATE_INPUT = [
 ]
 
 
-def _run_cli(argv, cwd, extra_env=None):
+def _run_cli(argv, cwd, extra_env=None, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(r1poly.__file__)))
     env.pop("R1_MEMO_LIMIT", None)
     env.update(extra_env or {})
-    return subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()],
-                          cwd=cwd, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "r1poly.cli", *argv.split()], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=preexec_fn)
+
+
+def _address_space(mib):
+    """Run in the child before the CLI: cap its own address space at ``mib``
+    MiB, so the limit applies to that process alone."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+    return limit
 
 
 @pytest.mark.parametrize("argv", _DEGENERATE_INPUT)
@@ -569,6 +586,29 @@ def test_bad_input_is_one_line_usage_error(extra_env, argv, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", ["moments --symbolic --n 8",
+                                  "moments --family laguerre --param a=1 --n 8"])
+def test_the_mu_limit_counts_the_entries_its_walk_makes(argv, tmp_path):
+    # (n+1)(n+2)/2 entries to row n, in either ring, though only row 0 is kept
+    proc = _run_cli(argv, tmp_path, {"R1_MEMO_LIMIT": "20"})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: mu table: 21 entries > R1_MEMO_LIMIT=20 (filling row 5 for n=5)\n"
+
+
+def test_running_out_of_memory_is_a_tripped_limit(tmp_path):
+    proc = _run_cli("moments --symbolic --n 12", tmp_path, preexec_fn=_address_space(160))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: out of memory: moments --n 12\n"
+
+
+def test_mu_2000_fits_in_a_gigabyte(tmp_path):
+    # the whole mu grid to row 2000 needs more than 1 GiB; its row 0 about 30 MiB
+    proc = _run_cli("functional --family laguerre --param a=9/7 --expr x^2000", tmp_path,
+                    preexec_fn=_address_space(1024))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == format_scalar(pochhammer(Fraction(16, 7), 2000)) + "\n"
 
 
 def test_symbolic_verbs_are_capped_before_any_work(capsys, monkeypatch):

@@ -546,9 +546,14 @@ def test_memo_limit(monkeypatch):
 
 def test_memo_limit_names_table_and_request(monkeypatch, ones):
     monkeypatch.setenv("R1_MEMO_LIMIT", "5")
-    with pytest.raises(MemoLimitError, match=r"^mu table: 6 entries > R1_MEMO_LIMIT=5 "
-                                             r"\(filling row 2 for n=10\)$"):
-        mu(10, ones)
+    # the limit counts the entries a walk makes, (n+1)(n+2)/2 to row n, on
+    # the row walk of mu and on the grid walk of mu_nm alike
+    for request in (lambda: mu(10, ones), lambda: mu_nm(10, 1, ones)):
+        with pytest.raises(MemoLimitError, match=r"^mu table: 6 entries > R1_MEMO_LIMIT=5 "
+                                                 r"\(filling row 2 for n=10\)$"):
+            request()
+    assert [mu(n, ones) for n in range(3)] == [1, 2, 7]  # the rows made stay readable
+    assert [mu_nm(2, m, ones) for m in range(3)] == [7, 4, 1]
     cs = CoeffSystem(lambda n: Fraction(1), lambda n: Fraction(1), lambda n: Fraction(1))
     monkeypatch.setenv("R1_MEMO_LIMIT", "4")
     with pytest.raises(MemoLimitError, match=r"^nu table: 5 entries > R1_MEMO_LIMIT=4 "

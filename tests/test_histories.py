@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -241,6 +242,26 @@ def test_psi_maps_a_1200_step_history():
         assert trace == ref_trace
         assert psi_inv(psi(h)) == h
     assert sys.getrecursionlimit() == limit
+
+
+def test_validating_a_long_history_keeps_its_label_options_linear():
+    # a V at height h allows the labels range(1, h + 1), not a tuple of them:
+    # the tuples of U^3000 H V^3000 took 148 MiB
+    k = 3000
+    shape, v_labels = "U" * k + "H" + "V" * k, tuple(range(k, 0, -1))
+    tracemalloc.start()
+    try:
+        LaguerreHistory(shape, v_labels)
+        MeixnerHistory(shape, (None,) * (k + 1) + v_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    too_high = (k + 1, *v_labels[1:])
+    with pytest.raises(ValueError, match=r"^V label 3001 outside 1\.\.3000$"):
+        LaguerreHistory(shape, too_high)
+    with pytest.raises(ValueError, match=r"^V label 3001 outside 1\.\.3000$"):
+        MeixnerHistory(shape, (None,) * (k + 1) + too_high)
 
 
 # -- streamed checks and one-pass validation ---------------------------------

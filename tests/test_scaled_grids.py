@@ -35,7 +35,7 @@ from r1poly.exactmath import Poly, Series, series_from_rational
 from r1poly.families import FamilyParamError, FamilySpec
 from r1poly.paths import WeightSystem, finite_cf_rational, weight_sum
 
-from conftest import check_poly_form, ref_add, ref_mul, tables
+from conftest import check_poly_form, gate_at_zero, ref_add, ref_mul, tables
 
 
 def reference_mu_rows(cs: CoeffSystem, upto: int, rows: list | None = None) -> list:
@@ -243,13 +243,13 @@ def test_memo_limit_on_a_scaled_table(monkeypatch):
     cs = families.laguerre(Fraction(8, 7)).build()
     mu(3, cs)
     monkeypatch.setenv("R1_MEMO_LIMIT", "20")
-    with pytest.raises(MemoLimitError, match=r"^mu table: 21 entries > R1_MEMO_LIMIT=20 "
-                                             r"\(filling row 5 for n=9\)$"):
-        mu(9, cs)
-    assert ring_of(cs) == "scaled" and sorted(cs.mu_table().memo) == sorted(
-        (n, m) for n in range(6) for m in range(n + 1))
+    rows = reference_mu_rows(families.laguerre(Fraction(8, 7)).build(), 9)
+    check_limited_walks(cs, rows, 5, r"^mu table: 21 entries > R1_MEMO_LIMIT=20 "
+                                     r"\(filling row 5 for n=9\)$")
+    assert ring_of(cs) == "scaled"
     monkeypatch.delenv("R1_MEMO_LIMIT")
-    assert mu(9, cs) == reference_mu_rows(families.laguerre(Fraction(8, 7)).build(), 9)[9][0]
+    assert mu(9, cs) == rows[9][0]
+    check_kept_columns(cs, rows)
 
 
 def lcm_of_denominators(values) -> int:
@@ -278,6 +278,44 @@ def gated_by_its_reads(walk: PathColumns) -> bool:
     return (walk.gated_from is None) == whole
 
 
+def check_row_walk(cs: CoeffSystem, rows: list):
+    """Fill the mu rows one at a time: the row walk's current column as kept
+    against each reference row, and ``memo`` holding row 0 as Fractions."""
+    table = cs.mu_table()
+    for k, row in enumerate(rows):
+        assert mu(k, cs) == row[0]
+        assert table._walk.x == k and len(table._walk.dens) == k + 1
+        check_kept_column(table._walk, k, table._walk.col, row)
+    assert table.memo == {(k, 0): row[0] for k, row in enumerate(rows)}
+    assert all(type(v) is Fraction for v in table.memo.values())
+
+
+def check_kept_columns(cs: CoeffSystem, rows: list):
+    """The mu_{n,m} walk, filled to the last reference row, keeps every
+    column under (n, m), each as kept against its row."""
+    n = len(rows) - 1
+    assert mu_nm(n, n, cs) == rows[n][n]
+    grid = cs.mu_table()._grid
+    assert sorted(grid.memo) == sorted((k, m) for k in range(n + 1) for m in range(k + 1))
+    for k, row in enumerate(rows):
+        check_kept_column(grid, k, [grid.memo[(k, m)] for m in range(k + 1)], row)
+
+
+def check_limited_walks(cs: CoeffSystem, rows: list, row: int, message: str):
+    """Under the memo limit both walks fail at ``row`` with ``message``, and
+    keep what they made: row 0 to ``row``, the walk standing in that column,
+    and the grid's columns to it."""
+    table = cs.mu_table()
+    for request in (lambda: mu(len(rows) - 1, cs), lambda: mu_nm(len(rows) - 1, 1, cs)):
+        with pytest.raises(MemoLimitError, match=message):
+            request()
+    assert table.memo == {(k, 0): rows[k][0] for k in range(row + 1)}
+    assert table._walk.x == table._grid.x == row
+    check_kept_column(table._walk, row, table._walk.col, rows[row])
+    assert sorted(table._grid.memo) == sorted((k, m) for k in range(row + 1)
+                                              for m in range(k + 1))
+
+
 def check_gated_walk(walk: PathColumns, want_columns):
     """Every column of ``walk`` against the reference columns, and each
     column as kept, scaled or gated."""
@@ -293,12 +331,10 @@ def test_gated_rows_are_kept_over_the_lcm_of_their_denominators(name):
     spec, n, _, _ = RING_CASES[name]
     rows = reference_mu_rows(spec.build(), n)
     cs = spec.build()
-    mu(n, cs)
+    check_row_walk(cs, rows)  # columns kept before the gate stay scaled
+    check_kept_columns(cs, rows)
     table = cs.mu_table()
-    walk = table._walk
-    assert len(walk.dens) == n + 1 and walk.gated_from is not None
-    for k, row in enumerate(rows):  # rows kept before the gate stay scaled
-        check_kept_column(walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
+    assert table._walk.gated_from == table._grid.gated_from is not None
     if name.startswith("sparse"):  # whole zero entries sit among the gated rows
         assert any(row[m] == 0 for row in rows[11:] for m in range(len(row)))
 
@@ -362,12 +398,12 @@ def test_gated_grid_on_random_tables(case):
     rows = reference_mu_rows(CoeffSystem.from_lists(*lists), n)
     with mock.patch.object(core, "SCALED_MAX_BITS", 0):
         cs = CoeffSystem.from_lists(*lists)
+        check_row_walk(cs, rows)
         for k, row in enumerate(rows):
             assert [mu_nm(k, m, cs) for m in range(k + 1)] == row
+        check_kept_columns(cs, rows)
     table = cs.mu_table()
-    assert gated_by_its_reads(table._walk)
-    for k, row in enumerate(rows):
-        check_kept_column(table._walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
+    assert gated_by_its_reads(table._walk) and gated_by_its_reads(table._grid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,16 +428,88 @@ def test_memo_limit_on_a_gated_table(monkeypatch):
     mu(10, cs)
     assert ring_of(cs) == "fraction"
     monkeypatch.setenv("R1_MEMO_LIMIT", "90")
-    with pytest.raises(MemoLimitError, match=r"^mu table: 91 entries > R1_MEMO_LIMIT=90 "
-                                             r"\(filling row 12 for n=15\)$"):
-        mu(15, cs)
-    assert sorted(cs.mu_table().memo) == sorted((n, m) for n in range(13) for m in range(n + 1))
-    monkeypatch.delenv("R1_MEMO_LIMIT")
     rows = reference_mu_rows(spec.build(), 15)
+    check_limited_walks(cs, rows, 12, r"^mu table: 91 entries > R1_MEMO_LIMIT=90 "
+                                      r"\(filling row 12 for n=15\)$")
+    monkeypatch.delenv("R1_MEMO_LIMIT")
     assert [mu(k, cs) for k in range(16)] == [row[0] for row in rows]
-    table = cs.mu_table()
-    for k, row in enumerate(rows):
-        check_kept_column(table._walk, k, [table.memo[(k, m)] for m in range(k + 1)], row)
+    check_kept_column(cs.mu_table()._walk, 15, cs.mu_table()._walk.col, rows[15])
+    check_kept_columns(cs, rows)
+
+
+# -- the row walk of mu, and the grid walk of mu_nm ----------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), tables(n + 2))),
+       st.booleans(), st.one_of(st.none(), st.integers(1, 20)))
+def test_moment_rows_match_the_reference(case, gated, zero_lam):
+    """mu_0..mu_n off the row walk against the Fraction recurrence: on random
+    tables, past the gate from the first fractional coefficient, and with a
+    lam_k = 0 mid-range.  A system that asks for no m > 0 starts no grid walk."""
+    n, (b, a, lam) = case
+    if zero_lam is not None and zero_lam < len(lam):
+        lam = [*lam[:zero_lam], Fraction(0), *lam[zero_lam + 1:]]
+    rows = reference_mu_rows(CoeffSystem.from_lists(b, a, lam), n)
+    with gate_at_zero(gated):
+        cs = CoeffSystem.from_lists(b, a, lam)
+        check_row_walk(cs, rows)
+    assert cs.mu_table()._grid is None
+    assert not gated or gated_by_its_reads(cs.mu_table()._walk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), tables(n + 2))),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 25), st.integers(0, 25)), max_size=12),
+       st.booleans())
+def test_row_and_grid_requests_interleave(case, requests, gated):
+    """mu and mu_nm requests in any order read the same values: the row
+    walk's and the grid walk's fills never disturb each other."""
+    n, lists = case
+    rows = reference_mu_rows(CoeffSystem.from_lists(*lists), n)
+    with gate_at_zero(gated):
+        cs = CoeffSystem.from_lists(*lists)
+        for row_first, k, m in requests + [(True, n, n), (False, n, n)]:
+            k, m = min(k, n), min(m, n)
+            want = rows[k][m] if m <= k else 0
+            pair = [lambda: mu(k, cs), lambda: mu_nm(k, m, cs)]
+            got = [request() for request in (pair if row_first else pair[::-1])]
+            assert got == ([rows[k][0], want] if row_first else [want, rows[k][0]])
+
+
+@pytest.mark.parametrize("name", ["laguerre", "little_q_jacobi"])
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows first", "grid first"])
+def test_each_walk_reads_the_reference_whichever_fills_first(name, rows_first):
+    spec, n, _, late = RING_CASES[name]
+    rows = reference_mu_rows(spec.build(), n)
+    cs = spec.build()
+    fills = {"rows": lambda: [mu(k, cs) for k in range(n + 1)],
+             "grid": lambda: [[mu_nm(k, m, cs) for m in range(k + 1)] for k in range(n + 1)]}
+    got = {name: fills[name]() for name in (["rows", "grid"] if rows_first else ["grid", "rows"])}
+    assert got == {"rows": [row[0] for row in rows], "grid": rows}
+    assert ring_of(cs) == late and cs.mu_table()._grid.dens == cs.mu_table()._walk.dens
+
+
+@pytest.mark.parametrize("spec", [
+    _failing_at(12, lambda n: 1), _failing_at(30, lambda n: n + 1),
+    FamilySpec("table", {}, Fraction, Fraction, Fraction, valid_to=9),
+], ids=["scaled", "gated", "valid_to"])
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows first", "grid first"])
+def test_a_rejected_coefficient_fails_both_walks_alike(spec, rows_first):
+    """A stream that rejects index k stops the row walk and the grid walk at
+    the same row with the same named error, again on every retry, and the
+    rows before it stay readable from both."""
+    cs, ref_cs, ref_rows = spec.build(), spec.build(), [[Fraction(1)]]
+    failure = _first_failure(lambda n: reference_mu_rows(ref_cs, n, ref_rows), 70)
+    assert failure is not None
+    row, kind, message = failure
+    walks = [lambda: mu(row, cs), lambda: mu_nm(row, 1, cs), lambda: mu_nm(row, 0, cs)]
+    for request in (walks if rows_first else walks[::-1]) * 2:
+        with pytest.raises(kind, match="^" + re.escape(message) + "$"):
+            request()
+    for k, want in enumerate(ref_rows):
+        assert mu(k, cs) == want[0]
+        assert [mu_nm(k, m, cs) for m in range(k + 1)] == want
 
 
 # -- P_n ------------------------------------------------------------------
